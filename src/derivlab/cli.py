@@ -182,23 +182,28 @@ def _multiplicity_pattern(n: int) -> list:
     return [2] + [1] * (n - 2)
 
 
+def _spectral_instances(n: int, seed: int) -> list:
+    """The named generator pair of the spectral suites: a simple spectrum
+    and one with a repeated eigenvalue."""
+    return [
+        ("simple", generate("hermitian", n, seed)),
+        (
+            "multiplicity",
+            generate(
+                "hermitian_with_multiplicity",
+                n,
+                seed,
+                multiplicities=_multiplicity_pattern(n),
+            ),
+        ),
+    ]
+
+
 def _suite_kernel_stab(config: ExperimentConfig) -> list:
     tol = config.tolerances
     checks = []
     for n in config.dims:
-        instances = [
-            ("simple", generate("hermitian", n, config.seed)),
-            (
-                "multiplicity",
-                generate(
-                    "hermitian_with_multiplicity",
-                    n,
-                    config.seed,
-                    multiplicities=_multiplicity_pattern(n),
-                ),
-            ),
-        ]
-        for name, d in instances:
+        for name, d in _spectral_instances(n, config.seed):
             report = kernel_stabilization_report(
                 d,
                 config.n_max,
@@ -229,19 +234,7 @@ def _suite_commutant_identity(config: ExperimentConfig) -> list:
     tol = config.tolerances
     checks = []
     for n in config.dims:
-        instances = [
-            ("simple", generate("hermitian", n, config.seed + 1)),
-            (
-                "multiplicity",
-                generate(
-                    "hermitian_with_multiplicity",
-                    n,
-                    config.seed + 1,
-                    multiplicities=_multiplicity_pattern(n),
-                ),
-            ),
-        ]
-        for name, d in instances:
+        for name, d in _spectral_instances(n, config.seed + 1):
             report = kernel_commutant_check(
                 d,
                 rank_tol=tol["rank"],
@@ -316,6 +309,21 @@ def _suite_br_gns(config: ExperimentConfig) -> list:
     return checks
 
 
+def _obstruction_check(check_id: str, a, b) -> dict:
+    tr_abs, gap, bound = heis_mod.trace_obstruction(a, b)
+    scale = np.linalg.norm(a, 2) * np.linalg.norm(b, 2)
+    passed = tr_abs <= 1e-9 * len(a) * scale and gap >= bound - 1e-9
+    return _check(
+        check_id,
+        "traceless commutators keep [A,B] at least sqrt(n) away "
+        "from i times the identity",
+        passed,
+        max(tr_abs, bound - gap),
+        1e-9,
+        {"gap": gap, "lower_bound": bound},
+    )
+
+
 def _suite_heisenberg(config: ExperimentConfig) -> list:
     tol = config.tolerances
     checks = []
@@ -350,36 +358,16 @@ def _suite_heisenberg(config: ExperimentConfig) -> list:
     )
 
     for pair_name, pair in (("line", base_line), ("circle", base_circle)):
-        tr_abs, gap, bound = heis_mod.trace_obstruction(pair.A, pair.B)
-        scale = np.linalg.norm(pair.A, 2) * np.linalg.norm(pair.B, 2)
-        passed = tr_abs <= 1e-9 * pair.n * scale and gap >= bound - 1e-9
         checks.append(
-            _check(
-                f"heisenberg/obstruction/{pair_name}",
-                "traceless commutators keep [A,B] at least sqrt(n) away "
-                "from i times the identity",
-                passed,
-                max(tr_abs, bound - gap),
-                1e-9,
-                {"gap": gap, "lower_bound": bound},
-            )
+            _obstruction_check(f"heisenberg/obstruction/{pair_name}", pair.A, pair.B)
         )
 
     for n in config.dims:
-        a = generate("hermitian", n, config.seed + 3)
-        b = generate("hermitian", n, config.seed + 4)
-        tr_abs, gap, bound = heis_mod.trace_obstruction(a, b)
-        scale = np.linalg.norm(a, 2) * np.linalg.norm(b, 2)
-        passed = tr_abs <= 1e-9 * n * scale and gap >= bound - 1e-9
         checks.append(
-            _check(
+            _obstruction_check(
                 f"heisenberg/obstruction/random/n={n}",
-                "traceless commutators keep [A,B] at least sqrt(n) away "
-                "from i times the identity",
-                passed,
-                max(tr_abs, bound - gap),
-                1e-9,
-                {"gap": gap, "lower_bound": bound},
+                generate("hermitian", n, config.seed + 3),
+                generate("hermitian", n, config.seed + 4),
             )
         )
         if n <= _RIGIDITY_MAX_DIM:
@@ -539,10 +527,7 @@ def main(argv=None) -> int:
         numlin.write_matrix_text(args.out, matrix)
         print(f"wrote {args.kind} instance (n={args.n}, seed={args.seed}) to {args.out}")
         return 0
-    except ConfigInvalid as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except BadMultiplicities as exc:
+    except (ConfigInvalid, BadMultiplicities) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .derivation import Superoperator, ad_superoperator, superoperator_stabilization_report
-from .errors import NotDerivation, NotEquilibrium, NotFaithful, NotDensity
+from .errors import NotDensity, NotDerivation, NotEquilibrium, NotFaithful, ShapeMismatch
 from .numlin import (
     DEFAULT_RANK_TOL,
     OperatorSubspace,
@@ -28,7 +28,6 @@ from .numlin import (
     kron,
     require_hermitian,
     subspace_distance,
-    unvec,
     vec,
 )
 from .spectral import spectral_resolution
@@ -176,10 +175,20 @@ class GNSRepresentation:
         return self.gram_factor @ vec(a)
 
     def pi(self, a) -> np.ndarray:
-        """The representation: left multiplication by a in GNS coordinates."""
-        a = as_cmatrix(a)
-        left = kron(np.eye(self.n), a)
-        return self.gram_factor @ left @ self.gram_factor_inv
+        """The representation: left multiplication by a in GNS coordinates.
+
+        Takes one n x n matrix or a (k, n, n) stack.  kron(I, a) is block
+        diagonal, so R kron(I, a) R^-1 = sum_j R[:, jn:(j+1)n] a
+        R^-1[jn:(j+1)n, :], which is one product per factor.
+        """
+        n, d = self.n, self.hilbert_dim
+        a = np.asarray(a, dtype=np.complex128)
+        if a.ndim not in (2, 3) or a.shape[-2:] != (n, n):
+            raise ShapeMismatch(f"expected {n}x{n} matrices, got shape {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("matrix entries must be finite")
+        blocks = np.matmul(self.gram_factor.reshape(d * n, n), a)
+        return blocks.reshape(a.shape[:-2] + (d, d)) @ self.gram_factor_inv
 
     def inner(self, u, v) -> complex:
         """Hilbert-space inner product, linear in the first argument."""
@@ -235,22 +244,35 @@ def implementing_operator(
     return s, frob(s - s.conj().T)
 
 
+def _unit_images(gns: GNSRepresentation) -> np.ndarray:
+    """pi of the n^2 matrix units as one (n^2, d, d) stack in vec order:
+    entry u is pi(unvec(e_u)), so by linearity pi(L(E_u)) for a map L
+    with matrix M on vec coordinates is sum_v M[v, u] entry v."""
+    n = gns.n
+    return gns.pi(np.eye(n * n).reshape(n * n, n, n).transpose(0, 2, 1))
+
+
+def _norms(stack, out: str) -> np.ndarray:
+    """Euclidean norms in a (k, d, d) stack: of each matrix (out="u") or
+    of each column (out="uj").  Summed through a float view of the stack,
+    so no temporary of its size is made."""
+    parts = stack.view(np.float64).reshape(stack.shape + (2,))
+    return np.sqrt(np.einsum(f"uijc,uijc->{out}", parts, parts))
+
+
 def implementation_check(gns: GNSRepresentation, delta: Derivation, s) -> float:
-    """Max over basis elements a and basis vectors h of
+    """Max over matrix units a and basis vectors h of
     ||pi(delta(a)) h - [iS, pi(a)] h||."""
     s = as_cmatrix(s)
-    n = gns.n
-    worst = 0.0
-    for c in range(n):
-        for r in range(n):
-            unit = np.zeros((n, n), dtype=complex)
-            unit[r, c] = 1.0
-            pa = gns.pi(unit)
-            lhs = gns.pi(delta.map.apply(unit))
-            rhs = 1j * (s @ pa - pa @ s)
-            # column norms = residual on every coordinate basis vector h
-            worst = max(worst, float(np.max(np.linalg.norm(lhs - rhs, axis=0))))
-    return worst
+    images = _unit_images(gns)
+    # -i (pi(delta(a)) - [iS, pi(a)]) has the same column norms; scaling by
+    # -i is exact, and it leaves two plain products to subtract in place
+    diff = np.tensordot(delta.map.matrix, images, axes=(0, 0))
+    diff *= -1j
+    diff -= s @ images
+    diff += images @ s
+    # column norms = residual on every coordinate basis vector h
+    return float(np.max(_norms(diff, "uj")))
 
 
 def flow_intertwining_residual(
@@ -259,19 +281,14 @@ def flow_intertwining_residual(
     """Max over matrix units a of
     ||exp(iSt) pi(a) exp(-iSt) - pi(exp(t map)(a))||."""
     s = as_cmatrix(s)
-    n = gns.n
     u = scipy.linalg.expm(1j * t * s)
     u_inv = scipy.linalg.expm(-1j * t * s)
     propagated = scipy.linalg.expm(t * delta.map.matrix)
-    worst = 0.0
-    for c in range(n):
-        for r in range(n):
-            unit = np.zeros((n, n), dtype=complex)
-            unit[r, c] = 1.0
-            lhs = u @ gns.pi(unit) @ u_inv
-            rhs = gns.pi(unvec(propagated @ vec(unit), n))
-            worst = max(worst, frob(lhs - rhs))
-    return worst
+    images = _unit_images(gns)
+    rhs = np.tensordot(propagated, images, axes=(0, 0))
+    lhs = np.matmul(u @ images, u_inv, out=images)
+    lhs -= rhs
+    return float(np.max(_norms(lhs, "u")))
 
 
 def kernel_correspondence_distance(
@@ -289,37 +306,27 @@ def kernel_correspondence_distance(
     n = gns.n
     d = gns.hilbert_dim
 
-    units = []
-    for c in range(n):
-        for r in range(n):
-            unit = np.zeros((n, n), dtype=complex)
-            unit[r, c] = 1.0
-            units.append(unit)
+    # Orthonormal basis of the range of pi as the columns of q.  The
+    # d x d matrices are flattened row-major, which makes basis[:, :, j]
+    # a view of column j; any fixed flattening only permutes coordinates.
+    q, _ = np.linalg.qr(_unit_images(gns).reshape(n * n, d * d).T)
+    basis = q.reshape(d, d, -1)
 
-    range_stack = np.stack([vec(gns.pi(u)) for u in units]).T  # (d^2, n^2)
-    q, _ = np.linalg.qr(range_stack)
-    range_basis = [unvec(q[:, j], d) for j in range(q.shape[1])]
-
-    # matrix of [iS, .] in the orthonormal range basis
-    restricted = np.zeros((len(range_basis), len(range_basis)), dtype=complex)
-    for j, b in enumerate(range_basis):
-        image = 1j * (s @ b - b @ s)
-        for i, c in enumerate(range_basis):
-            restricted[i, j] = np.vdot(c, image)
+    # matrix of [iS, .] in the range basis: q^H [S B_j - B_j S]_j
+    image = (s @ q.reshape(d, -1)).reshape(d * d, -1)
+    image -= np.matmul(s.T, basis).reshape(d * d, -1)
+    restricted = 1j * (q.conj().T @ image)
 
     _, sing, null = np.linalg.svd(restricted)
     smax = sing[0] if sing.size else 0.0
     rank = int(np.sum(sing > rank_tol * max(smax, 1.0)))
-    kernel_mats = []
-    for row in null[rank:]:
-        mat = sum(coef * b for coef, b in zip(row.conj(), range_basis))
-        kernel_mats.append(mat)
-    restricted_kernel = OperatorSubspace.from_spanning(d, kernel_mats)
+    kernel_mats = np.tensordot(basis, null[rank:].conj(), axes=(2, 1))
+    restricted_kernel = OperatorSubspace.from_spanning(
+        d, np.moveaxis(kernel_mats, -1, 0)
+    )
 
     map_kernel = delta.map.kernel(rank_tol)
-    pushed = OperatorSubspace.from_spanning(
-        d, [gns.pi(b) for b in map_kernel.basis]
-    )
+    pushed = OperatorSubspace.from_spanning(d, gns.pi(map_kernel.basis))
     return subspace_distance(restricted_kernel, pushed)
 
 
@@ -364,50 +371,3 @@ def analytic_norm_series(delta: Derivation, a, t: float, k_max: int) -> np.ndarr
         total += t**k / factorial * frob(term)
         partial.append(total)
     return np.asarray(partial)
-
-
-def br_experiment(config: dict) -> dict:
-    """Run the full implementing-operator pipeline from a JSON-style dict
-    {"n", "rho", "generator", "n_max", "tolerances"} and return a report
-    envelope with identity "BR_implementation"."""
-    from . import numlin
-
-    n = int(config["n"])
-    rho = numlin.matrix_from_json(config["rho"])
-    generator = numlin.matrix_from_json(config["generator"])
-    n_max = int(config.get("n_max", 5))
-    tol = {
-        "rank": DEFAULT_RANK_TOL,
-        "subspace": 1e-8,
-        "residual": EQUILIBRIUM_TOL,
-        **{k: float(v) for k, v in config.get("tolerances", {}).items()},
-    }
-    if rho.shape != (n, n) or generator.shape != (n, n):
-        raise NotDensity(f"matrices do not match n={n}")
-
-    omega = state_from_density(rho)
-    delta = inner_derivation(generator)
-    eq_residual = equilibrium_check(omega, delta)
-    gns = gns_construct(omega)
-    s, symmetry = implementing_operator(gns, delta)
-    impl = implementation_check(gns, delta, s)
-    stab = abstract_kernel_stabilization(
-        delta, n_max, rank_tol=tol["rank"], distance_tol=tol["subspace"]
-    )
-    passed = (
-        eq_residual <= tol["residual"]
-        and symmetry <= tol["residual"]
-        and impl <= tol["residual"]
-        and stab.passed
-    )
-    return {
-        "identity": "BR_implementation",
-        "n": n,
-        "equilibrium_residual": eq_residual,
-        "symmetry_residual": symmetry,
-        "implementation_residual": impl,
-        "kernel_dims": list(stab.kernel_dims),
-        "distances": list(stab.distances),
-        "pass": bool(passed),
-        "tolerances": tol,
-    }

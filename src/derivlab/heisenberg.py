@@ -198,8 +198,8 @@ def commutation_residual(pair: DiscretizedPair, v) -> float:
     norm = np.linalg.norm(v)
     if norm == 0:
         raise ValueError("residual of the zero vector is undefined")
-    comm = pair.A @ pair.B - pair.B @ pair.A
-    return float(np.linalg.norm(comm @ v - 1j * v) / norm)
+    image = pair.A @ (pair.B @ v) - pair.B @ (pair.A @ v)
+    return float(np.linalg.norm(image - 1j * v) / norm)
 
 
 @dataclass(frozen=True)

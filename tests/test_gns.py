@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from derivlab.cli import equilibrium_instance
 from derivlab.derivation import ad_superoperator
@@ -14,7 +15,6 @@ from derivlab.gns import (
     abstract_derivation,
     abstract_kernel_stabilization,
     analytic_norm_series,
-    br_experiment,
     equilibrium_check,
     flow_intertwining_residual,
     gns_construct,
@@ -24,7 +24,14 @@ from derivlab.gns import (
     kernel_correspondence_distance,
     state_from_density,
 )
-from derivlab.numlin import frob, matrix_to_json, vec
+from derivlab.numlin import (
+    DEFAULT_RANK_TOL,
+    OperatorSubspace,
+    frob,
+    subspace_distance,
+    unvec,
+    vec,
+)
 
 from conftest import matrix_unit, random_hermitian, random_matrix
 
@@ -297,19 +304,92 @@ class TestAnalyticSeries:
         assert sums[-1] <= frob(a) * np.exp(t * delta.map.norm()) + 1e-9
 
 
-class TestExperimentInterface:
-    def test_br_experiment_roundtrip(self):
-        omega, delta = equilibrium_instance(3, 40)
-        config = {
-            "n": 3,
-            "rho": matrix_to_json(omega.rho),
-            "generator": matrix_to_json(delta.generator),
-            "n_max": 4,
-            "tolerances": {"rank": 1e-10},
-        }
-        report = br_experiment(config)
-        assert report["identity"] == "BR_implementation"
-        assert report["pass"] is True
-        assert len(report["kernel_dims"]) == 4
-        for key in ("equilibrium_residual", "symmetry_residual", "implementation_residual"):
-            assert report[key] <= 1e-9
+def units_one_by_one(n):
+    return [matrix_unit(n, r, c) for c in range(n) for r in range(n)]
+
+
+def oracle_implementation(rep, delta, s):
+    worst = 0.0
+    for unit in units_one_by_one(rep.n):
+        pa = rep.pi(unit)
+        lhs = rep.pi(delta.map.apply(unit))
+        rhs = 1j * (s @ pa - pa @ s)
+        worst = max(worst, float(np.max(np.linalg.norm(lhs - rhs, axis=0))))
+    return worst
+
+
+def oracle_intertwining(rep, delta, s, t):
+    u = scipy.linalg.expm(1j * t * s)
+    u_inv = scipy.linalg.expm(-1j * t * s)
+    propagated = scipy.linalg.expm(t * delta.map.matrix)
+    worst = 0.0
+    for unit in units_one_by_one(rep.n):
+        lhs = u @ rep.pi(unit) @ u_inv
+        rhs = rep.pi(unvec(propagated @ vec(unit), rep.n))
+        worst = max(worst, frob(lhs - rhs))
+    return worst
+
+
+def oracle_kernel_correspondence(rep, delta, s):
+    d = rep.hilbert_dim
+    range_stack = np.stack([vec(rep.pi(u)) for u in units_one_by_one(rep.n)]).T
+    q, _ = np.linalg.qr(range_stack)
+    basis = [unvec(q[:, j], d) for j in range(q.shape[1])]
+    restricted = np.array(
+        [[np.vdot(c, 1j * (s @ b - b @ s)) for b in basis] for c in basis]
+    )
+    _, sing, null = np.linalg.svd(restricted)
+    rank = int(np.sum(sing > DEFAULT_RANK_TOL * max(sing[0], 1.0)))
+    kernel = [sum(z * b for z, b in zip(row.conj(), basis)) for row in null[rank:]]
+    pushed = [rep.pi(b) for b in delta.map.kernel(DEFAULT_RANK_TOL).basis]
+    return subspace_distance(
+        OperatorSubspace.from_spanning(d, kernel),
+        OperatorSubspace.from_spanning(d, pushed),
+    )
+
+
+def perturbed(s, n, seed):
+    """S + 1e-3 (I (x) X): the added term is pi(X), so the implementation
+    identity, the flow and the kernel correspondence all break by O(1e-3)."""
+    return s + 1e-3 * np.kron(np.eye(n), random_hermitian(n, seed))
+
+
+class TestBatchedChecks:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_match_per_unit_oracle(self, n):
+        omega, delta = equilibrium_instance(n, 40 + n)
+        rep = gns_construct(omega)
+        # the stacked pi agrees with the dense R kron(I, a) R^-1
+        stack = np.stack([random_matrix(n, seed=k) for k in range(3)])
+        dense = [
+            rep.gram_factor @ np.kron(np.eye(n), a) @ rep.gram_factor_inv
+            for a in stack
+        ]
+        assert np.max(np.abs(rep.pi(stack) - dense)) <= 1e-12
+        s, _ = implementing_operator(rep, delta)
+        # the perturbed operator makes each residual O(1e-3), so agreement
+        # to 1e-12 is not just two roundoff-sized numbers
+        for op in (s, perturbed(s, n, 50 + n)):
+            assert abs(
+                implementation_check(rep, delta, op)
+                - oracle_implementation(rep, delta, op)
+            ) <= 1e-12
+            for t in (0.5, 1.0):
+                assert abs(
+                    flow_intertwining_residual(rep, delta, op, t)
+                    - oracle_intertwining(rep, delta, op, t)
+                ) <= 1e-12
+            assert abs(
+                kernel_correspondence_distance(rep, delta, op)
+                - oracle_kernel_correspondence(rep, delta, op)
+            ) <= 1e-12
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_detects_perturbed_operator(self, n):
+        omega, delta = equilibrium_instance(n, 60 + n)
+        rep = gns_construct(omega)
+        s, _ = implementing_operator(rep, delta)
+        bad = perturbed(s, n, 70 + n)
+        assert implementation_check(rep, delta, bad) > 1e-6
+        assert flow_intertwining_residual(rep, delta, bad, 1.0) > 1e-6
+        assert kernel_correspondence_distance(rep, delta, bad) > 1e-6

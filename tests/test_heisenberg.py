@@ -44,6 +44,13 @@ class TestSchrodingerPair:
             v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
             expected = 1j * hand_averaging(v, periodic=False)
             assert np.linalg.norm(comm @ v - expected) <= 1e-12 * np.linalg.norm(v)
+        # commutation_residual never forms [A, B]; oracle: the dense commutator
+        for p in (pair, periodic_pair(64)):
+            dense = p.A @ p.B - p.B @ p.A
+            vectors = [rng.standard_normal(64) + 1j * rng.standard_normal(64)]
+            for v in vectors + list(p.test_domain):
+                expected = np.linalg.norm(dense @ v - 1j * v) / np.linalg.norm(v)
+                assert abs(commutation_residual(p, v) - expected) <= 1e-12 * expected
 
     def test_taylor_residual_bound(self):
         pair = schrodinger_pair(256, 10.0)
