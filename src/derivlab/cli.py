@@ -54,7 +54,10 @@ DEFAULT_TOLERANCES = {
 # grid sizes for the discretization convergence study; these live outside
 # the matrix-algebra dimension range on purpose
 HEISENBERG_GRIDS = (128, 256, 512)
-_BR_MAX_DIM = 12  # GNS checks scale as n^4; larger dims stay in other suites
+# the GNS implementation and flow checks each hold n^6 complex entries
+# (48 MB at n=12, 268 MB at n=16), so br_gns stops at 12; larger dims
+# stay in other suites
+_BR_MAX_DIM = 12
 _RIGIDITY_MAX_DIM = 16
 
 
@@ -73,8 +76,11 @@ class ExperimentConfig:
             raise ConfigInvalid(f"unknown suite {self.suite!r}; choose from {SUITES}")
         if not self.dims:
             raise ConfigInvalid("dims must be nonempty")
-        if any(n < 2 or n > 64 for n in self.dims):
-            raise ConfigInvalid("dims must lie within [2, 64]")
+        limit = min(64, numlin.max_ambient_dim())
+        if any(n < 2 or n > limit for n in self.dims):
+            raise ConfigInvalid(f"dims must lie within [2, {limit}]")
+        if self.suite == "br_gns" and min(self.dims) > _BR_MAX_DIM:
+            raise ConfigInvalid(f"br_gns checks only dims up to {_BR_MAX_DIM}")
         if not 2 <= self.n_max <= 8:
             raise ConfigInvalid("n_max must lie within [2, 8]")
         if self.seed < 0:

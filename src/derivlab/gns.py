@@ -8,6 +8,10 @@ generator g; the implementing operator S is defined on the dense (here:
 full) domain pi(M_n) f by S pi(a) f = -i pi(delta(a)) f, which makes S
 Hermitian exactly when omega is an equilibrium state, and gives the
 implementation identity pi(delta(a)) = [iS, pi(a)].
+
+The GNS Gram matrix rho^T (x) I has Cholesky factor R = L* (x) I with
+L = chol(rho^T), so pi(a) = I (x) a in GNS coordinates; the checks use
+that closed form and the n x n factor L*, never an n^2 x n^2 factor.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .numlin import (
     frob,
     hermitian_eig,
     kron,
+    nullspace,
     require_hermitian,
     subspace_distance,
     vec,
@@ -154,16 +159,18 @@ def equilibrium_check(omega: State, delta: Derivation) -> float:
 class GNSRepresentation:
     """The GNS triple (pi, H, f) of a faithful state on M_n.
 
-    H is M_n with inner product omega(b* a), orthonormalized through the
-    Gram factor R (so coordinates of a are R vec(a)); pi acts by left
-    multiplication expressed in those coordinates; f is the class of the
+    H is M_n with inner product omega(b* a).  Its Gram matrix on vec
+    coordinates is rho^T (x) I, whose Cholesky factor is R = L* (x) I
+    with L = chol(rho^T); the coordinates of a are R vec(a) =
+    vec(a (L*)^T), and pi(a) = R (I (x) a) R^-1 = I (x) a exactly.  Only
+    the n x n factor L* and its inverse are stored; f is the class of the
     identity.
     """
 
     hilbert_dim: int
     state: State
-    gram_factor: np.ndarray = field(repr=False)
-    gram_factor_inv: np.ndarray = field(repr=False)
+    factor: np.ndarray = field(repr=False)
+    factor_inv: np.ndarray = field(repr=False)
     cyclic_vector: np.ndarray = field(repr=False)
 
     @property
@@ -172,23 +179,18 @@ class GNSRepresentation:
 
     def embed(self, a) -> np.ndarray:
         """Coordinates of pi(a) f, i.e. of the class of a."""
-        return self.gram_factor @ vec(a)
+        return vec(as_cmatrix(a) @ self.factor.T)
 
     def pi(self, a) -> np.ndarray:
-        """The representation: left multiplication by a in GNS coordinates.
-
-        Takes one n x n matrix or a (k, n, n) stack.  kron(I, a) is block
-        diagonal, so R kron(I, a) R^-1 = sum_j R[:, jn:(j+1)n] a
-        R^-1[jn:(j+1)n, :], which is one product per factor.
-        """
+        """The representation: left multiplication by a in GNS coordinates,
+        which is I (x) a.  Takes one n x n matrix or a (k, n, n) stack."""
         n, d = self.n, self.hilbert_dim
         a = np.asarray(a, dtype=np.complex128)
         if a.ndim not in (2, 3) or a.shape[-2:] != (n, n):
             raise ShapeMismatch(f"expected {n}x{n} matrices, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("matrix entries must be finite")
-        blocks = np.matmul(self.gram_factor.reshape(d * n, n), a)
-        return blocks.reshape(a.shape[:-2] + (d, d)) @ self.gram_factor_inv
+        # I (x) [a_0; a_1; ...] holds row block p of I (x) a_k at rows (p, k)
+        blocks = kron(np.eye(n), a.reshape(-1, n)).reshape(n, -1, n, d)
+        return blocks.swapaxes(0, 1).reshape(a.shape[:-2] + (d, d))
 
     def inner(self, u, v) -> complex:
         """Hilbert-space inner product, linear in the first argument."""
@@ -199,8 +201,9 @@ def gns_construct(omega: State) -> GNSRepresentation:
     """Build the GNS representation of a faithful state.
 
     The Gram matrix of the matrix units under omega(b* a) is rho^T (x) I;
-    its Cholesky factor turns M_n into coordinates where the inner
-    product is standard.  Non-faithful states are rejected (no quotient).
+    it factors through the n x n Cholesky factor of rho^T, which turns
+    M_n into coordinates where the inner product is standard.
+    Non-faithful states are rejected (no quotient).
     """
     if not omega.faithful:
         raise NotFaithful(
@@ -208,20 +211,17 @@ def gns_construct(omega: State) -> GNSRepresentation:
             f"faithfulness tolerance; the quotient construction is unsupported"
         )
     n = omega.n
-    gram = kron(omega.rho.T, np.eye(n))
     try:
-        lower = np.linalg.cholesky(gram)
+        lower = np.linalg.cholesky(omega.rho.T)
     except np.linalg.LinAlgError as exc:
         raise NotFaithful(f"Gram matrix is not positive definite: {exc}") from exc
-    r = lower.conj().T
-    r_inv = scipy.linalg.solve_triangular(r, np.eye(n * n), lower=False)
-    f = r @ vec(np.eye(n))
+    factor = lower.conj().T
     return GNSRepresentation(
         hilbert_dim=n * n,
         state=omega,
-        gram_factor=r,
-        gram_factor_inv=r_inv,
-        cyclic_vector=f,
+        factor=factor,
+        factor_inv=scipy.linalg.solve_triangular(factor, np.eye(n), lower=False),
+        cyclic_vector=vec(factor.T),
     )
 
 
@@ -231,7 +231,9 @@ def implementing_operator(
     """The operator S with S pi(a) f = -i pi(delta(a)) f, plus its
     symmetry defect ||S - S*||.
 
-    Requires an equilibrium state (residual <= 1e-9); under that
+    S = -i R M R^-1 for the map matrix M of any derivation; with R =
+    L* (x) I the factors act on the column index of the vec coordinates
+    only.  Requires an equilibrium state (residual <= 1e-9); under that
     hypothesis S is Hermitian up to roundoff and satisfies
     pi(delta(a)) = [iS, pi(a)].
     """
@@ -240,39 +242,44 @@ def implementing_operator(
         raise NotEquilibrium(
             f"equilibrium residual {residual:.3e} exceeds {EQUILIBRIUM_TOL:.1e}"
         )
-    s = -1j * (gns.gram_factor @ delta.map.matrix @ gns.gram_factor_inv)
+    n, d = gns.n, gns.hilbert_dim
+    left = (gns.factor @ delta.map.matrix.reshape(n, -1)).reshape(d, n, n)
+    s = -1j * np.matmul(gns.factor_inv.T, left).reshape(d, d)
     return s, frob(s - s.conj().T)
 
 
-def _unit_images(gns: GNSRepresentation) -> np.ndarray:
-    """pi of the n^2 matrix units as one (n^2, d, d) stack in vec order:
-    entry u is pi(unvec(e_u)), so by linearity pi(L(E_u)) for a map L
-    with matrix M on vec coordinates is sum_v M[v, u] entry v."""
-    n = gns.n
-    return gns.pi(np.eye(n * n).reshape(n * n, n, n).transpose(0, 2, 1))
+def _norms(x, spec: str) -> np.ndarray:
+    """Euclidean norms over the axes of x that the einsum spec
+    "axes->kept" drops.  Summed through a float view of x, so no
+    temporary of its size is made."""
+    axes, kept = spec.split("->")
+    parts = x.view(np.float64).reshape(x.shape + (2,))
+    return np.sqrt(np.einsum(f"{axes}z,{axes}z->{kept}", parts, parts))
 
 
-def _norms(stack, out: str) -> np.ndarray:
-    """Euclidean norms in a (k, d, d) stack: of each matrix (out="u") or
-    of each column (out="uj").  Summed through a float view of the stack,
-    so no temporary of its size is made."""
-    parts = stack.view(np.float64).reshape(stack.shape + (2,))
-    return np.sqrt(np.einsum(f"uijc,uijc->{out}", parts, parts))
+def _unit_blocks(matrix, n: int) -> np.ndarray:
+    """Images of the matrix units under the map with this vec-coordinate
+    matrix, as blocks[r, c, i, j] = L(E_rc)[i, j]."""
+    return matrix.reshape(n, n, n, n).transpose(3, 2, 1, 0)
 
 
 def implementation_check(gns: GNSRepresentation, delta: Derivation, s) -> float:
     """Max over matrix units a and basis vectors h of
     ||pi(delta(a)) h - [iS, pi(a)] h||."""
-    s = as_cmatrix(s)
-    images = _unit_images(gns)
-    # -i (pi(delta(a)) - [iS, pi(a)]) has the same column norms; scaling by
-    # -i is exact, and it leaves two plain products to subtract in place
-    diff = np.tensordot(delta.map.matrix, images, axes=(0, 0))
-    diff *= -1j
-    diff -= s @ images
-    diff += images @ s
+    n = gns.n
+    s4 = as_cmatrix(s).reshape(n, n, n, n)
+    # -i (pi(delta(a)) - [iS, pi(a)]) has the same column norms; for
+    # a = E_rc it is -i I (x) delta(a) - S (I (x) a) + (I (x) a) S, held
+    # as res[r, c, p, i, q, j] at row p n + i and column q n + j
+    res = np.zeros((n,) * 6, dtype=np.complex128)
+    derived = _unit_blocks(delta.map.matrix, n)
+    np.einsum("rcpipj->rcpij", res)[...] = -1j * derived[:, :, None]
+    # S (I (x) E_rc): the columns r + nl of S, moved to columns c + nl
+    np.einsum("rcpiqc->rcpiq", res)[...] -= s4.transpose(3, 0, 1, 2)[:, None]
+    # (I (x) E_rc) S: the rows c + nl of S, moved to rows r + nl
+    np.einsum("rcprqj->rcpqj", res)[...] += s4.transpose(1, 0, 2, 3)[None]
     # column norms = residual on every coordinate basis vector h
-    return float(np.max(_norms(diff, "uj")))
+    return float(np.max(_norms(res, "rcpiqj->rcqj")))
 
 
 def flow_intertwining_residual(
@@ -280,15 +287,18 @@ def flow_intertwining_residual(
 ) -> float:
     """Max over matrix units a of
     ||exp(iSt) pi(a) exp(-iSt) - pi(exp(t map)(a))||."""
+    n, d = gns.n, gns.hilbert_dim
     s = as_cmatrix(s)
     u = scipy.linalg.expm(1j * t * s)
     u_inv = scipy.linalg.expm(-1j * t * s)
     propagated = scipy.linalg.expm(t * delta.map.matrix)
-    images = _unit_images(gns)
-    rhs = np.tensordot(propagated, images, axes=(0, 0))
-    lhs = np.matmul(u @ images, u_inv, out=images)
-    lhs -= rhs
-    return float(np.max(_norms(lhs, "u")))
+    # U (I (x) E_rc) U^-1 = sum_l U[:, r + nl] U^-1[c + nl, :], so every
+    # unit comes from one product, held as diff[p, i, r, c, q, j]
+    columns = u.reshape(d, n, n).swapaxes(1, 2).reshape(d * n, n)
+    diff = (columns @ u_inv.reshape(n, n * d)).reshape((n,) * 6)
+    flowed = _unit_blocks(propagated, n)
+    np.einsum("pircpj->pircj", diff)[...] -= flowed.transpose(2, 0, 1, 3)
+    return float(np.max(_norms(diff, "pircqj->rc")))
 
 
 def kernel_correspondence_distance(
@@ -298,36 +308,20 @@ def kernel_correspondence_distance(
     pi and the image under pi of ker(map).
 
     [iS, .] preserves the range of pi (that is the implementation
-    identity), so the restriction is computed in an orthonormal basis of
-    that range; both sides are compared as subspaces of the d x d matrix
-    space, d = hilbert_dim.
+    identity).  The range has the orthonormal basis I (x) E_u / sqrt(n),
+    in which the restriction is i (I (x) T - T^T (x) I) / n for the
+    partial trace T[p, r] = sum_j S[p + nj, r + nj].  a -> I (x) a /
+    sqrt(n) is an isometry from M_n onto that range, so both kernels are
+    compared in M_n, with unchanged projector distance.
     """
-    s = as_cmatrix(s)
     n = gns.n
-    d = gns.hilbert_dim
-
-    # Orthonormal basis of the range of pi as the columns of q.  The
-    # d x d matrices are flattened row-major, which makes basis[:, :, j]
-    # a view of column j; any fixed flattening only permutes coordinates.
-    q, _ = np.linalg.qr(_unit_images(gns).reshape(n * n, d * d).T)
-    basis = q.reshape(d, d, -1)
-
-    # matrix of [iS, .] in the range basis: q^H [S B_j - B_j S]_j
-    image = (s @ q.reshape(d, -1)).reshape(d * d, -1)
-    image -= np.matmul(s.T, basis).reshape(d * d, -1)
-    restricted = 1j * (q.conj().T @ image)
-
-    _, sing, null = np.linalg.svd(restricted)
-    smax = sing[0] if sing.size else 0.0
-    rank = int(np.sum(sing > rank_tol * max(smax, 1.0)))
-    kernel_mats = np.tensordot(basis, null[rank:].conj(), axes=(2, 1))
-    restricted_kernel = OperatorSubspace.from_spanning(
-        d, np.moveaxis(kernel_mats, -1, 0)
+    partial = np.einsum("jpjr->pr", as_cmatrix(s).reshape(n, n, n, n))
+    eye = np.eye(n)
+    restricted = 1j / n * (kron(eye, partial) - kron(partial.T, eye))
+    restricted_kernel = OperatorSubspace.from_vec_columns(
+        n, nullspace(restricted, rank_tol, scale=1.0)
     )
-
-    map_kernel = delta.map.kernel(rank_tol)
-    pushed = OperatorSubspace.from_spanning(d, gns.pi(map_kernel.basis))
-    return subspace_distance(restricted_kernel, pushed)
+    return subspace_distance(restricted_kernel, delta.map.kernel(rank_tol))
 
 
 def abstract_kernel_stabilization(

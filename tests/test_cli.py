@@ -167,6 +167,22 @@ class TestMain:
         assert code == 2
         assert not out.exists()
 
+    def test_br_gns_with_no_checkable_dim_exits_2(self, tmp_path):
+        out = tmp_path / "never.json"
+        code = main(["run", "--suite", "br_gns", "--dims", "13,14", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
+    def test_dims_above_env_budget_exit_2(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("DERIVLAB_MAX_DIM", "8")
+        out = tmp_path / "never.json"
+        code = main(
+            ["run", "--suite", "kernel_stab", "--dims", "4,10", "--out", str(out)]
+        )
+        assert code == 2
+        assert not out.exists()
+        ExperimentConfig(suite="kernel_stab", dims=(4, 8)).validate()
+
     def test_unwritable_output_exits_3(self, tmp_path):
         code = main(
             ["run", "--suite", "kernel_stab", "--dims", "2",

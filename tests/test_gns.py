@@ -308,40 +308,52 @@ def units_one_by_one(n):
     return [matrix_unit(n, r, c) for c in range(n) for r in range(n)]
 
 
-def oracle_implementation(rep, delta, s):
+def dense_gram_factor(omega):
+    """The dense Cholesky factor R of the n^2 x n^2 Gram matrix rho^T (x) I
+    and its inverse, built without the factored representation."""
+    n = omega.n
+    r = np.linalg.cholesky(np.kron(omega.rho.T, np.eye(n))).conj().T
+    return r, np.linalg.inv(r)
+
+
+def dense_pi(r, r_inv, a):
+    n = int(round(np.sqrt(r.shape[0])))
+    return r @ np.kron(np.eye(n), a) @ r_inv
+
+
+def oracle_implementation(pi, n, delta, s):
     worst = 0.0
-    for unit in units_one_by_one(rep.n):
-        pa = rep.pi(unit)
-        lhs = rep.pi(delta.map.apply(unit))
+    for unit in units_one_by_one(n):
+        pa = pi(unit)
+        lhs = pi(delta.map.apply(unit))
         rhs = 1j * (s @ pa - pa @ s)
         worst = max(worst, float(np.max(np.linalg.norm(lhs - rhs, axis=0))))
     return worst
 
 
-def oracle_intertwining(rep, delta, s, t):
+def oracle_intertwining(pi, n, delta, s, t):
     u = scipy.linalg.expm(1j * t * s)
     u_inv = scipy.linalg.expm(-1j * t * s)
     propagated = scipy.linalg.expm(t * delta.map.matrix)
     worst = 0.0
-    for unit in units_one_by_one(rep.n):
-        lhs = u @ rep.pi(unit) @ u_inv
-        rhs = rep.pi(unvec(propagated @ vec(unit), rep.n))
+    for unit in units_one_by_one(n):
+        lhs = u @ pi(unit) @ u_inv
+        rhs = pi(unvec(propagated @ vec(unit), n))
         worst = max(worst, frob(lhs - rhs))
     return worst
 
 
-def oracle_kernel_correspondence(rep, delta, s):
-    d = rep.hilbert_dim
-    range_stack = np.stack([vec(rep.pi(u)) for u in units_one_by_one(rep.n)]).T
+def oracle_kernel_correspondence(pi, n, delta, s):
+    d = n * n
+    range_stack = np.stack([vec(pi(u)) for u in units_one_by_one(n)]).T
     q, _ = np.linalg.qr(range_stack)
     basis = [unvec(q[:, j], d) for j in range(q.shape[1])]
-    restricted = np.array(
-        [[np.vdot(c, 1j * (s @ b - b @ s)) for b in basis] for c in basis]
-    )
+    images = np.stack([vec(1j * (s @ b - b @ s)) for b in basis]).T
+    restricted = q.conj().T @ images
     _, sing, null = np.linalg.svd(restricted)
     rank = int(np.sum(sing > DEFAULT_RANK_TOL * max(sing[0], 1.0)))
     kernel = [sum(z * b for z, b in zip(row.conj(), basis)) for row in null[rank:]]
-    pushed = [rep.pi(b) for b in delta.map.kernel(DEFAULT_RANK_TOL).basis]
+    pushed = [pi(b) for b in delta.map.kernel(DEFAULT_RANK_TOL).basis]
     return subspace_distance(
         OperatorSubspace.from_spanning(d, kernel),
         OperatorSubspace.from_spanning(d, pushed),
@@ -355,34 +367,45 @@ def perturbed(s, n, seed):
 
 
 class TestBatchedChecks:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_match_per_unit_oracle(self, n):
-        omega, delta = equilibrium_instance(n, 40 + n)
+        omega, inner = equilibrium_instance(n, 40 + n)
         rep = gns_construct(omega)
-        # the stacked pi agrees with the dense R kron(I, a) R^-1
+        r, r_inv = dense_gram_factor(omega)
+
+        def pi(a):
+            return dense_pi(r, r_inv, a)
+
+        # the factored representation agrees with the dense R kron(I, a) R^-1
         stack = np.stack([random_matrix(n, seed=k) for k in range(3)])
-        dense = [
-            rep.gram_factor @ np.kron(np.eye(n), a) @ rep.gram_factor_inv
-            for a in stack
-        ]
-        assert np.max(np.abs(rep.pi(stack) - dense)) <= 1e-12
-        s, _ = implementing_operator(rep, delta)
-        # the perturbed operator makes each residual O(1e-3), so agreement
-        # to 1e-12 is not just two roundoff-sized numbers
-        for op in (s, perturbed(s, n, 50 + n)):
-            assert abs(
-                implementation_check(rep, delta, op)
-                - oracle_implementation(rep, delta, op)
-            ) <= 1e-12
-            for t in (0.5, 1.0):
+        assert np.max(np.abs(rep.pi(stack[0]) - pi(stack[0]))) <= 1e-12
+        assert np.max(np.abs(rep.pi(stack) - [pi(a) for a in stack])) <= 1e-12
+        assert np.max(np.abs(rep.embed(stack[1]) - r @ vec(stack[1]))) <= 1e-12
+        assert np.max(np.abs(rep.cyclic_vector - r @ vec(np.eye(n)))) <= 1e-12
+        # an abstract derivation reaches S through its map matrix alone
+        for delta in (inner, abstract_derivation(inner.map.matrix)):
+            s, symmetry = implementing_operator(rep, delta)
+            dense_s = -1j * (r @ delta.map.matrix @ r_inv)
+            assert np.max(np.abs(s - dense_s)) <= 1e-12
+            assert abs(symmetry - frob(dense_s - dense_s.conj().T)) <= 1e-12
+            # the perturbed operators make each residual O(1e-3), so
+            # agreement to 1e-12 is not just two roundoff-sized numbers;
+            # the non-Hermitian one also tells column norms from row norms
+            skewed = s + 1e-3 * np.kron(np.eye(n), random_matrix(n, seed=80 + n))
+            for op in (s, perturbed(s, n, 50 + n), skewed):
                 assert abs(
-                    flow_intertwining_residual(rep, delta, op, t)
-                    - oracle_intertwining(rep, delta, op, t)
+                    implementation_check(rep, delta, op)
+                    - oracle_implementation(pi, n, delta, op)
                 ) <= 1e-12
-            assert abs(
-                kernel_correspondence_distance(rep, delta, op)
-                - oracle_kernel_correspondence(rep, delta, op)
-            ) <= 1e-12
+                for t in (0.5, 1.0):
+                    assert abs(
+                        flow_intertwining_residual(rep, delta, op, t)
+                        - oracle_intertwining(pi, n, delta, op, t)
+                    ) <= 1e-12
+                assert abs(
+                    kernel_correspondence_distance(rep, delta, op)
+                    - oracle_kernel_correspondence(pi, n, delta, op)
+                ) <= 1e-12
 
     @pytest.mark.parametrize("n", [3, 6])
     def test_detects_perturbed_operator(self, n):
