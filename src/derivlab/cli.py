@@ -76,7 +76,10 @@ class ExperimentConfig:
             raise ConfigInvalid(f"unknown suite {self.suite!r}; choose from {SUITES}")
         if not self.dims:
             raise ConfigInvalid("dims must be nonempty")
-        limit = min(64, numlin.max_ambient_dim())
+        try:
+            limit = min(64, numlin.max_ambient_dim())
+        except ValueError as exc:
+            raise ConfigInvalid(f"DERIVLAB_MAX_DIM must be an integer: {exc}") from exc
         if any(n < 2 or n > limit for n in self.dims):
             raise ConfigInvalid(f"dims must lie within [2, {limit}]")
         if self.suite == "br_gns" and min(self.dims) > _BR_MAX_DIM:
@@ -88,6 +91,10 @@ class ExperimentConfig:
         if self.format not in ("json", "csv"):
             raise ConfigInvalid(f"unknown format {self.format!r}")
         for name, value in self.tolerances.items():
+            if name not in DEFAULT_TOLERANCES:
+                raise ConfigInvalid(
+                    f"unknown tolerance {name!r}; choose from {sorted(DEFAULT_TOLERANCES)}"
+                )
             if value <= 0:
                 raise ConfigInvalid(f"tolerance {name} must be positive")
 
@@ -228,6 +235,7 @@ def _suite_kernel_stab(config: ExperimentConfig) -> list:
                     tol["subspace"],
                     {
                         "kernel_dims": list(report.kernel_dims),
+                        "distances": list(report.distances),
                         "expected_dim": expected,
                         "multiplicities": list(report.multiplicities),
                     },
@@ -253,6 +261,7 @@ def _suite_commutant_identity(config: ExperimentConfig) -> list:
                 report.distance_kernel_projection,
                 report.distance_commutant_projection,
                 report.algebra_containment,
+                report.projection_defect,
             )
             checks.append(
                 _check(

@@ -14,15 +14,20 @@ from .numlin import (
     OperatorSubspace,
     as_cmatrix,
     containment_residual,
+    frob,
     is_hermitian,
     kron,
     nullspace,
+    require_hermitian,
     subspace_distance,
 )
 from .spectral import DEFAULT_CLUSTER_TOL, SpectralResolution, spectral_resolution
 
 DEFAULT_DISTANCE_TOL = 1e-8
 DEFAULT_CONTAINMENT_TOL = 1e-8
+# fixed draws for the generic elements below, so every report reproduces
+_WEIGHTS_SEED = 20180801
+_ALGEBRA_SEED = 20180802
 
 
 def _commutation_rows(g: np.ndarray) -> np.ndarray:
@@ -66,18 +71,77 @@ def bicommutant(gens, rank_tol: float = DEFAULT_RANK_TOL) -> OperatorSubspace:
     return commutant(list(first.basis), rank_tol)
 
 
+def hermitian_commutant(h, rank_tol: float = DEFAULT_RANK_TOL) -> OperatorSubspace:
+    """{H}' for one Hermitian H, from eigh of the Hermitian matrix
+    I (x) H - H^T (x) I: the eigenvectors whose |eigenvalue| is at most
+    rank_tol * max(largest |eigenvalue|, 1), the rank rule of ``commutant``.
+    An eigensolver, so a route independent of the SVD in ``commutant``."""
+    h = require_hermitian(h)
+    w, v = np.linalg.eigh(_commutation_rows(h))
+    cut = rank_tol * max(float(np.max(np.abs(w))), 1.0)
+    return OperatorSubspace.from_vec_columns(h.shape[0], v[:, np.abs(w) <= cut])
+
+
+def projection_defect(projections) -> float:
+    """max(||P_i P_j - delta_ij P_i||, ||sum P_i - I||) over the family:
+    zero iff the P_i are orthogonal projections that sum to I."""
+    p = np.asarray(projections, dtype=np.complex128)
+    worst = frob(p.sum(axis=0) - np.eye(p.shape[1]))
+    for i, p_i in enumerate(p):
+        products = p_i @ p
+        products[i] -= p_i
+        worst = max(worst, float(np.max(np.linalg.norm(products, axis=(1, 2)))))
+    return worst
+
+
+def projection_commutant(
+    res: SpectralResolution, rank_tol: float = DEFAULT_RANK_TOL
+) -> OperatorSubspace:
+    """{P_1, ..., P_k}' of the spectral projections from one generator.
+
+    For orthogonal projections that sum to I and distinct reals c_i,
+    {P_i}' = {sum c_i P_i}' exactly.  The c_i are i + u_i with u_i drawn
+    from a fixed seed in [-1/4, 1/4]: gaps of at least 1/2, and no affine
+    image of the eigenvalues of D, so the generator is not D in disguise.
+    The projections of a ``SpectralResolution`` are orthogonal and
+    complete by construction; ``projection_defect`` measures it.
+    """
+    k = len(res.projections)
+    weights = np.arange(k) + np.random.default_rng(_WEIGHTS_SEED).uniform(-0.25, 0.25, k)
+    return commutant([np.tensordot(weights, np.asarray(res.projections), axes=1)], rank_tol)
+
+
+def algebra_commutant(
+    algebra: OperatorSubspace, rank_tol: float = DEFAULT_RANK_TOL
+) -> OperatorSubspace:
+    """Commutant of a *-algebra given by a basis, from two of its elements.
+
+    A finite-dimensional *-algebra is a direct sum of full matrix blocks,
+    and two generic Hermitian elements generate it (Burnside's theorem,
+    blockwise; generic spectra also separate inequivalent blocks), so its
+    commutant is the commutant of those two: a stack of 2 maps rather than
+    one per basis element.  The elements are X + X* and i(X - X*) for X a
+    combination of the basis with coefficients from a fixed seed.
+    """
+    rng = np.random.default_rng(_ALGEBRA_SEED)
+    coeffs = rng.standard_normal(algebra.dim) + 1j * rng.standard_normal(algebra.dim)
+    x = np.tensordot(coeffs, algebra.basis, axes=1)
+    return commutant([x + x.conj().T, 1j * (x - x.conj().T)], rank_tol)
+
+
 def spectral_vn_algebra(
     res: SpectralResolution, rank_tol: float = DEFAULT_RANK_TOL
 ) -> OperatorSubspace:
     """Bicommutant of the spectral projections; equals their linear span,
     so its dimension is the number of clusters."""
-    return bicommutant(list(res.projections), rank_tol)
+    return algebra_commutant(projection_commutant(res, rank_tol), rank_tol)
 
 
 @dataclass(frozen=True)
 class KernelCommutantReport:
     """Pairwise distances among ker ad_iD, {D}', and the commutant of the
-    spectral projections, plus containment of the generated algebra."""
+    spectral projections, plus containment of the generated algebra and
+    the orthogonality/completeness defect of the projections."""
 
     ambient_dim: int
     kernel_dim: int
@@ -88,6 +152,7 @@ class KernelCommutantReport:
     distance_kernel_projection: float
     distance_commutant_projection: float
     algebra_containment: float
+    projection_defect: float
     passed: bool
     rank_tol: float
     distance_tol: float
@@ -109,6 +174,7 @@ class KernelCommutantReport:
                 "commutant_vs_projection_commutant": self.distance_commutant_projection,
             },
             "algebra_containment": self.algebra_containment,
+            "projection_defect": self.projection_defect,
             "pass": self.passed,
             "tolerances": {
                 "rank": self.rank_tol,
@@ -126,15 +192,19 @@ def kernel_commutant_check(
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> KernelCommutantReport:
     """Compare the three realizations of the same subspace — the kernel of
-    ad_iD, the commutant of {D}, and the commutant of the spectral
-    projections — and check that the algebra generated by the projections
-    sits inside the kernel."""
+    ad_iD (SVD), the commutant of {D} (eigh), and the commutant of the
+    spectral projections (one generator, which needs the projections to be
+    orthogonal and complete: a defect above containment_tol fails the
+    check) — and check that the algebra generated by the projections sits
+    inside the kernel.  One projection commutant serves the distances and
+    the algebra."""
     d = as_cmatrix(d)
     res = spectral_resolution(d, cluster_tol)
+    defect = projection_defect(res.projections)
     kernel = ad_superoperator(d).kernel(rank_tol)
-    comm = commutant([d], rank_tol)
-    proj_comm = commutant(list(res.projections), rank_tol)
-    algebra = spectral_vn_algebra(res, rank_tol)
+    comm = hermitian_commutant(d, rank_tol)
+    proj_comm = projection_commutant(res, rank_tol)
+    algebra = algebra_commutant(proj_comm, rank_tol)
 
     d_kc = subspace_distance(kernel, comm)
     d_kp = subspace_distance(kernel, proj_comm)
@@ -143,6 +213,7 @@ def kernel_commutant_check(
     passed = (
         max(d_kc, d_kp, d_cp) <= distance_tol
         and contain <= containment_tol
+        and defect <= containment_tol
         and kernel.dim == comm.dim == proj_comm.dim
     )
     return KernelCommutantReport(
@@ -155,6 +226,7 @@ def kernel_commutant_check(
         distance_kernel_projection=d_kp,
         distance_commutant_projection=d_cp,
         algebra_containment=contain,
+        projection_defect=defect,
         passed=passed,
         rank_tol=rank_tol,
         distance_tol=distance_tol,
@@ -165,6 +237,10 @@ def kernel_commutant_check(
 __all__ = [
     "commutant",
     "bicommutant",
+    "hermitian_commutant",
+    "projection_defect",
+    "projection_commutant",
+    "algebra_commutant",
     "spectral_vn_algebra",
     "kernel_commutant_check",
     "KernelCommutantReport",

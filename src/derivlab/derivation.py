@@ -21,6 +21,7 @@ from .numlin import (
     OperatorSubspace,
     as_cmatrix,
     frob,
+    kernel_tower,
     kron,
     nullspace,
     require_hermitian,
@@ -75,6 +76,14 @@ class Superoperator:
             self.ambient_dim, nullspace(self.matrix, rank_tol, scale=1.0)
         )
 
+    def kernel_tower(self, k_max: int, rank_tol: float = DEFAULT_RANK_TOL) -> tuple:
+        """Kernels of the map's powers 1..k_max from one SVD of the map
+        (``numlin.kernel_tower``), with the rank rule of ``kernel``."""
+        return tuple(
+            OperatorSubspace.from_vec_columns(self.ambient_dim, q)
+            for q in kernel_tower(self.matrix, k_max, rank_tol, scale=1.0)
+        )
+
 
 def ad_superoperator(d) -> Superoperator:
     """The superoperator of x -> i(Dx - xD) for Hermitian D.
@@ -111,11 +120,11 @@ def iterated_commutator(d, x, k: int) -> np.ndarray:
 def derivation_kernel(d, k: int = 1, rank_tol: float = DEFAULT_RANK_TOL) -> OperatorSubspace:
     """Kernel of the k-th power of ad_iD, as an HS-orthonormal subspace.
 
-    Powers are taken on the superoperator matrix (one SVD per k); the
-    nonzero singular values are |lambda_r - lambda_c|^k, so conditioning
-    is governed by the spectral gaps of D.
+    Taken from the kernel tower of one SVD of ad_iD, never from the matrix
+    power, whose singular values |lambda_r - lambda_c|^k would raise the
+    spread/gap ratio of D to the k-th power.
     """
-    return ad_superoperator(d).power(k).kernel(rank_tol)
+    return ad_superoperator(d).kernel_tower(k, rank_tol)[-1]
 
 
 @dataclass(frozen=True)
@@ -159,12 +168,15 @@ def superoperator_stabilization_report(
 ) -> KernelStabilizationReport:
     """Check ker(map^k) = ker(map) for k = 1..n_max.
 
-    Failures are report content, never exceptions: each k gets a flag
-    requiring equal dimension and subspace distance <= distance_tol.
+    Every kernel comes from one SVD of the map (``kernel_tower``), which
+    contains ker(map) by construction, so a distance measures growth of
+    the kernel only.  Failures are report content, never exceptions: each
+    k gets a flag requiring equal dimension and subspace distance <=
+    distance_tol.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    kernels = [sop.power(k).kernel(rank_tol) for k in range(1, n_max + 1)]
+    kernels = sop.kernel_tower(n_max, rank_tol)
     base = kernels[0]
     dims = tuple(k.dim for k in kernels)
     dists = tuple(subspace_distance(k, base) for k in kernels)

@@ -326,7 +326,7 @@ def rigidity_check(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     d = require_hermitian(d)
-    sq_kernel = ad_superoperator(d).power(2).kernel(rank_tol)
+    sq_kernel = ad_superoperator(d).kernel_tower(2, rank_tol)[1]
     comm_d = commutant([d], rank_tol)
     rng = np.random.default_rng(seed)
 

@@ -102,11 +102,58 @@ def nullspace(m, rank_tol: float = DEFAULT_RANK_TOL, scale: float = 0.0) -> np.n
     rows, cols = m.shape
     # reduced SVD loses nullspace directions when the matrix is wide
     u, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
-    smax = s[0] if s.size else 0.0
-    if max(smax, scale) == 0.0:
+    if max(s[0] if s.size else 0.0, scale) == 0.0:
         return np.eye(cols, dtype=np.complex128)
-    rank = int(np.sum(s > rank_tol * max(smax, scale)))
-    return vh[rank:].conj().T
+    return vh[_numerical_rank(s, rank_tol, scale):].conj().T
+
+
+def _numerical_rank(s: np.ndarray, rank_tol: float, scale: float) -> int:
+    # the one rank rule: sigma counts when sigma > rank_tol * max(sigma_max, scale)
+    smax = s[0] if s.size else 0.0
+    return int(np.sum(s > rank_tol * max(smax, scale)))
+
+
+def kernel_tower(
+    m, k_max: int, rank_tol: float = DEFAULT_RANK_TOL, scale: float = 0.0
+) -> list:
+    """Orthonormal bases of ker M, ker M^2, ..., ker M^k_max (as columns),
+    all from one SVD of the square matrix M; M^k is never formed.
+
+    With M = U_r S_r V_r* on its numerical range (the rank rule of
+    ``nullspace``) and V_0 spanning ker M, a vector V_0 a + V_r b lies in
+    ker M^(k+1) iff M applied to it, U_r S_r b, lies in ker M^k.  So if Q
+    spans ker M^k, then ker M^(k+1) = V_0 + V_r S_r^-1 W, where W holds the
+    unit vectors w with U_r w inside span Q: the right singular vectors of
+    the small matrix Q* U_r with singular value 1.  A candidate joins only
+    when its sine, the norm of the residual (I - QQ*) U_r w formed
+    explicitly, is at most rank_tol; a cosine near 1 is never thresholded,
+    because 1 - cos loses every digit below sqrt(eps).
+
+    For a normal M the range is orthogonal to the kernel, every sine is 1
+    and the tower is ker M repeated; a nilpotent part makes it grow.
+    """
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    if rank_tol <= 0:
+        raise ValueError("rank_tol must be positive")
+    m = as_cmatrix(m)
+    if m.shape[0] != m.shape[1]:
+        raise ShapeMismatch(f"kernel towers need a square matrix, got {m.shape}")
+    u, s, vh = np.linalg.svd(m)
+    rank = _numerical_rank(s, rank_tol, scale)
+    u_r, s_r, v_r = u[:, :rank], s[:rank], vh[:rank].conj().T
+    v_0 = vh[rank:].conj().T
+    if rank == 0 or rank == s.size:  # M = 0 or M invertible: nothing grows
+        return [v_0] * k_max
+    tower = [v_0]
+    for _ in range(k_max - 1):
+        q = tower[-1]
+        cosines = q.conj().T @ u_r
+        w = np.linalg.svd(cosines, full_matrices=False)[2].conj().T
+        sines = np.linalg.norm(u_r @ w - q @ (cosines @ w), axis=0)
+        grown = np.linalg.qr(w[:, sines <= rank_tol] / s_r[:, None])[0]
+        tower.append(np.hstack([v_0, v_r @ grown]))
+    return tower
 
 
 def kron(a, b) -> np.ndarray:

@@ -92,7 +92,27 @@ class TestRun:
             assert check["pass"] is True
             dims = check["details"]["kernel_dims"]
             assert len(set(dims)) == 1
+            distances = check["details"]["distances"]
+            assert len(distances) == config.n_max
+            assert max(distances) == check["residual"]
         assert "PASS" in capsys.readouterr().out
+
+    def test_kernel_stab_n_max_8(self, tmp_path):
+        # regression: the power route failed 9 of these 10 checks at seed 7
+        # (n=8/simple passed at 8.0e-9); most from n=11 on had a wrong
+        # kernel dimension
+        out = tmp_path / "report.json"
+        config = ExperimentConfig(
+            suite="kernel_stab", dims=(8, 11, 14, 16, 24), n_max=8, seed=7,
+            output_path=str(out),
+        )
+        assert run(config) == 0
+        checks = json.loads(out.read_text())["checks"]
+        assert len(checks) == 10
+        for check in checks:
+            assert check["pass"] is True
+            assert check["tolerance"] == 1e-8
+            assert len(set(check["details"]["kernel_dims"])) == 1
 
     def test_determinism_modulo_timing(self, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -182,6 +202,24 @@ class TestMain:
         assert code == 2
         assert not out.exists()
         ExperimentConfig(suite="kernel_stab", dims=(4, 8)).validate()
+
+    def test_non_integer_env_budget_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("DERIVLAB_MAX_DIM", "abc")
+        out = tmp_path / "never.json"
+        code = main(["run", "--suite", "kernel_stab", "--dims", "2", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert "DERIVLAB_MAX_DIM" in capsys.readouterr().err
+
+    def test_unknown_tolerance_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "never.json"
+        code = main(
+            ["run", "--suite", "kernel_stab", "--dims", "2", "--tol", "bogus=1",
+             "--out", str(out)]
+        )
+        assert code == 2
+        assert not out.exists()
+        assert "bogus" in capsys.readouterr().err
 
     def test_unwritable_output_exits_3(self, tmp_path):
         code = main(

@@ -1,13 +1,20 @@
+import dataclasses
+import importlib
+
 import numpy as np
 import pytest
 
+from derivlab.cli import _spectral_instances
 from derivlab.commutant import (
     bicommutant,
     commutant,
+    hermitian_commutant,
     kernel_commutant_check,
+    projection_commutant,
+    projection_defect,
     spectral_vn_algebra,
 )
-from derivlab.errors import ShapeMismatch
+from derivlab.errors import NotHermitian, ShapeMismatch
 from derivlab.numlin import (
     OperatorSubspace,
     containment_residual,
@@ -16,7 +23,12 @@ from derivlab.numlin import (
 )
 from derivlab.spectral import spectral_resolution
 
-from conftest import matrix_unit, random_hermitian, random_matrix
+from conftest import (
+    eigenbasis_kernel_oracle,
+    matrix_unit,
+    random_hermitian,
+    random_matrix,
+)
 
 
 def brute_force_commutant_dim(gens):
@@ -180,3 +192,64 @@ class TestKernelCommutantCheck:
         assert data["identity"] == "ker=MD_prime"
         assert data["pass"] is True
         assert set(data["tolerances"]) == {"rank", "subspace", "containment"}
+
+
+class TestSingleGeneratorRoutes:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_match_stacked_oracles(self, n):
+        # the k-generator stack and the full-basis bicommutant, kept as
+        # oracles for the one-generator commutant and the two-element algebra
+        for _, d in _spectral_instances(n, 8):
+            res = spectral_resolution(d)
+            projections = list(res.projections)
+            pc = projection_commutant(res)
+            stacked = commutant(projections)
+            assert pc.dim == stacked.dim
+            assert subspace_distance(pc, stacked) <= 1e-10
+            algebra = spectral_vn_algebra(res)
+            assert algebra.dim == res.n_clusters
+            assert subspace_distance(algebra, bicommutant(projections)) <= 1e-10
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_hermitian_commutant_matches_svd_route(self, n):
+        for _, d in _spectral_instances(n, 9):
+            comm = hermitian_commutant(d)
+            assert subspace_distance(comm, commutant([d])) <= 1e-10
+            assert subspace_distance(comm, eigenbasis_kernel_oracle(d)) <= 1e-10
+
+    def test_hermitian_commutant_rejects_non_hermitian(self):
+        with pytest.raises(NotHermitian):
+            hermitian_commutant(matrix_unit(2, 0, 1))
+
+    def test_projection_defect(self):
+        d = _spectral_instances(5, 3)[1][1]
+        projections = spectral_resolution(d).projections
+        assert projection_defect(projections) <= 1e-13
+        # dropping a rank-1 projection leaves ||sum P - I|| = 1
+        assert abs(projection_defect(projections[:-1]) - 1.0) <= 1e-12
+        # two non-orthogonal rank-1 projections
+        u = np.array([1.0, 0.0])
+        v = np.array([1.0, 1.0]) / np.sqrt(2.0)
+        skew = [np.outer(u, u), np.outer(v, v)]
+        assert projection_defect(skew) >= 0.5
+
+    def test_incomplete_projections_fail_the_check(self, monkeypatch):
+        # negative control: a resolution that lost one projection
+        def lossy(d, cluster_tol):
+            res = spectral_resolution(d, cluster_tol)
+            return dataclasses.replace(
+                res,
+                values=res.values[:-1],
+                projections=res.projections[:-1],
+                multiplicities=res.multiplicities[:-1],
+            )
+
+        # the package rebinds the name "commutant" to the function
+        module = importlib.import_module("derivlab.commutant")
+        monkeypatch.setattr(module, "spectral_resolution", lossy)
+        report = kernel_commutant_check(_spectral_instances(4, 3)[0][1])
+        assert report.passed is False
+        assert report.projection_defect >= 1e3 * report.containment_tol
+        # the one generator gives the lost block weight 0, one more distinct
+        # value, so its commutant is still {D}': only the defect sees the loss
+        assert report.distance_kernel_projection <= report.distance_tol

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from derivlab.cli import _spectral_instances
 from derivlab.derivation import (
     DEFAULT_T_GRID,
+    Superoperator,
     ad_apply,
     ad_superoperator,
     derivation_kernel,
@@ -11,9 +13,18 @@ from derivlab.derivation import (
     iterated_commutator,
     kernel_stabilization_report,
     pairing_derivative_check,
+    superoperator_stabilization_report,
 )
 from derivlab.errors import ZeroT
-from derivlab.numlin import frob, subspace_distance, unvec, vec
+from derivlab.numlin import (
+    OperatorSubspace,
+    frob,
+    kron,
+    nullspace,
+    subspace_distance,
+    unvec,
+    vec,
+)
 from derivlab.spectral import spectral_resolution
 
 from conftest import (
@@ -143,6 +154,53 @@ class TestKernelStabilization:
             assert key in data
         assert data["pass"] is True
         assert data["tolerances"]["subspace"] == report.distance_tol
+
+
+def _power_route_kernel(sop, k, rank_tol=1e-10):
+    """The former route, kept as an oracle: one SVD of the k-th matrix
+    power, whose singular values |lambda_r - lambda_c|^k push its error
+    up as eps (spread/gap)^k."""
+    return OperatorSubspace.from_vec_columns(
+        sop.ambient_dim,
+        nullspace(np.linalg.matrix_power(sop.matrix, k), rank_tol, scale=1.0),
+    )
+
+
+class TestKernelTower:
+    def test_jordan_control_fails(self):
+        # negative control: x -> Nx - xN for the 4x4 Jordan block N is not
+        # normal, its kernels grow with the power, and the report must
+        # say so with a wide margin
+        nil = np.diag(np.ones(3), 1)
+        eye = np.eye(4)
+        sop = Superoperator(4, kron(eye, nil) - kron(nil.T, eye), "ad_N")
+        report = superoperator_stabilization_report(sop, 5)
+        assert report.kernel_dims == (4, 7, 10, 12, 14)
+        assert report.passed is False
+        assert report.per_k_pass == (True, False, False, False, False)
+        assert min(report.distances[1:]) / report.distance_tol >= 1e3
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_matches_power_route_and_eigenbasis_oracle(self, n):
+        # the power route's own error reaches 3.7e-12 at n=6, k=5, so its
+        # distances are compared up to k=4 and its dims up to k=5
+        for _, d in _spectral_instances(n, 7):
+            sop = ad_superoperator(d)
+            tower = sop.kernel_tower(5)
+            oracle = eigenbasis_kernel_oracle(d)
+            for k, kernel in enumerate(tower, start=1):
+                power = _power_route_kernel(sop, k)
+                assert kernel.dim == power.dim == oracle.dim
+                assert subspace_distance(kernel, oracle) <= 1e-12
+                if k <= 4:
+                    assert subspace_distance(kernel, power) <= 1e-12
+
+    def test_report_and_derivation_kernel_use_the_tower(self, gapped_hermitian):
+        d = gapped_hermitian(5, 43)
+        tower = ad_superoperator(d).kernel_tower(4)
+        report = kernel_stabilization_report(d, 4)
+        assert report.kernel_dims == tuple(k.dim for k in tower)
+        assert subspace_distance(derivation_kernel(d, 4), tower[3]) <= 1e-14
 
 
 class TestDerivationAlgebra:

@@ -17,6 +17,7 @@ from derivlab.numlin import (
     frob,
     hermitian_eig,
     hs_inner,
+    kernel_tower,
     kron,
     nullspace,
     subspace_distance,
@@ -93,6 +94,69 @@ class TestNullspace:
         smax = np.linalg.norm(m, 2)
         for j in range(basis.shape[1]):
             assert np.linalg.norm(m @ basis[:, j]) <= 1e-8 * smax
+
+
+def _projector_gap(q1, q2):
+    # Frobenius distance between the projectors onto two column spans
+    return frob(q1 @ q1.conj().T - q2 @ q2.conj().T)
+
+
+class TestKernelTower:
+    def test_jordan_block_grows_one_per_power(self):
+        # oracle: N e_j = e_{j-1}, so ker N^k = span(e_0, ..., e_{k-1})
+        n = np.diag(np.ones(3), 1)
+        tower = kernel_tower(n, 6)
+        assert [q.shape[1] for q in tower] == [1, 2, 3, 4, 4, 4]
+        for k, q in enumerate(tower, start=1):
+            assert _projector_gap(q, np.eye(4)[:, : min(k, 4)]) <= 1e-12
+
+    def test_first_kernel_is_nullspace(self):
+        m = random_matrix(6, seed=17)
+        m = m @ np.diag([1, 1, 1, 0, 0, 1]) @ np.linalg.inv(m)
+        q = kernel_tower(m, 1, rank_tol=1e-8)[0]
+        assert _projector_gap(q, nullspace(m, rank_tol=1e-8)) <= 1e-10
+
+    def test_similar_jordan_form_matches_power_route(self):
+        # J_3 (+) J_2 (+) diag(1.5, -2) conjugated by a well-conditioned S:
+        # dim ker M^k = min(k, 3) + min(k, 2) = 2, 4, 5, 5, 5
+        jordan = np.zeros((7, 7), dtype=complex)
+        jordan[0, 1] = jordan[1, 2] = jordan[3, 4] = 1.0
+        jordan[5, 5], jordan[6, 6] = 1.5, -2.0
+        s = np.eye(7) + 0.2 * random_matrix(7, seed=3)
+        m = s @ jordan @ np.linalg.inv(s)
+        tower = kernel_tower(m, 5)
+        assert [q.shape[1] for q in tower] == [2, 4, 5, 5, 5]
+        for k, q in enumerate(tower, start=1):
+            oracle = nullspace(np.linalg.matrix_power(m, k))
+            assert _projector_gap(q, oracle) <= 1e-10
+            assert np.linalg.norm(np.linalg.matrix_power(m, k) @ q) <= 1e-10
+
+    @pytest.mark.parametrize("t", [1e-3, 1e-6])
+    def test_range_near_kernel_does_not_grow(self, t):
+        # M = [[0, 1], [0, t]]: range (1, t) makes an angle ~t with
+        # ker M = span(e_0), and ker M^k = ker M for t != 0.  At t = 1e-6,
+        # 1 - cos ~ 5e-13 would pass a cosine cut of 1e-10; the sine ~1e-6
+        # does not.
+        m = np.array([[0.0, 1.0], [0.0, t]])
+        tower = kernel_tower(m, 3)
+        assert [q.shape[1] for q in tower] == [1, 1, 1]
+        for k, q in enumerate(tower, start=1):
+            oracle = nullspace(np.linalg.matrix_power(m, k))
+            assert _projector_gap(q, oracle) <= 1e-12
+        m[1, 1] = 0.0
+        assert [q.shape[1] for q in kernel_tower(m, 3)] == [1, 2, 2]
+
+    def test_zero_and_invertible_maps(self):
+        assert [q.shape[1] for q in kernel_tower(np.zeros((3, 3)), 3)] == [3, 3, 3]
+        assert [q.shape[1] for q in kernel_tower(np.eye(3), 3)] == [0, 0, 0]
+
+    def test_rejections(self):
+        with pytest.raises(ValueError):
+            kernel_tower(np.eye(2), 0)
+        with pytest.raises(ValueError):
+            kernel_tower(np.eye(2), 2, rank_tol=0.0)
+        with pytest.raises(ShapeMismatch):
+            kernel_tower(np.ones((2, 3)), 2)
 
 
 class TestKronVec:
