@@ -24,10 +24,11 @@ import numpy as np
 from . import __version__
 from . import heisenberg as heis_mod
 from . import numlin
-from .commutant import kernel_commutant_check
-from .derivation import kernel_stabilization_report
+from .commutant import DEFAULT_CONTAINMENT_TOL, kernel_commutant_check
+from .derivation import DEFAULT_DISTANCE_TOL, kernel_stabilization_report
 from .errors import BadMultiplicities, ConfigInvalid, DerivlabError
 from .gns import (
+    EQUILIBRIUM_TOL,
     Derivation,
     State,
     abstract_kernel_stabilization,
@@ -40,15 +41,16 @@ from .gns import (
     kernel_correspondence_distance,
     state_from_density,
 )
+from .spectral import DEFAULT_CLUSTER_TOL
 
 SUITES = ("kernel_stab", "commutant_identity", "br_gns", "heisenberg", "all")
 
 DEFAULT_TOLERANCES = {
-    "rank": 1e-10,
-    "subspace": 1e-8,
-    "cluster": 1e-8,
-    "containment": 1e-8,
-    "residual": 1e-9,
+    "rank": numlin.DEFAULT_RANK_TOL,
+    "subspace": DEFAULT_DISTANCE_TOL,
+    "cluster": DEFAULT_CLUSTER_TOL,
+    "containment": DEFAULT_CONTAINMENT_TOL,
+    "residual": EQUILIBRIUM_TOL,
 }
 
 # grid sizes for the discretization convergence study; these live outside
@@ -76,6 +78,8 @@ class ExperimentConfig:
             raise ConfigInvalid(f"unknown suite {self.suite!r}; choose from {SUITES}")
         if not self.dims:
             raise ConfigInvalid("dims must be nonempty")
+        if len(set(self.dims)) != len(self.dims):
+            raise ConfigInvalid("dims must not repeat")
         try:
             limit = min(64, numlin.max_ambient_dim())
         except ValueError as exc:
@@ -95,8 +99,8 @@ class ExperimentConfig:
                 raise ConfigInvalid(
                     f"unknown tolerance {name!r}; choose from {sorted(DEFAULT_TOLERANCES)}"
                 )
-            if value <= 0:
-                raise ConfigInvalid(f"tolerance {name} must be positive")
+            if not 0 < value < np.inf:
+                raise ConfigInvalid(f"tolerance {name} must be positive and finite")
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -122,6 +126,12 @@ def _gapped_values(k: int, rng: np.random.Generator) -> np.ndarray:
     return vals
 
 
+def _conjugated(u: np.ndarray, values) -> np.ndarray:
+    """u diag(values) u*, symmetrized against roundoff."""
+    m = u @ np.diag(values) @ u.conj().T
+    return (m + m.conj().T) / 2.0
+
+
 def generate(kind: str, n: int, seed: int, multiplicities=None):
     """Deterministic pseudo-random instances.
 
@@ -130,11 +140,12 @@ def generate(kind: str, n: int, seed: int, multiplicities=None):
     conjugated by a Haar-style unitary), "density" (faithful density
     matrix), "derivation" (inner derivation of a hermitian instance).
     """
+    if n < 1 or seed < 0:
+        raise ConfigInvalid(f"need n >= 1 and seed >= 0, got n={n}, seed={seed}")
     rng = _rng(seed, n, 0)
     if kind == "hermitian":
         u = _haar_unitary(n, rng)
-        d = u @ np.diag(_gapped_values(n, rng)) @ u.conj().T
-        return (d + d.conj().T) / 2.0
+        return _conjugated(u, _gapped_values(n, rng))
     if kind == "hermitian_with_multiplicity":
         if multiplicities is None:
             raise BadMultiplicities("multiplicities are required for this kind")
@@ -147,15 +158,11 @@ def generate(kind: str, n: int, seed: int, multiplicities=None):
         if len(mult) == 1:  # scalar matrix; conjugation would only add noise
             return values[0] * np.eye(n, dtype=complex)
         diag = np.repeat(values, mult)
-        u = _haar_unitary(n, rng)
-        d = u @ np.diag(diag) @ u.conj().T
-        return (d + d.conj().T) / 2.0
+        return _conjugated(_haar_unitary(n, rng), diag)
     if kind == "density":
         weights = rng.uniform(0.5, 1.5, size=n)
         p = weights / weights.sum()
-        u = _haar_unitary(n, rng)
-        rho = u @ np.diag(p) @ u.conj().T
-        rho = (rho + rho.conj().T) / 2.0
+        rho = _conjugated(_haar_unitary(n, rng), p)
         return rho / np.trace(rho).real
     if kind == "derivation":
         return inner_derivation(generate("hermitian", n, seed))
@@ -169,13 +176,9 @@ def equilibrium_instance(n: int, seed: int) -> tuple[State, Derivation]:
     u = _haar_unitary(n, rng)
     weights = rng.uniform(0.5, 1.5, size=n)
     p = weights / weights.sum()
-    rho = u @ np.diag(p) @ u.conj().T
-    rho = (rho + rho.conj().T) / 2.0
+    rho = _conjugated(u, p)
     rho /= np.trace(rho).real
-    values = _gapped_values(n, rng)
-    a = u @ np.diag(values) @ u.conj().T
-    a = (a + a.conj().T) / 2.0
-    return state_from_density(rho), inner_derivation(a)
+    return state_from_density(rho), inner_derivation(_conjugated(u, _gapped_values(n, rng)))
 
 
 def _check(check_id, description, passed, residual, tolerance, details=None):
@@ -469,12 +472,19 @@ def run(config: ExperimentConfig) -> int:
     return 0 if n_pass == len(checks) else 1
 
 
+def _number(kind, text: str, what: str):
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise ConfigInvalid(f"malformed {what} {text!r}") from exc
+
+
 def _parse_dims(text: str) -> tuple:
     text = text.strip()
     if ".." in text:
-        lo, hi = text.split("..")
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(part) for part in text.split(",") if part)
+        lo, hi = text.split("..", 1)
+        return tuple(range(_number(int, lo, "dims"), _number(int, hi, "dims") + 1))
+    return tuple(_number(int, part, "dims") for part in text.split(",") if part)
 
 
 def _parse_tolerances(text: str) -> dict:
@@ -485,7 +495,7 @@ def _parse_tolerances(text: str) -> dict:
         name, _, value = item.partition("=")
         if not value:
             raise ConfigInvalid(f"malformed tolerance entry {item!r}")
-        out[name.strip()] = float(value)
+        out[name.strip()] = _number(float, value, f"tolerance {name.strip()}")
     return out
 
 
@@ -532,11 +542,9 @@ def main(argv=None) -> int:
                 format=args.format,
             )
             return run(config)
-        mult = (
-            [int(m) for m in args.multiplicities.split(",") if m]
-            if args.multiplicities
-            else None
-        )
+        mult = [
+            _number(int, m, "multiplicity") for m in args.multiplicities.split(",") if m
+        ] or None
         instance = generate(args.kind, args.n, args.seed, multiplicities=mult)
         matrix = instance.generator if args.kind == "derivation" else instance
         numlin.write_matrix_text(args.out, matrix)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .derivation import ad_superoperator
+from .derivation import DEFAULT_DISTANCE_TOL, ad_superoperator
 from .errors import ShapeMismatch
 from .numlin import (
     DEFAULT_RANK_TOL,
@@ -23,15 +23,14 @@ from .numlin import (
 )
 from .spectral import DEFAULT_CLUSTER_TOL, SpectralResolution, spectral_resolution
 
-DEFAULT_DISTANCE_TOL = 1e-8
 DEFAULT_CONTAINMENT_TOL = 1e-8
 # fixed draws for the generic elements below, so every report reproduces
 _WEIGHTS_SEED = 20180801
 _ALGEBRA_SEED = 20180802
 
 
-def _commutation_rows(g: np.ndarray) -> np.ndarray:
-    # vec([g, x]) = (I (x) g - g^T (x) I) vec(x)
+def commutation_matrix(g: np.ndarray) -> np.ndarray:
+    """The matrix of x -> [g, x]: vec([g, x]) = (I (x) g - g^T (x) I) vec(x)."""
     eye = np.eye(g.shape[0])
     return kron(eye, g) - kron(g.T, eye)
 
@@ -49,7 +48,7 @@ def commutant(gens, rank_tol: float = DEFAULT_RANK_TOL) -> OperatorSubspace:
     for g in mats:
         if g.shape != (n, n):
             raise ShapeMismatch("generators must be square and of equal size")
-    stacked = np.vstack([_commutation_rows(g) for g in mats])
+    stacked = np.vstack([commutation_matrix(g) for g in mats])
     # scale floor 1: generators proportional to I commute with everything
     return OperatorSubspace.from_vec_columns(
         n, nullspace(stacked, rank_tol, scale=1.0)
@@ -77,7 +76,7 @@ def hermitian_commutant(h, rank_tol: float = DEFAULT_RANK_TOL) -> OperatorSubspa
     rank_tol * max(largest |eigenvalue|, 1), the rank rule of ``commutant``.
     An eigensolver, so a route independent of the SVD in ``commutant``."""
     h = require_hermitian(h)
-    w, v = np.linalg.eigh(_commutation_rows(h))
+    w, v = np.linalg.eigh(commutation_matrix(h))
     cut = rank_tol * max(float(np.max(np.abs(w))), 1.0)
     return OperatorSubspace.from_vec_columns(h.shape[0], v[:, np.abs(w) <= cut])
 
@@ -235,6 +234,7 @@ def kernel_commutant_check(
 
 
 __all__ = [
+    "commutation_matrix",
     "commutant",
     "bicommutant",
     "hermitian_commutant",

@@ -23,7 +23,6 @@ from .numlin import (
     frob,
     kernel_tower,
     kron,
-    nullspace,
     require_hermitian,
     subspace_distance,
     unvec,
@@ -71,14 +70,12 @@ class Superoperator:
         return float(np.linalg.norm(self.matrix, 2))
 
     def kernel(self, rank_tol: float = DEFAULT_RANK_TOL) -> OperatorSubspace:
-        # scale floor 1: a map that is pure roundoff has full kernel
-        return OperatorSubspace.from_vec_columns(
-            self.ambient_dim, nullspace(self.matrix, rank_tol, scale=1.0)
-        )
+        return self.kernel_tower(1, rank_tol)[0]
 
     def kernel_tower(self, k_max: int, rank_tol: float = DEFAULT_RANK_TOL) -> tuple:
         """Kernels of the map's powers 1..k_max from one SVD of the map
-        (``numlin.kernel_tower``), with the rank rule of ``kernel``."""
+        (``numlin.kernel_tower``)."""
+        # scale floor 1: a map that is pure roundoff has full kernel
         return tuple(
             OperatorSubspace.from_vec_columns(self.ambient_dim, q)
             for q in kernel_tower(self.matrix, k_max, rank_tol, scale=1.0)

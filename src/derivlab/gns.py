@@ -21,21 +21,26 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .derivation import Superoperator, ad_superoperator, superoperator_stabilization_report
+from .commutant import commutation_matrix
+from .derivation import (
+    DEFAULT_DISTANCE_TOL,
+    Superoperator,
+    ad_superoperator,
+    kernel_stabilization_report,
+    superoperator_stabilization_report,
+)
 from .errors import NotDensity, NotDerivation, NotEquilibrium, NotFaithful, ShapeMismatch
 from .numlin import (
     DEFAULT_RANK_TOL,
-    OperatorSubspace,
     as_cmatrix,
     frob,
     hermitian_eig,
+    is_hermitian,
     kron,
-    nullspace,
     require_hermitian,
     subspace_distance,
     vec,
 )
-from .spectral import spectral_resolution
 
 FAITHFULNESS_TOL = 1e-10
 EQUILIBRIUM_TOL = 1e-9
@@ -66,7 +71,7 @@ def state_from_density(rho, faithfulness_tol: float = FAITHFULNESS_TOL) -> State
     rho = as_cmatrix(rho)
     if rho.shape[0] != rho.shape[1]:
         raise NotDensity(f"density matrix must be square, got {rho.shape}")
-    if frob(rho - rho.conj().T) > 1e-12 * max(1.0, frob(rho)):
+    if not is_hermitian(rho):
         raise NotDensity("density matrix is not Hermitian")
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > 1e-12:
@@ -316,34 +321,23 @@ def kernel_correspondence_distance(
     """
     n = gns.n
     partial = np.einsum("jpjr->pr", as_cmatrix(s).reshape(n, n, n, n))
-    eye = np.eye(n)
-    restricted = 1j / n * (kron(eye, partial) - kron(partial.T, eye))
-    restricted_kernel = OperatorSubspace.from_vec_columns(
-        n, nullspace(restricted, rank_tol, scale=1.0)
-    )
-    return subspace_distance(restricted_kernel, delta.map.kernel(rank_tol))
+    restricted = Superoperator(n, 1j / n * commutation_matrix(partial))
+    return subspace_distance(restricted.kernel(rank_tol), delta.map.kernel(rank_tol))
 
 
 def abstract_kernel_stabilization(
     delta: Derivation,
     n_max: int,
     rank_tol: float = DEFAULT_RANK_TOL,
-    distance_tol: float = 1e-8,
+    distance_tol: float = DEFAULT_DISTANCE_TOL,
 ):
-    """Kernel stabilization report for an arbitrary derivation's map."""
-    spectrum = multiplicities = None
-    if delta.kind == "inner" and delta.generator is not None:
-        res = spectral_resolution(delta.generator)
-        spectrum = tuple(float(v) for v in res.values)
-        multiplicities = tuple(int(m) for m in res.multiplicities)
-    return superoperator_stabilization_report(
-        delta.map,
-        n_max,
-        rank_tol=rank_tol,
-        distance_tol=distance_tol,
-        spectrum=spectrum,
-        multiplicities=multiplicities,
-    )
+    """Kernel stabilization report of a derivation: for an inner one,
+    ``kernel_stabilization_report`` of its generator, which adds the
+    spectrum and multiplicities; otherwise
+    ``superoperator_stabilization_report`` of its map."""
+    if delta.generator is not None:
+        return kernel_stabilization_report(delta.generator, n_max, rank_tol, distance_tol)
+    return superoperator_stabilization_report(delta.map, n_max, rank_tol, distance_tol)
 
 
 def analytic_norm_series(delta: Derivation, a, t: float, k_max: int) -> np.ndarray:

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .commutant import commutant
 from .derivation import ad_superoperator
 from .errors import GridTooCoarse, ShapeMismatch
 from .numlin import DEFAULT_RANK_TOL, as_cmatrix, frob, require_hermitian
@@ -61,20 +60,6 @@ def _central_difference(n: int, h: float, periodic: bool) -> np.ndarray:
         c[0, n - 1] = -1.0 / (2.0 * h)
         c[n - 1, 0] = 1.0 / (2.0 * h)
     return c
-
-
-def averaging_matrix(n: int, periodic: bool) -> np.ndarray:
-    """The shift-average (v_{j+1} + v_{j-1}) / 2 with the same boundary
-    convention as the difference matrix; [iC, diag(x)] equals i times this
-    exactly on the line, and away from the seam on the circle."""
-    a = np.zeros((n, n))
-    for j in range(n - 1):
-        a[j, j + 1] = 0.5
-        a[j + 1, j] = 0.5
-    if periodic:
-        a[0, n - 1] = 0.5
-        a[n - 1, 0] = 0.5
-    return a
 
 
 def _gaussian_params(n: int, half_width: float) -> list:
@@ -320,14 +305,14 @@ def rigidity_check(
     """Sample x from ker(ad_iD^2) and verify ||[D, x]|| <= tol ||D|| ||x||.
 
     Also confirms the membership route: [D, x] projects onto the
-    commutant of {D} with no loss (it lies there by construction), and is
-    then forced to be zero.
+    commutant {D}' with no loss (it lies there by construction), and is
+    then forced to be zero.  Both subspaces come from one kernel tower of
+    ad_iD: {D}' = ker ad_iD and the samples' ker ad_iD^2.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     d = require_hermitian(d)
-    sq_kernel = ad_superoperator(d).kernel_tower(2, rank_tol)[1]
-    comm_d = commutant([d], rank_tol)
+    comm_d, sq_kernel = ad_superoperator(d).kernel_tower(2, rank_tol)
     rng = np.random.default_rng(seed)
 
     d_norm = frob(d)

@@ -234,27 +234,17 @@ class OperatorSubspace:
     def from_spanning(cls, ambient_dim: int, mats, rank_tol: float = 1e-12):
         """Orthonormalize an arbitrary spanning family (SVD-based, so
         linearly dependent input is fine)."""
-        mats = [as_cmatrix(m) for m in mats]
-        if not mats:
-            return cls(ambient_dim, np.zeros((0, ambient_dim, ambient_dim)))
-        rows = np.stack([vec(m) for m in mats])
-        u, s, vh = np.linalg.svd(rows, full_matrices=False)
-        smax = s[0] if s.size else 0.0
-        rank = int(np.sum(s > rank_tol * smax)) if smax > 0 else 0
-        stack = np.stack(
-            [unvec(vh[i], ambient_dim) for i in range(rank)]
-        ) if rank else np.zeros((0, ambient_dim, ambient_dim), dtype=np.complex128)
-        return cls(ambient_dim, stack)
+        rows = np.array([vec(as_cmatrix(m)) for m in mats]).reshape(len(mats), ambient_dim**2)
+        _, s, vh = np.linalg.svd(rows, full_matrices=False)
+        # the rows of vh, unconjugated, span the rows vec(m)
+        return cls.from_vec_columns(ambient_dim, vh[: _numerical_rank(s, rank_tol, 0.0)].T)
 
     @classmethod
     def from_vec_columns(cls, ambient_dim: int, columns: np.ndarray):
         """Wrap orthonormal vec-coordinate columns (e.g. from nullspace)."""
-        stack = (
-            np.stack([unvec(columns[:, j], ambient_dim) for j in range(columns.shape[1])])
-            if columns.shape[1]
-            else np.zeros((0, ambient_dim, ambient_dim), dtype=np.complex128)
-        )
-        return cls(ambient_dim, stack)
+        # column j unvecs to X_j[i, l] = columns[i + n l, j]
+        n = ambient_dim
+        return cls(n, columns.T.reshape(-1, n, n).transpose(0, 2, 1))
 
 
 def _check_same_ambient(s1: OperatorSubspace, s2: OperatorSubspace):

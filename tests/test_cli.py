@@ -72,6 +72,11 @@ class TestConfigValidation:
             {"n_max": 9},
             {"format": "xml"},
             {"tolerances": {"rank": 0.0}},
+            {"tolerances": {"rank": float("nan")}},
+            {"tolerances": {"subspace": float("nan")}},
+            {"tolerances": {"subspace": float("inf")}},
+            {"tolerances": {"containment": float("inf")}},
+            {"dims": (3, 3)},
         ],
     )
     def test_rejections(self, kwargs):
@@ -220,6 +225,29 @@ class TestMain:
         assert code == 2
         assert not out.exists()
         assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--dims", "x"],
+            ["run", "--dims", "2.."],
+            ["run", "--dims", "2..12,14"],
+            ["run", "--dims", "3,3"],
+            ["run", "--tol", "rank=abc"],
+            ["run", "--dims", "3", "--tol", "rank=nan"],
+            ["run", "--dims", "3", "--tol", "subspace=inf"],
+            ["gen", "--kind", "hermitian", "--n", "0"],
+            ["gen", "--kind", "hermitian", "--n", "3", "--seed", "-1"],
+            ["gen", "--kind", "hermitian_with_multiplicity", "--n", "3",
+             "--multiplicities", "2,x"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_malformed_values_exit_2(self, argv, tmp_path, capsys):
+        out = tmp_path / "never.out"
+        assert main(argv[:1] + ["--out", str(out)] + argv[1:]) == 2
+        assert not out.exists()
+        assert "config error" in capsys.readouterr().err
 
     def test_unwritable_output_exits_3(self, tmp_path):
         code = main(
