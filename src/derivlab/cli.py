@@ -138,10 +138,14 @@ def generate(kind: str, n: int, seed: int, multiplicities=None):
     kinds: "hermitian" (simple, well-separated spectrum),
     "hermitian_with_multiplicity" (prescribed eigenvalue repeats,
     conjugated by a Haar-style unitary), "density" (faithful density
-    matrix), "derivation" (inner derivation of a hermitian instance).
+    matrix).  Only "hermitian_with_multiplicity" takes multiplicities.
     """
     if n < 1 or seed < 0:
         raise ConfigInvalid(f"need n >= 1 and seed >= 0, got n={n}, seed={seed}")
+    if multiplicities is not None and kind != "hermitian_with_multiplicity":
+        raise BadMultiplicities(
+            f"multiplicities apply only to hermitian_with_multiplicity, not {kind!r}"
+        )
     rng = _rng(seed, n, 0)
     if kind == "hermitian":
         u = _haar_unitary(n, rng)
@@ -164,8 +168,6 @@ def generate(kind: str, n: int, seed: int, multiplicities=None):
         p = weights / weights.sum()
         rho = _conjugated(_haar_unitary(n, rng), p)
         return rho / np.trace(rho).real
-    if kind == "derivation":
-        return inner_derivation(generate("hermitian", n, seed))
     raise ConfigInvalid(f"unknown generation kind {kind!r}")
 
 
@@ -193,8 +195,6 @@ def _check(check_id, description, passed, residual, tolerance, details=None):
 
 
 def _multiplicity_pattern(n: int) -> list:
-    if n == 2:
-        return [2]
     return [2] + [1] * (n - 2)
 
 
@@ -215,119 +215,128 @@ def _spectral_instances(n: int, seed: int) -> list:
     ]
 
 
+def kernel_stab_check(check_id: str, d, n_max: int, tol=DEFAULT_TOLERANCES) -> dict:
+    """ker ad_iD^k = ker ad_iD for k <= n_max, of dimension sum m_i^2."""
+    report = kernel_stabilization_report(
+        d,
+        n_max,
+        rank_tol=tol["rank"],
+        distance_tol=tol["subspace"],
+        cluster_tol=tol["cluster"],
+    )
+    expected = int(sum(m**2 for m in report.multiplicities))
+    return _check(
+        check_id,
+        "kernel stabilization of the commutator derivation",
+        report.passed and report.kernel_dims[0] == expected,
+        max(report.distances),
+        tol["subspace"],
+        {
+            "kernel_dims": list(report.kernel_dims),
+            "distances": list(report.distances),
+            "expected_dim": expected,
+            "multiplicities": list(report.multiplicities),
+        },
+    )
+
+
 def _suite_kernel_stab(config: ExperimentConfig) -> list:
-    tol = config.tolerances
-    checks = []
-    for n in config.dims:
-        for name, d in _spectral_instances(n, config.seed):
-            report = kernel_stabilization_report(
-                d,
-                config.n_max,
-                rank_tol=tol["rank"],
-                distance_tol=tol["subspace"],
-                cluster_tol=tol["cluster"],
-            )
-            expected = int(sum(m**2 for m in report.multiplicities))
-            dims_ok = report.kernel_dims[0] == expected
-            checks.append(
-                _check(
-                    f"kernel_stab/n={n}/{name}",
-                    "kernel stabilization of the commutator derivation",
-                    report.passed and dims_ok,
-                    max(report.distances),
-                    tol["subspace"],
-                    {
-                        "kernel_dims": list(report.kernel_dims),
-                        "distances": list(report.distances),
-                        "expected_dim": expected,
-                        "multiplicities": list(report.multiplicities),
-                    },
-                )
-            )
-    return checks
+    return [
+        kernel_stab_check(f"kernel_stab/n={n}/{name}", d, config.n_max, config.tolerances)
+        for n in config.dims
+        for name, d in _spectral_instances(n, config.seed)
+    ]
+
+
+def commutant_identity_check(check_id: str, d, tol=DEFAULT_TOLERANCES) -> dict:
+    """ker ad_iD = {D}' = {P_i}' and P_D'' inside them, at the worst residual."""
+    report = kernel_commutant_check(
+        d,
+        rank_tol=tol["rank"],
+        distance_tol=tol["subspace"],
+        containment_tol=tol["containment"],
+        cluster_tol=tol["cluster"],
+    )
+    worst = max(
+        report.distance_kernel_commutant,
+        report.distance_kernel_projection,
+        report.distance_commutant_projection,
+        report.algebra_containment,
+        report.projection_defect,
+    )
+    return _check(
+        check_id,
+        "kernel of the derivation equals the commutant of the "
+        "generator and of its spectral projections",
+        report.passed,
+        worst,
+        tol["subspace"],
+        report.to_json_dict(),
+    )
 
 
 def _suite_commutant_identity(config: ExperimentConfig) -> list:
-    tol = config.tolerances
-    checks = []
-    for n in config.dims:
-        for name, d in _spectral_instances(n, config.seed + 1):
-            report = kernel_commutant_check(
-                d,
-                rank_tol=tol["rank"],
-                distance_tol=tol["subspace"],
-                containment_tol=tol["containment"],
-                cluster_tol=tol["cluster"],
-            )
-            worst = max(
-                report.distance_kernel_commutant,
-                report.distance_kernel_projection,
-                report.distance_commutant_projection,
-                report.algebra_containment,
-                report.projection_defect,
-            )
-            checks.append(
-                _check(
-                    f"commutant_identity/n={n}/{name}",
-                    "kernel of the derivation equals the commutant of the "
-                    "generator and of its spectral projections",
-                    report.passed,
-                    worst,
-                    tol["subspace"],
-                    report.to_json_dict(),
-                )
-            )
-    return checks
+    return [
+        commutant_identity_check(f"commutant_identity/n={n}/{name}", d, config.tolerances)
+        for n in config.dims
+        for name, d in _spectral_instances(n, config.seed + 1)
+    ]
+
+
+def br_gns_check(
+    check_id: str, omega: State, delta: Derivation, n_max: int, tol=DEFAULT_TOLERANCES
+) -> dict:
+    """omega implements delta by a Hermitian S in its GNS representation."""
+    eq = equilibrium_check(omega, delta)
+    rep = gns_construct(omega)
+    s, symmetry = implementing_operator(rep, delta)
+    impl = implementation_check(rep, delta, s)
+    inter = max(flow_intertwining_residual(rep, delta, s, t) for t in (0.5, 1.0))
+    corr = kernel_correspondence_distance(rep, delta, s, tol["rank"])
+    stab = abstract_kernel_stabilization(
+        delta, n_max, rank_tol=tol["rank"], distance_tol=tol["subspace"]
+    )
+    residual = max(eq, symmetry, impl)
+    passed = (
+        residual <= tol["residual"]
+        and inter <= tol["subspace"]
+        and corr <= tol["subspace"]
+        and stab.passed
+    )
+    return _check(
+        check_id,
+        "equilibrium state implements the derivation as a "
+        "Hermitian commutator in its GNS representation",
+        passed,
+        residual,
+        tol["residual"],
+        {
+            "equilibrium": eq,
+            "symmetry": symmetry,
+            "implementation": impl,
+            "intertwining": inter,
+            "kernel_correspondence": corr,
+            "kernel_dims": list(stab.kernel_dims),
+        },
+    )
 
 
 def _suite_br_gns(config: ExperimentConfig) -> list:
-    tol = config.tolerances
-    checks = []
-    for n in config.dims:
-        if n > _BR_MAX_DIM:
-            continue
-        for idx in range(2):
-            omega, delta = equilibrium_instance(n, config.seed + 101 * idx)
-            eq = equilibrium_check(omega, delta)
-            rep = gns_construct(omega)
-            s, symmetry = implementing_operator(rep, delta)
-            impl = implementation_check(rep, delta, s)
-            inter = max(
-                flow_intertwining_residual(rep, delta, s, t) for t in (0.5, 1.0)
-            )
-            corr = kernel_correspondence_distance(rep, delta, s, tol["rank"])
-            stab = abstract_kernel_stabilization(
-                delta, config.n_max, rank_tol=tol["rank"], distance_tol=tol["subspace"]
-            )
-            residual = max(eq, symmetry, impl)
-            passed = (
-                residual <= tol["residual"]
-                and inter <= tol["subspace"]
-                and corr <= tol["subspace"]
-                and stab.passed
-            )
-            checks.append(
-                _check(
-                    f"br_gns/n={n}/i={idx}",
-                    "equilibrium state implements the derivation as a "
-                    "Hermitian commutator in its GNS representation",
-                    passed,
-                    residual,
-                    tol["residual"],
-                    {
-                        "equilibrium": eq,
-                        "symmetry": symmetry,
-                        "implementation": impl,
-                        "intertwining": inter,
-                        "kernel_correspondence": corr,
-                        "kernel_dims": list(stab.kernel_dims),
-                    },
-                )
-            )
-    return checks
+    return [
+        br_gns_check(
+            f"br_gns/n={n}/i={idx}",
+            *equilibrium_instance(n, config.seed + 101 * idx),
+            config.n_max,
+            config.tolerances,
+        )
+        for n in config.dims
+        if n <= _BR_MAX_DIM
+        for idx in range(2)
+    ]
 
 
-def _obstruction_check(check_id: str, a, b) -> dict:
+def obstruction_check(check_id: str, a, b) -> dict:
+    """|tr [A,B]| <= 1e-9 n ||A||_2 ||B||_2 and ||[A,B] - iI||_F >= sqrt(n)."""
     tr_abs, gap, bound = heis_mod.trace_obstruction(a, b)
     scale = np.linalg.norm(a, 2) * np.linalg.norm(b, 2)
     passed = tr_abs <= 1e-9 * len(a) * scale and gap >= bound - 1e-9
@@ -342,14 +351,13 @@ def _obstruction_check(check_id: str, a, b) -> dict:
     )
 
 
-def _suite_heisenberg(config: ExperimentConfig) -> list:
-    tol = config.tolerances
-    checks = []
-
+def heisenberg_grid_checks() -> list:
+    """The five heisenberg checks that do not depend on dims."""
     base_line = heis_mod.schrodinger_pair(HEISENBERG_GRIDS[0], 10.0)
     line = heis_mod.hcr_residual(base_line, refinements=len(HEISENBERG_GRIDS))
     base_circle = heis_mod.periodic_pair(HEISENBERG_GRIDS[0])
     circle = heis_mod.hcr_residual(base_circle, refinements=len(HEISENBERG_GRIDS))
+    checks = []
     for name, report in (("line", line), ("circle", circle)):
         order_ok = all(1.7 <= p <= 2.3 for p in report.orders)
         checks.append(
@@ -374,15 +382,31 @@ def _suite_heisenberg(config: ExperimentConfig) -> list:
             {"n": HEISENBERG_GRIDS[-1]},
         )
     )
-
     for pair_name, pair in (("line", base_line), ("circle", base_circle)):
         checks.append(
-            _obstruction_check(f"heisenberg/obstruction/{pair_name}", pair.A, pair.B)
+            obstruction_check(f"heisenberg/obstruction/{pair_name}", pair.A, pair.B)
         )
+    return checks
 
+
+def heisenberg_rigidity_check(check_id: str, d, seed: int, tol=DEFAULT_TOLERANCES) -> dict:
+    """||[D, x]|| <= 1e-8 ||D|| ||x|| for 20 samples x of ker ad_iD^2."""
+    rig = heis_mod.rigidity_check(d, trials=20, rank_tol=tol["rank"], seed=seed)
+    return _check(
+        check_id,
+        "a commutator with D that commutes with D must vanish",
+        rig.passed,
+        rig.max_relative_commutator,
+        rig.commutator_tol,
+        {"kernel_dim": rig.kernel_dim, "trials": rig.trials},
+    )
+
+
+def _suite_heisenberg(config: ExperimentConfig) -> list:
+    checks = heisenberg_grid_checks()
     for n in config.dims:
         checks.append(
-            _obstruction_check(
+            obstruction_check(
                 f"heisenberg/obstruction/random/n={n}",
                 generate("hermitian", n, config.seed + 3),
                 generate("hermitian", n, config.seed + 4),
@@ -395,17 +419,9 @@ def _suite_heisenberg(config: ExperimentConfig) -> list:
                 config.seed + 5,
                 multiplicities=_multiplicity_pattern(n),
             )
-            rig = heis_mod.rigidity_check(
-                d, trials=20, rank_tol=tol["rank"], seed=config.seed
-            )
             checks.append(
-                _check(
-                    f"heisenberg/rigidity/n={n}",
-                    "a commutator with D that commutes with D must vanish",
-                    rig.passed,
-                    rig.max_relative_commutator,
-                    rig.commutator_tol,
-                    {"kernel_dim": rig.kernel_dim, "trials": rig.trials},
+                heisenberg_rigidity_check(
+                    f"heisenberg/rigidity/n={n}", d, config.seed, config.tolerances
                 )
             )
     return checks
@@ -545,9 +561,9 @@ def main(argv=None) -> int:
         mult = [
             _number(int, m, "multiplicity") for m in args.multiplicities.split(",") if m
         ] or None
-        instance = generate(args.kind, args.n, args.seed, multiplicities=mult)
-        matrix = instance.generator if args.kind == "derivation" else instance
-        numlin.write_matrix_text(args.out, matrix)
+        # an inner derivation is written as its Hermitian generator
+        kind = "hermitian" if args.kind == "derivation" else args.kind
+        numlin.write_matrix_text(args.out, generate(kind, args.n, args.seed, mult))
         print(f"wrote {args.kind} instance (n={args.n}, seed={args.seed}) to {args.out}")
         return 0
     except (ConfigInvalid, BadMultiplicities) as exc:

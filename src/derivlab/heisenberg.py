@@ -11,7 +11,6 @@ boundary correction and the identity holds on every row.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -200,33 +199,6 @@ class HcrResidualReport:
     rows: tuple
     orders: tuple
     mean_order: float
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("n,h,vector_id,residual,order_estimate\n")
-        for n, h, vid, res, order in self.rows:
-            tail = "" if order is None else f"{order:.6g}"
-            buf.write(f"{n},{h:.17g},{vid},{res:.17g},{tail}\n")
-        return buf.getvalue()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "identity": "HCR_residuals",
-            "scheme": self.scheme,
-            "grid_sizes": list(self.grid_sizes),
-            "rows": [
-                {
-                    "n": n,
-                    "h": h,
-                    "vector_id": vid,
-                    "residual": res,
-                    "order_estimate": order,
-                }
-                for n, h, vid, res, order in self.rows
-            ],
-            "orders": list(self.orders),
-            "mean_order": self.mean_order,
-        }
 
 
 def hcr_residual(pair: DiscretizedPair, refinements: int = 3) -> HcrResidualReport:

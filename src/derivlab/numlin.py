@@ -314,16 +314,3 @@ def read_matrix_text(path) -> np.ndarray:
         [float(body[2 * k]) + 1j * float(body[2 * k + 1]) for k in range(rows * cols)]
     )
     return flat.reshape(rows, cols)
-
-
-def matrix_to_json(m) -> list:
-    """Nested-list encoding with [re, im] pairs per entry."""
-    m = as_cmatrix(m)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
-
-def matrix_from_json(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim != 3 or arr.shape[2] != 2:
-        raise ShapeMismatch("matrix JSON must be a nested list of [re, im] pairs")
-    return arr[..., 0] + 1j * arr[..., 1]

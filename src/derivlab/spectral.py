@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import numlin
 from .errors import AmbiguousClustering, MissingValue
 from .numlin import as_cmatrix, frob, hermitian_eig
 
@@ -45,21 +44,6 @@ class SpectralResolution:
     def reconstruct(self) -> np.ndarray:
         """Sum of value * projection over all clusters."""
         return np.einsum("k,kij->ij", self.values.astype(complex), self.projections)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "values": [float(v) for v in self.values],
-            "multiplicities": [int(m) for m in self.multiplicities],
-            "projections": [numlin.matrix_to_json(p) for p in self.projections],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict, cluster_tol: float = DEFAULT_CLUSTER_TOL):
-        values = np.asarray(data["values"], dtype=float)
-        projections = np.stack([numlin.matrix_from_json(p) for p in data["projections"]])
-        multiplicities = np.asarray(data["multiplicities"], dtype=int)
-        source_norm = float(np.max(np.abs(values))) if values.size else 0.0
-        return cls(values, projections, multiplicities, source_norm, cluster_tol)
 
 
 def spectral_resolution(d, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> SpectralResolution:

@@ -1,8 +1,11 @@
 """End-to-end acceptance checks, one per headline property.
 
-Each test prints a single PASS/FAIL line; tolerances are stated inline
-and match the per-module report fields.  Instance families are seeded
-and spread over dimensions 2..12 (2..8 for the representation checks).
+Each test prints a single PASS/FAIL line.  Criteria 1, 2, 6, 7 and the
+obstruction half of 8 run the CLI's own per-instance checks and assert
+their verdicts, so the gate and ``derivlab run`` share one pass rule;
+the other criteria state their tolerances inline.  Instance families are
+seeded and spread over dimensions 2..12 (2..8 for the representation
+checks).
 """
 
 import subprocess
@@ -10,34 +13,23 @@ import sys
 import time
 
 import numpy as np
-import pytest
 
-from derivlab.cli import equilibrium_instance, generate
-from derivlab.commutant import kernel_commutant_check
+from derivlab.cli import (
+    br_gns_check,
+    commutant_identity_check,
+    equilibrium_instance,
+    generate,
+    heisenberg_grid_checks,
+    kernel_stab_check,
+    obstruction_check,
+)
 from derivlab.derivation import (
-    ad_superoperator,
     difference_quotient_check,
     iterated_commutator,
-    kernel_stabilization_report,
     pairing_derivative_check,
 )
-from derivlab.gns import (
-    abstract_kernel_stabilization,
-    equilibrium_check,
-    flow_intertwining_residual,
-    gns_construct,
-    implementation_check,
-    implementing_operator,
-    kernel_correspondence_distance,
-)
-from derivlab.heisenberg import (
-    commutation_residual,
-    hcr_residual,
-    periodic_pair,
-    rigidity_check,
-    schrodinger_pair,
-    trace_obstruction,
-)
+from derivlab.gns import flow_intertwining_residual, gns_construct, implementing_operator
+from derivlab.heisenberg import periodic_pair, rigidity_check, schrodinger_pair
 from derivlab.numlin import frob
 from derivlab.spectral import projection_commutation_check, spectral_resolution
 
@@ -75,37 +67,28 @@ INSTANCES = _kernel_instances()
 def test_criterion_1_kernel_stabilization():
     started = time.time()
     worst_distance = 0.0
-    for d in INSTANCES:
-        report = kernel_stabilization_report(d, 5)
-        expected = sum(m**2 for m in report.multiplicities)
-        worst_distance = max(worst_distance, max(report.distances))
-        assert report.kernel_dims[0] == expected
-        assert len(set(report.kernel_dims)) == 1
-        assert max(report.distances) <= 1e-8
+    for i, d in enumerate(INSTANCES):
+        check = kernel_stab_check(f"criterion_1/{i}", d, 5)
+        assert check["pass"], check
+        worst_distance = max(worst_distance, check["residual"])
     elapsed = time.time() - started
     _report(
         "1 kernel-stabilization",
-        worst_distance <= 1e-8 and elapsed <= 60.0,
+        elapsed <= 60.0,
         f"200 instances, max distance {worst_distance:.2e}, {elapsed:.1f}s",
     )
 
 
 def test_criterion_2_kernel_commutant_identity():
     worst = 0.0
-    for d in INSTANCES:
-        report = kernel_commutant_check(d)
-        worst = max(
-            worst,
-            report.distance_kernel_commutant,
-            report.distance_kernel_projection,
-            report.distance_commutant_projection,
-            report.algebra_containment,
-        )
-        assert report.passed
+    for i, d in enumerate(INSTANCES):
+        check = commutant_identity_check(f"criterion_2/{i}", d)
+        assert check["pass"], check
+        worst = max(worst, check["residual"])
     _report(
         "2 kernel-commutant-identity",
-        worst <= 1e-8,
-        f"max pairwise distance / containment residual {worst:.2e}",
+        True,
+        f"max pairwise distance / containment / projection defect {worst:.2e}",
     )
 
 
@@ -187,22 +170,20 @@ def test_criterion_6_implementing_operator_pipeline():
     for i in range(50):
         n = 2 + (i % 7)
         omega, delta = equilibrium_instance(n, 700 + i)
-        assert equilibrium_check(omega, delta) <= 1e-9
+        check = br_gns_check(f"criterion_6/{i}", omega, delta, 5)
+        assert check["pass"], check
+        # the CLI checks the flow at t = 0.5 and 1.0; run it backwards too
         rep = gns_construct(omega)
-        s, symmetry = implementing_operator(rep, delta)
-        impl = implementation_check(rep, delta, s)
-        assert symmetry <= 1e-9 and impl <= 1e-9
-        inter = max(
-            flow_intertwining_residual(rep, delta, s, t) for t in (-1.0, 0.5, 1.0)
+        s, _ = implementing_operator(rep, delta)
+        backwards = flow_intertwining_residual(rep, delta, s, -1.0)
+        assert backwards <= 1e-8
+        worst["residual"] = max(worst["residual"], check["residual"])
+        worst["intertwine"] = max(
+            worst["intertwine"], check["details"]["intertwining"], backwards
         )
-        assert inter <= 1e-8
-        corr = kernel_correspondence_distance(rep, delta, s)
-        assert corr <= 1e-8
-        stab = abstract_kernel_stabilization(delta, 5)
-        assert stab.passed
-        worst["residual"] = max(worst["residual"], symmetry, impl)
-        worst["intertwine"] = max(worst["intertwine"], inter)
-        worst["correspondence"] = max(worst["correspondence"], corr)
+        worst["correspondence"] = max(
+            worst["correspondence"], check["details"]["kernel_correspondence"]
+        )
     elapsed = time.time() - started
     _report(
         "6 implementing-operator-pipeline",
@@ -214,24 +195,21 @@ def test_criterion_6_implementing_operator_pipeline():
 
 
 def test_criterion_7_discretization_convergence():
-    line = hcr_residual(schrodinger_pair(128, 10.0), refinements=3)
-    circle = hcr_residual(periodic_pair(128), refinements=3)
-    orders = list(line.orders) + list(circle.orders)
-    assert line.grid_sizes == (128, 256, 512)
-    assert all(1.7 <= p <= 2.3 for p in orders)
-
-    fine = schrodinger_pair(512, 10.0)
-    sigma_one = [
-        commutation_residual(fine, v)
-        for (sigma, _), v in zip(fine.test_params, fine.test_domain)
-        if sigma == 1.0
+    checks = {c["id"]: c for c in heisenberg_grid_checks()}
+    for check in checks.values():
+        assert check["pass"], check
+    orders = [
+        p
+        for name in ("line", "circle")
+        for p in checks[f"heisenberg/convergence/{name}"]["details"]["orders"]
     ]
-    assert sigma_one and max(sigma_one) <= 2e-3
+    line = checks["heisenberg/line_residual"]
+    assert line["details"]["n"] == 512
     _report(
         "7 heisenberg-residuals",
         True,
         f"orders in [{min(orders):.2f}, {max(orders):.2f}], "
-        f"line residual at n=512 is {max(sigma_one):.2e}",
+        f"line residual at n=512 is {line['residual']:.2e}",
     )
 
 
@@ -243,11 +221,9 @@ def test_criterion_8_obstruction_and_rigidity():
     line = schrodinger_pair(64, 10.0)
     circle = periodic_pair(64)
     pairs += [(line.A, line.B), (circle.A, circle.B)]
-    for a, b in pairs:
-        n = a.shape[0]
-        tr_abs, gap, bound = trace_obstruction(a, b)
-        assert tr_abs <= 1e-9 * n * frob(a) * frob(b)
-        assert gap >= bound - 1e-9
+    for i, (a, b) in enumerate(pairs):
+        check = obstruction_check(f"criterion_8/{i}", a, b)
+        assert check["pass"], check
 
     worst = 0.0
     for i in range(50):

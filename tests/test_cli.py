@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -40,16 +41,13 @@ class TestGenerate:
             generate("hermitian_with_multiplicity", 3, 0, multiplicities=[2, 2])
         with pytest.raises(BadMultiplicities):
             generate("hermitian_with_multiplicity", 3, 0)
+        with pytest.raises(BadMultiplicities):
+            generate("hermitian", 3, 0, multiplicities=[2, 1])
 
     def test_density_is_valid_state(self):
         rho = generate("density", 4, 3)
         omega = state_from_density(rho)
         assert omega.faithful
-
-    def test_derivation_kind(self):
-        delta = generate("derivation", 3, 4)
-        assert delta.kind == "inner"
-        assert delta.ambient_dim == 3
 
     def test_equilibrium_instance(self):
         omega, delta = equilibrium_instance(4, 9)
@@ -146,6 +144,81 @@ class TestRun:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "id,pass,residual,tolerance"
         assert len(lines) > 1
+
+    def test_report_content_is_pinned(self, tmp_path):
+        # ids, references, tolerances and detail keys only: no float is
+        # compared, so the pin holds across BLAS builds
+        out = tmp_path / "report.json"
+        assert main(["run", "--suite", "all", "--dims", "2..4", "--n-max", "3",
+                     "--out", str(out)]) == 0
+        checks = json.loads(out.read_text())["checks"]
+        dims = (2, 3, 4)
+        assert [c["id"] for c in checks] == [
+            *(f"kernel_stab/n={n}/{k}" for n in dims for k in ("simple", "multiplicity")),
+            *(f"commutant_identity/n={n}/{k}" for n in dims
+              for k in ("simple", "multiplicity")),
+            *(f"br_gns/n={n}/i={i}" for n in dims for i in (0, 1)),
+            "heisenberg/convergence/line",
+            "heisenberg/convergence/circle",
+            "heisenberg/line_residual",
+            "heisenberg/obstruction/line",
+            "heisenberg/obstruction/circle",
+            *(f"heisenberg/{k}/n={n}" for n in dims
+              for k in ("obstruction/random", "rigidity")),
+        ]
+        obstruction = (
+            "traceless commutators keep [A,B] at least sqrt(n) away from i times "
+            "the identity",
+            1e-9,
+            {"gap", "lower_bound"},
+        )
+        expected = {
+            "kernel_stab": (
+                "kernel stabilization of the commutator derivation",
+                1e-8,
+                {"distances", "expected_dim", "kernel_dims", "multiplicities"},
+            ),
+            "commutant_identity": (
+                "kernel of the derivation equals the commutant of the generator "
+                "and of its spectral projections",
+                1e-8,
+                {"algebra_containment", "dims", "distances", "identity", "n", "pass",
+                 "projection_defect", "tolerances"},
+            ),
+            "br_gns": (
+                "equilibrium state implements the derivation as a Hermitian "
+                "commutator in its GNS representation",
+                1e-9,
+                {"equilibrium", "implementation", "intertwining",
+                 "kernel_correspondence", "kernel_dims", "symmetry"},
+            ),
+            "heisenberg/convergence": (
+                "second-order convergence of the commutation residual under grid "
+                "refinement",
+                0.3,
+                {"mean_order", "orders"},
+            ),
+            "heisenberg/line_residual": (
+                "commutation residual of the line pair on Gaussian test vectors",
+                2e-3,
+                {"n"},
+            ),
+            "heisenberg/obstruction": obstruction,
+            "heisenberg/obstruction/random": obstruction,
+            "heisenberg/rigidity": (
+                "a commutator with D that commutes with D must vanish",
+                1e-8,
+                {"kernel_dim", "trials"},
+            ),
+        }
+        seen = set()
+        for check in checks:
+            kind = re.sub(r"/(n=.*|line|circle)$", "", check["id"])
+            seen.add(kind)
+            assert (
+                check["paper_ref"], check["tolerance"], set(check["details"])
+            ) == expected[kind], check["id"]
+        assert seen == set(expected)
 
     def test_any_failure_gives_nonzero_exit(self, tmp_path, monkeypatch):
         from derivlab import cli as cli_mod
@@ -282,6 +355,23 @@ class TestMain:
         assert code == 0
         res = spectral_resolution(numlin.read_matrix_text(out))
         assert tuple(res.multiplicities) == (2, 1)
+
+    def test_gen_derivation_writes_hermitian_generator(self, tmp_path):
+        # n=70 is past the superoperator budget: only the generator is built
+        paths = {kind: tmp_path / f"{kind}.txt" for kind in ("derivation", "hermitian")}
+        for kind, path in paths.items():
+            assert main(["gen", "--kind", kind, "--n", "70", "--seed", "4",
+                         "--out", str(path)]) == 0
+        assert paths["derivation"].read_bytes() == paths["hermitian"].read_bytes()
+
+    @pytest.mark.parametrize("kind", ["hermitian", "density", "derivation"])
+    def test_gen_multiplicities_on_other_kinds_exit_2(self, kind, tmp_path, capsys):
+        out = tmp_path / "m.txt"
+        code = main(["gen", "--kind", kind, "--n", "3", "--multiplicities", "2,1",
+                     "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert "multiplicities" in capsys.readouterr().err
 
     def test_gen_bad_multiplicities_exits_2(self, tmp_path):
         code = main(["gen", "--kind", "hermitian_with_multiplicity", "--n", "3",

@@ -3,7 +3,6 @@ import pytest
 
 from derivlab.errors import GridTooCoarse, ShapeMismatch
 from derivlab.heisenberg import (
-    PERIODIC_INTERVAL,
     SCHRODINGER_LINE,
     commutation_residual,
     hcr_residual,
@@ -142,15 +141,6 @@ class TestHcrResidual:
         pair = periodic_pair(32)
         with pytest.raises(ValueError):
             commutation_residual(pair, np.zeros(32))
-
-    def test_csv_columns(self):
-        report = hcr_residual(schrodinger_pair(64, 10.0), refinements=2)
-        lines = report.to_csv().strip().splitlines()
-        assert lines[0] == "n,h,vector_id,residual,order_estimate"
-        first = lines[1].split(",")
-        assert first[0] == "64" and first[4] == ""
-        refined = [l for l in lines[1:] if l.startswith("128")]
-        assert refined and all(l.split(",")[4] != "" for l in refined)
 
 
 class TestTraceObstruction:

@@ -301,10 +301,6 @@ class TestSerialization:
         with pytest.raises(ShapeMismatch):
             numlin.read_matrix_text(path)
 
-    def test_json_roundtrip(self):
-        m = random_matrix(3, seed=4)
-        assert np.array_equal(numlin.matrix_from_json(numlin.matrix_to_json(m)), m)
-
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             as_cmatrix([[np.nan, 0.0], [0.0, 1.0]])

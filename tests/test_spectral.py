@@ -4,7 +4,6 @@ import pytest
 from derivlab.errors import AmbiguousClustering, MissingValue
 from derivlab.numlin import frob
 from derivlab.spectral import (
-    SpectralResolution,
     borel_calculus,
     indicator_values,
     projection_commutation_check,
@@ -58,13 +57,6 @@ class TestSpectralResolution:
         scale = max(res.cluster_tol * res.n_clusters, 1e-9)
         assert frob(d - res.reconstruct()) <= scale * max(1.0, res.source_norm)
         assert int(np.sum(res.multiplicities)) == n
-
-    def test_json_roundtrip(self, gapped_hermitian):
-        res = spectral_resolution(gapped_hermitian(4, 7))
-        back = SpectralResolution.from_json_dict(res.to_json_dict())
-        assert np.allclose(back.values, res.values)
-        assert np.array_equal(back.multiplicities, res.multiplicities)
-        assert frob(back.reconstruct() - res.reconstruct()) <= 1e-12
 
 
 class TestBorelCalculus:
