@@ -12,6 +12,11 @@ implementation identity pi(delta(a)) = [iS, pi(a)].
 The GNS Gram matrix rho^T (x) I has Cholesky factor R = L* (x) I with
 L = chol(rho^T), so pi(a) = I (x) a in GNS coordinates; the checks use
 that closed form and the n x n factor L*, never an n^2 x n^2 factor.
+The implementation and flow checks visit the n^2 matrix units in chunks
+of rows r, each within a fixed byte budget (_CHUNK_BYTES), and keep a
+running max; the implementation residual is assembled from its three
+structural terms, O(n^5) entries in all, and the flow residual from one
+product per chunk.
 """
 
 from __future__ import annotations
@@ -46,6 +51,9 @@ FAITHFULNESS_TOL = 1e-10
 EQUILIBRIUM_TOL = 1e-9
 LEIBNIZ_TOL = 1e-9
 STAR_TOL = 1e-10
+# byte budget of the implementation and flow checks, which gather the
+# matrix units in chunks of rows r and keep a running max
+_CHUNK_BYTES = 16 * 2**20
 
 
 @dataclass(frozen=True)
@@ -253,13 +261,13 @@ def implementing_operator(
     return s, frob(s - s.conj().T)
 
 
-def _norms(x, spec: str) -> np.ndarray:
-    """Euclidean norms over the axes of x that the einsum spec
+def _mass(x, spec: str) -> np.ndarray:
+    """Squared Euclidean norms over the axes of x that the einsum spec
     "axes->kept" drops.  Summed through a float view of x, so no
     temporary of its size is made."""
     axes, kept = spec.split("->")
     parts = x.view(np.float64).reshape(x.shape + (2,))
-    return np.sqrt(np.einsum(f"{axes}z,{axes}z->{kept}", parts, parts))
+    return np.einsum(f"{axes}z,{axes}z->{kept}", parts, parts)
 
 
 def _unit_blocks(matrix, n: int) -> np.ndarray:
@@ -268,23 +276,50 @@ def _unit_blocks(matrix, n: int) -> np.ndarray:
     return matrix.reshape(n, n, n, n).transpose(3, 2, 1, 0)
 
 
+def _unit_chunks(n: int, row_bytes: int) -> list:
+    """Slices of the row index r of the matrix units E_rc, so that the
+    arrays of one chunk, row_bytes per row r, fill at most half of
+    _CHUNK_BYTES; the other half is left for the d x d operators the
+    checks hold besides."""
+    rows = max(1, _CHUNK_BYTES // (2 * row_bytes))
+    return [slice(r, min(r + rows, n)) for r in range(0, n, rows)]
+
+
 def implementation_check(gns: GNSRepresentation, delta: Derivation, s) -> float:
     """Max over matrix units a and basis vectors h of
     ||pi(delta(a)) h - [iS, pi(a)] h||."""
     n = gns.n
     s4 = as_cmatrix(s).reshape(n, n, n, n)
-    # -i (pi(delta(a)) - [iS, pi(a)]) has the same column norms; for
-    # a = E_rc it is -i I (x) delta(a) - S (I (x) a) + (I (x) a) S, held
-    # as res[r, c, p, i, q, j] at row p n + i and column q n + j
-    res = np.zeros((n,) * 6, dtype=np.complex128)
     derived = _unit_blocks(delta.map.matrix, n)
-    np.einsum("rcpipj->rcpij", res)[...] = -1j * derived[:, :, None]
-    # S (I (x) E_rc): the columns r + nl of S, moved to columns c + nl
-    np.einsum("rcpiqc->rcpiq", res)[...] -= s4.transpose(3, 0, 1, 2)[:, None]
-    # (I (x) E_rc) S: the rows c + nl of S, moved to rows r + nl
-    np.einsum("rcprqj->rcpqj", res)[...] += s4.transpose(1, 0, 2, 3)[None]
-    # column norms = residual on every coordinate basis vector h
-    return float(np.max(_norms(res, "rcpiqj->rcqj")))
+    # -i (pi(delta(a)) - [iS, pi(a)]) has the same column norms; for
+    # a = E_rc, its column q n + j holds at row p n + i the terms
+    # T1 = -i delta(a)[i, j] if p = q, T2 = -S[pn + i, qn + r] if j = c,
+    # and T3 = S[pn + c, qn + j] if i = r.  For j != c the rows p != q
+    # hold T3 alone, whose mass does not depend on r; it is summed with
+    # the blocks p = q masked, since subtracting them from the total
+    # would cancel
+    s_mass = s4.real**2 + s4.imag**2
+    np.einsum("pcpj->cpj", s_mass)[...] = 0.0
+    off_block = s_mass.sum(axis=0)
+    on_block = np.einsum("qcqj->cqj", s4)
+    on_column = np.einsum("rcic->rci", derived)
+
+    def chunk_mass(rows):
+        k = rows.stop - rows.start
+        # j != c: block p = q of the column, T1 + T3, as col[r, c, q, i, j]
+        col = np.empty((k, n, n, n, n), dtype=np.complex128)
+        col[...] = -1j * derived[rows, :, None]
+        np.einsum("rcqrj->rcqj", col[:, :, :, rows])[...] += on_block
+        mass = _mass(col, "rcqij->rcqj") + off_block
+        # j = c: the dense column, as col[r, c, q, p, i]
+        col[...] = -s4.transpose(3, 2, 0, 1)[rows, None]
+        np.einsum("rcqqi->rcqi", col)[...] -= 1j * on_column[rows, :, None]
+        np.einsum("rcqpr->rcqp", col[..., rows])[...] += np.einsum("pcqc->cqp", s4)
+        np.einsum("rcqc->rcq", mass)[...] = _mass(col, "rcqpi->rcq")
+        return mass.max()
+
+    # a running max over chunks, each freed before the next is built
+    return float(np.sqrt(max(map(chunk_mass, _unit_chunks(n, 16 * n**4)))))
 
 
 def flow_intertwining_residual(
@@ -293,17 +328,24 @@ def flow_intertwining_residual(
     """Max over matrix units a of
     ||exp(iSt) pi(a) exp(-iSt) - pi(exp(t map)(a))||."""
     n, d = gns.n, gns.hilbert_dim
-    s = as_cmatrix(s)
-    u = scipy.linalg.expm(1j * t * s)
-    u_inv = scipy.linalg.expm(-1j * t * s)
-    propagated = scipy.linalg.expm(t * delta.map.matrix)
-    # U (I (x) E_rc) U^-1 = sum_l U[:, r + nl] U^-1[c + nl, :], so every
-    # unit comes from one product, held as diff[p, i, r, c, q, j]
-    columns = u.reshape(d, n, n).swapaxes(1, 2).reshape(d * n, n)
-    diff = (columns @ u_inv.reshape(n, n * d)).reshape((n,) * 6)
-    flowed = _unit_blocks(propagated, n)
-    np.einsum("pircpj->pircj", diff)[...] -= flowed.transpose(2, 0, 1, 3)
-    return float(np.max(_norms(diff, "pircqj->rc")))
+    u = scipy.linalg.expm(1j * t * as_cmatrix(s))
+    # exp(X)^-1 = exp(-X) for every square X; one inverse is cheaper
+    # than a second expm
+    u_inv = np.linalg.inv(u).reshape(n, n * d)
+    flowed = _unit_blocks(scipy.linalg.expm(t * delta.map.matrix), n)
+    # U (I (x) E_rc) U^-1 = sum_l U[:, r + nl] U^-1[c + nl, :], so the
+    # units of a chunk of rows r come from one product, held as
+    # diff[p, i, r, c, q, j]
+    columns = u.reshape(d, n, n)
+
+    def chunk_mass(rows):
+        k = rows.stop - rows.start
+        diff = columns[:, :, rows].swapaxes(1, 2).reshape(d * k, n) @ u_inv
+        diff = diff.reshape(n, n, k, n, n, n)
+        np.einsum("pircpj->pircj", diff)[...] -= flowed[rows].transpose(2, 0, 1, 3)
+        return _mass(diff, "pircqj->rc").max()
+
+    return float(np.sqrt(max(map(chunk_mass, _unit_chunks(n, 16 * n**5)))))
 
 
 def kernel_correspondence_distance(

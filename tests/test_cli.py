@@ -6,6 +6,7 @@ import pytest
 
 from derivlab import numlin
 from derivlab.cli import (
+    DEFAULT_TOLERANCES,
     ExperimentConfig,
     equilibrium_instance,
     generate,
@@ -99,6 +100,19 @@ class TestRun:
             assert len(distances) == config.n_max
             assert max(distances) == check["residual"]
         assert "PASS" in capsys.readouterr().out
+
+    def test_partial_tolerances_keep_the_other_defaults(self, tmp_path):
+        # regression: a partial dict validated, then run died with
+        # KeyError: 'subspace'
+        out = tmp_path / "report.json"
+        config = ExperimentConfig(
+            suite="kernel_stab", dims=(2,), tolerances={"rank": 1e-10},
+            output_path=str(out),
+        )
+        config.validate()
+        assert run(config) == 0
+        reported = json.loads(out.read_text())["meta"]["config"]["tolerances"]
+        assert reported == {**DEFAULT_TOLERANCES, "rank": 1e-10}
 
     def test_kernel_stab_n_max_8(self, tmp_path):
         # regression: the power route failed 9 of these 10 checks at seed 7

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from derivlab import gns
 from derivlab.cli import equilibrium_instance
-from derivlab.derivation import ad_superoperator
+from derivlab.derivation import Superoperator, ad_superoperator
 from derivlab.errors import (
     NotDensity,
     NotDerivation,
@@ -12,6 +15,8 @@ from derivlab.errors import (
     NotHermitian,
 )
 from derivlab.gns import (
+    EQUILIBRIUM_TOL,
+    Derivation,
     abstract_derivation,
     abstract_kernel_stabilization,
     analytic_norm_series,
@@ -407,7 +412,7 @@ class TestBatchedChecks:
                     - oracle_kernel_correspondence(pi, n, delta, op)
                 ) <= 1e-12
 
-    @pytest.mark.parametrize("n", [3, 6])
+    @pytest.mark.parametrize("n", [3, 6, 9])
     def test_detects_perturbed_operator(self, n):
         omega, delta = equilibrium_instance(n, 60 + n)
         rep = gns_construct(omega)
@@ -416,3 +421,126 @@ class TestBatchedChecks:
         assert implementation_check(rep, delta, bad) > 1e-6
         assert flow_intertwining_residual(rep, delta, bad, 1.0) > 1e-6
         assert kernel_correspondence_distance(rep, delta, bad) > 1e-6
+
+
+def n6_implementation_check(n, delta, s):
+    """The implementation residual through one zero-filled n^6 array of
+    every column of every unit, res[r, c, p, i, q, j]."""
+    s4 = s.reshape(n, n, n, n)
+    res = np.zeros((n,) * 6, dtype=np.complex128)
+    derived = delta.map.matrix.reshape(n, n, n, n).transpose(3, 2, 1, 0)
+    np.einsum("rcpipj->rcpij", res)[...] = -1j * derived[:, :, None]
+    np.einsum("rcpiqc->rcpiq", res)[...] -= s4.transpose(3, 0, 1, 2)[:, None]
+    np.einsum("rcprqj->rcpqj", res)[...] += s4.transpose(1, 0, 2, 3)[None]
+    return float(np.sqrt(np.max(np.sum(np.abs(res) ** 2, axis=(2, 3)))))
+
+
+def n6_flow_intertwining_residual(n, delta, s, t):
+    """The flow residual of every unit through one n^6 product,
+    diff[p, i, r, c, q, j], with U^-1 from a second expm."""
+    d = n * n
+    u = scipy.linalg.expm(1j * t * s)
+    u_inv = scipy.linalg.expm(-1j * t * s)
+    propagated = scipy.linalg.expm(t * delta.map.matrix)
+    columns = u.reshape(d, n, n).swapaxes(1, 2).reshape(d * n, n)
+    diff = (columns @ u_inv.reshape(n, n * d)).reshape((n,) * 6)
+    flowed = propagated.reshape(n, n, n, n).transpose(3, 2, 1, 0)
+    np.einsum("pircpj->pircj", diff)[...] -= flowed.transpose(2, 0, 1, 3)
+    return float(np.sqrt(np.max(np.sum(np.abs(diff) ** 2, axis=(0, 1, 4, 5)))))
+
+
+def operators_under_test(s, n):
+    """S, S + 1e-3 (I (x) X) with X Hermitian and S + 1e-3 (I (x) Y) with
+    Y not: the perturbations make each residual O(1e-3), and the
+    non-Hermitian one makes U non-unitary.  S and both perturbations
+    vanish off the diagonal blocks except in columns j = c, so a dense
+    perturbation also reaches the off-block mass of the columns j != c."""
+    return {
+        "S": s,
+        "hermitian": perturbed(s, n, 90 + n),
+        "skewed": s + 1e-3 * np.kron(np.eye(n), random_matrix(n, seed=95 + n)),
+        "dense": s + 1e-3 * random_matrix(n * n, seed=100 + n),
+    }
+
+
+class TestChunkedChecks:
+    @pytest.mark.parametrize("n", [7, 9, 12])
+    def test_match_n6_oracle(self, n):
+        if n >= 9:
+            # one row r of the flow's product holds n^5 complex entries;
+            # from n = 9 on, the budget splits the units into chunks
+            assert len(gns._unit_chunks(n, 16 * n**5)) > 1
+        omega, delta = equilibrium_instance(n, 110 + n)
+        rep = gns_construct(omega)
+        s, _ = implementing_operator(rep, delta)
+        # for a true derivation every column j != c of the implementation
+        # residual is bounded by a column j = c, so only a map that is no
+        # derivation lets the off-block mass of the columns j != c set the max
+        noisy = Derivation(
+            n,
+            Superoperator(n, delta.map.matrix + 1e-2 * random_matrix(n * n, seed=n)),
+            "abstract",
+        )
+        ops = operators_under_test(s, n)
+        cases = [(name, delta, op) for name, op in ops.items()]
+        for name, d, op in cases + [("not a derivation", noisy, ops["dense"])]:
+            assert abs(
+                implementation_check(rep, d, op) - n6_implementation_check(n, d, op)
+            ) <= 1e-12, name
+            for t in (-1.0, 0.5, 1.0):
+                assert abs(
+                    flow_intertwining_residual(rep, d, op, t)
+                    - n6_flow_intertwining_residual(n, d, op, t)
+                ) <= 1e-12, (name, t)
+
+    def test_one_row_chunks_match_n6_oracle(self, monkeypatch):
+        # a one-byte budget makes every row r of units its own chunk
+        monkeypatch.setattr(gns, "_CHUNK_BYTES", 1)
+        n = 5
+        assert len(gns._unit_chunks(n, 16 * n**4)) == n
+        omega, delta = equilibrium_instance(n, 120)
+        rep = gns_construct(omega)
+        s, _ = implementing_operator(rep, delta)
+        for name, op in operators_under_test(s, n).items():
+            assert abs(
+                implementation_check(rep, delta, op)
+                - n6_implementation_check(n, delta, op)
+            ) <= 1e-12, name
+            assert abs(
+                flow_intertwining_residual(rep, delta, op, 0.5)
+                - n6_flow_intertwining_residual(n, delta, op, 0.5)
+            ) <= 1e-12, name
+
+    def test_footprint_at_n12(self):
+        # the n^6 arrays of the unchunked checks took about 50 MiB here
+        n = 12
+        omega, delta = equilibrium_instance(n, 130)
+        rep = gns_construct(omega)
+        s, _ = implementing_operator(rep, delta)
+        for check in (
+            lambda: implementation_check(rep, delta, s),
+            lambda: flow_intertwining_residual(rep, delta, s, 1.0),
+        ):
+            tracemalloc.start()
+            try:
+                check()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20
+
+
+class TestNegativeControls:
+    @pytest.mark.parametrize("n", [4, 9])
+    def test_rotated_state_is_not_equilibrium(self, n):
+        # exp(i eps X) rho exp(-i eps X) with eps = 1e-3 leaves
+        # ||[rho, g]|| about 1e-3, far above the equilibrium tolerance
+        omega, delta = equilibrium_instance(n, 140 + n)
+        v = scipy.linalg.expm(1e-3j * random_hermitian(n, seed=150 + n))
+        rho = v @ omega.rho @ v.conj().T
+        rotated = state_from_density((rho + rho.conj().T) / 2)
+        comm = rotated.rho @ delta.generator - delta.generator @ rotated.rho
+        assert 1e-5 <= frob(comm) <= 1e-2
+        assert equilibrium_check(rotated, delta) >= 1e3 * EQUILIBRIUM_TOL
+        with pytest.raises(NotEquilibrium):
+            implementing_operator(gns_construct(rotated), delta)
