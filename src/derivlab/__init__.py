@@ -6,6 +6,9 @@ superoperator form, kernels and their stabilization under powers,
 commutants and the spectral von Neumann algebra, the GNS construction
 with an implementing operator for equilibrium states, and discretized
 Heisenberg commutation pairs with their trace obstruction.
+
+The root re-exports the names the demos import, and ``kron``; its
+``commutant`` is the function, not the submodule.
 """
 
 __version__ = "0.1.0"
@@ -17,24 +20,11 @@ from .commutant import (
     spectral_vn_algebra,
 )
 from .derivation import (
-    DifferenceQuotientReport,
-    KernelStabilizationReport,
-    Superoperator,
-    ad_apply,
     ad_superoperator,
     derivation_kernel,
-    difference_quotient_check,
-    flow,
-    iterated_commutator,
     kernel_stabilization_report,
-    pairing_derivative_check,
 )
-from .errors import DerivlabError
 from .gns import (
-    Derivation,
-    GNSRepresentation,
-    State,
-    abstract_derivation,
     abstract_kernel_stabilization,
     analytic_norm_series,
     equilibrium_check,
@@ -45,81 +35,17 @@ from .gns import (
     state_from_density,
 )
 from .heisenberg import (
-    DiscretizedPair,
     hcr_residual,
     periodic_pair,
     rigidity_check,
     schrodinger_pair,
     trace_obstruction,
 )
-from .numlin import (
-    OperatorSubspace,
-    containment_residual,
-    hermitian_eig,
-    hs_inner,
-    kron,
-    nullspace,
-    subspace_distance,
-    unvec,
-    vec,
-)
+from .numlin import kron, subspace_distance
 from .spectral import (
-    SpectralResolution,
     borel_calculus,
     projection_commutation_check,
     spectral_projection,
     spectral_resolution,
     unitary_group,
 )
-
-__all__ = [
-    "DerivlabError",
-    "Derivation",
-    "DifferenceQuotientReport",
-    "DiscretizedPair",
-    "GNSRepresentation",
-    "KernelStabilizationReport",
-    "OperatorSubspace",
-    "SpectralResolution",
-    "State",
-    "Superoperator",
-    "abstract_derivation",
-    "abstract_kernel_stabilization",
-    "ad_apply",
-    "ad_superoperator",
-    "analytic_norm_series",
-    "bicommutant",
-    "borel_calculus",
-    "commutant",
-    "containment_residual",
-    "derivation_kernel",
-    "difference_quotient_check",
-    "equilibrium_check",
-    "flow",
-    "gns_construct",
-    "hcr_residual",
-    "hermitian_eig",
-    "hs_inner",
-    "implementation_check",
-    "implementing_operator",
-    "inner_derivation",
-    "iterated_commutator",
-    "kernel_commutant_check",
-    "kernel_stabilization_report",
-    "kron",
-    "nullspace",
-    "pairing_derivative_check",
-    "periodic_pair",
-    "projection_commutation_check",
-    "rigidity_check",
-    "schrodinger_pair",
-    "spectral_projection",
-    "spectral_resolution",
-    "spectral_vn_algebra",
-    "state_from_density",
-    "subspace_distance",
-    "trace_obstruction",
-    "unitary_group",
-    "unvec",
-    "vec",
-]

@@ -519,7 +519,10 @@ def _parse_tolerances(text: str) -> dict:
         name, _, value = item.partition("=")
         if not value:
             raise ConfigInvalid(f"malformed tolerance entry {item!r}")
-        out[name.strip()] = _number(float, value, f"tolerance {name.strip()}")
+        name = name.strip()
+        if name in out:
+            raise ConfigInvalid(f"tolerance {name!r} must not repeat")
+        out[name] = _number(float, value, f"tolerance {name}")
     return out
 
 

@@ -55,7 +55,7 @@ def commutant(gens, rank_tol: float = DEFAULT_RANK_TOL) -> OperatorSubspace:
     )
 
 
-def bicommutant(gens, rank_tol: float = DEFAULT_RANK_TOL) -> OperatorSubspace:
+def bicommutant(gens) -> OperatorSubspace:
     """Commutant applied twice.
 
     Non-self-adjoint generator lists are first augmented with their
@@ -66,8 +66,8 @@ def bicommutant(gens, rank_tol: float = DEFAULT_RANK_TOL) -> OperatorSubspace:
     for g in mats:
         if not is_hermitian(g):
             augmented.append(g.conj().T)
-    first = commutant(augmented, rank_tol)
-    return commutant(list(first.basis), rank_tol)
+    first = commutant(augmented)
+    return commutant(list(first.basis))
 
 
 def hermitian_commutant(h, rank_tol: float = DEFAULT_RANK_TOL) -> OperatorSubspace:
@@ -128,12 +128,10 @@ def algebra_commutant(
     return commutant([x + x.conj().T, 1j * (x - x.conj().T)], rank_tol)
 
 
-def spectral_vn_algebra(
-    res: SpectralResolution, rank_tol: float = DEFAULT_RANK_TOL
-) -> OperatorSubspace:
+def spectral_vn_algebra(res: SpectralResolution) -> OperatorSubspace:
     """Bicommutant of the spectral projections; equals their linear span,
     so its dimension is the number of clusters."""
-    return algebra_commutant(projection_commutant(res, rank_tol), rank_tol)
+    return algebra_commutant(projection_commutant(res))
 
 
 @dataclass(frozen=True)
@@ -232,16 +230,3 @@ def kernel_commutant_check(
         containment_tol=containment_tol,
     )
 
-
-__all__ = [
-    "commutation_matrix",
-    "commutant",
-    "bicommutant",
-    "hermitian_commutant",
-    "projection_defect",
-    "projection_commutant",
-    "algebra_commutant",
-    "spectral_vn_algebra",
-    "kernel_commutant_check",
-    "KernelCommutantReport",
-]

@@ -41,7 +41,6 @@ class Superoperator:
 
     ambient_dim: int
     matrix: np.ndarray = field(repr=False)
-    label: str = ""
 
     def __post_init__(self):
         m = as_cmatrix(self.matrix)
@@ -59,11 +58,7 @@ class Superoperator:
     def power(self, k: int) -> "Superoperator":
         if k < 1:
             raise ValueError("power requires k >= 1")
-        return Superoperator(
-            self.ambient_dim,
-            np.linalg.matrix_power(self.matrix, k),
-            f"({self.label})^{k}" if self.label else f"power {k}",
-        )
+        return Superoperator(self.ambient_dim, np.linalg.matrix_power(self.matrix, k))
 
     def norm(self) -> float:
         """Operator 2-norm (largest singular value) of the map."""
@@ -92,7 +87,7 @@ def ad_superoperator(d) -> Superoperator:
     n = d.shape[0]
     eye = np.eye(n)
     mat = 1j * (kron(eye, d) - kron(d.T, eye))
-    return Superoperator(n, mat, f"ad_i on M_{n}")
+    return Superoperator(n, mat)
 
 
 def ad_apply(d, x) -> np.ndarray:
@@ -114,30 +109,37 @@ def iterated_commutator(d, x, k: int) -> np.ndarray:
     return out
 
 
-def derivation_kernel(d, k: int = 1, rank_tol: float = DEFAULT_RANK_TOL) -> OperatorSubspace:
+def derivation_kernel(d, k: int = 1) -> OperatorSubspace:
     """Kernel of the k-th power of ad_iD, as an HS-orthonormal subspace.
 
     Taken from the kernel tower of one SVD of ad_iD, never from the matrix
     power, whose singular values |lambda_r - lambda_c|^k would raise the
     spread/gap ratio of D to the k-th power.
     """
-    return ad_superoperator(d).kernel_tower(k, rank_tol)[-1]
+    return ad_superoperator(d).kernel_tower(k)[-1]
 
 
 @dataclass(frozen=True)
 class KernelStabilizationReport:
-    """Per-power kernel dimensions and distances to the first kernel."""
+    """Kernel dimensions and distances to the first kernel for the powers
+    k = 1..len(kernel_dims); it passes when every power does."""
 
     ambient_dim: int
-    k_values: tuple
     kernel_dims: tuple
     distances: tuple
     per_k_pass: tuple
-    passed: bool
     rank_tol: float
     distance_tol: float
     spectrum: tuple | None = None
     multiplicities: tuple | None = None
+
+    @property
+    def k_values(self) -> tuple:
+        return tuple(range(1, len(self.kernel_dims) + 1))
+
+    @property
+    def passed(self) -> bool:
+        return all(self.per_k_pass)
 
     def to_json_dict(self) -> dict:
         return {
@@ -177,16 +179,13 @@ def superoperator_stabilization_report(
     base = kernels[0]
     dims = tuple(k.dim for k in kernels)
     dists = tuple(subspace_distance(k, base) for k in kernels)
-    flags = tuple(
-        dim == base.dim and dist <= distance_tol for dim, dist in zip(dims, dists)
-    )
     return KernelStabilizationReport(
         ambient_dim=sop.ambient_dim,
-        k_values=tuple(range(1, n_max + 1)),
         kernel_dims=dims,
         distances=dists,
-        per_k_pass=flags,
-        passed=all(flags),
+        per_k_pass=tuple(
+            dim == base.dim and dist <= distance_tol for dim, dist in zip(dims, dists)
+        ),
         rank_tol=rank_tol,
         distance_tol=distance_tol,
         spectrum=spectrum,

@@ -31,7 +31,6 @@ from .derivation import (
     DEFAULT_DISTANCE_TOL,
     Superoperator,
     ad_superoperator,
-    kernel_stabilization_report,
     superoperator_stabilization_report,
 )
 from .errors import NotDensity, NotDerivation, NotEquilibrium, NotFaithful, ShapeMismatch
@@ -61,20 +60,26 @@ class State:
     """A state on M_n, stored through its density matrix."""
 
     rho: np.ndarray = field(repr=False)
-    n: int
-    faithful: bool
     min_eigenvalue: float
+
+    @property
+    def n(self) -> int:
+        return self.rho.shape[0]
+
+    @property
+    def faithful(self) -> bool:
+        return self.min_eigenvalue > FAITHFULNESS_TOL
 
     def expectation(self, a) -> complex:
         return complex(np.trace(self.rho @ as_cmatrix(a)))
 
 
-def state_from_density(rho, faithfulness_tol: float = FAITHFULNESS_TOL) -> State:
+def state_from_density(rho) -> State:
     """Validate a density matrix and wrap it as a State.
 
     Rejects non-Hermitian matrices, trace away from 1 by more than 1e-12,
-    and eigenvalues below -1e-12.  The faithful flag records whether the
-    smallest eigenvalue clears faithfulness_tol.
+    and eigenvalues below -1e-12.  The state is faithful when its
+    smallest eigenvalue clears FAITHFULNESS_TOL.
     """
     rho = as_cmatrix(rho)
     if rho.shape[0] != rho.shape[1]:
@@ -87,31 +92,32 @@ def state_from_density(rho, faithfulness_tol: float = FAITHFULNESS_TOL) -> State
     w, _ = hermitian_eig(rho)
     if w.min() < -1e-12:
         raise NotDensity(f"negative eigenvalue {w.min():.3e}")
-    return State(
-        rho=rho,
-        n=rho.shape[0],
-        faithful=bool(w.min() > faithfulness_tol),
-        min_eigenvalue=float(w.min()),
-    )
+    return State(rho=rho, min_eigenvalue=float(w.min()))
 
 
 @dataclass(frozen=True)
 class Derivation:
     """A derivation of M_n: its superoperator plus provenance.
 
-    kind is "inner" (map = ad_ig for a Hermitian generator) or "abstract"
-    (a raw superoperator validated against the Leibniz rule and adjoint
-    compatibility at construction).
+    kind is "inner" when it holds a Hermitian generator g (map = ad_ig)
+    and "abstract" otherwise (a raw superoperator validated against the
+    Leibniz rule and adjoint compatibility at construction).
     """
 
-    ambient_dim: int
     map: Superoperator
-    kind: str
     generator: np.ndarray | None = field(default=None, repr=False)
 
+    @property
+    def ambient_dim(self) -> int:
+        return self.map.ambient_dim
 
-def _validate_derivation(sop: Superoperator, rng=None):
-    rng = rng or np.random.default_rng(20240401)
+    @property
+    def kind(self) -> str:
+        return "abstract" if self.generator is None else "inner"
+
+
+def _validate_derivation(sop: Superoperator):
+    rng = np.random.default_rng(20240401)
     n = sop.ambient_dim
     for _ in range(4):
         x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -129,12 +135,7 @@ def _validate_derivation(sop: Superoperator, rng=None):
 def inner_derivation(a) -> Derivation:
     """The derivation x -> [i a, x] of a Hermitian generator a."""
     a = require_hermitian(a)
-    return Derivation(
-        ambient_dim=a.shape[0],
-        map=ad_superoperator(a),
-        kind="inner",
-        generator=a,
-    )
+    return Derivation(map=ad_superoperator(a), generator=a)
 
 
 def abstract_derivation(matrix) -> Derivation:
@@ -146,9 +147,9 @@ def abstract_derivation(matrix) -> Derivation:
     n = int(round(np.sqrt(n2)))
     if n * n != n2 or matrix.shape[1] != n2:
         raise NotDerivation(f"matrix of shape {matrix.shape} is not n^2 x n^2")
-    sop = Superoperator(n, matrix, "abstract derivation")
+    sop = Superoperator(n, matrix)
     _validate_derivation(sop)
-    return Derivation(ambient_dim=n, map=sop, kind="abstract")
+    return Derivation(map=sop)
 
 
 def equilibrium_check(omega: State, delta: Derivation) -> float:
@@ -180,15 +181,22 @@ class GNSRepresentation:
     identity.
     """
 
-    hilbert_dim: int
     state: State
     factor: np.ndarray = field(repr=False)
     factor_inv: np.ndarray = field(repr=False)
-    cyclic_vector: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
         return self.state.n
+
+    @property
+    def hilbert_dim(self) -> int:
+        return self.n * self.n
+
+    @property
+    def cyclic_vector(self) -> np.ndarray:
+        """f = pi(I) f, the coordinates of the class of the identity."""
+        return vec(self.factor.T)
 
     def embed(self, a) -> np.ndarray:
         """Coordinates of pi(a) f, i.e. of the class of a."""
@@ -223,18 +231,15 @@ def gns_construct(omega: State) -> GNSRepresentation:
             f"minimal eigenvalue {omega.min_eigenvalue:.3e} is below the "
             f"faithfulness tolerance; the quotient construction is unsupported"
         )
-    n = omega.n
     try:
         lower = np.linalg.cholesky(omega.rho.T)
     except np.linalg.LinAlgError as exc:
         raise NotFaithful(f"Gram matrix is not positive definite: {exc}") from exc
     factor = lower.conj().T
     return GNSRepresentation(
-        hilbert_dim=n * n,
         state=omega,
         factor=factor,
-        factor_inv=scipy.linalg.solve_triangular(factor, np.eye(n), lower=False),
-        cyclic_vector=vec(factor.T),
+        factor_inv=scipy.linalg.solve_triangular(factor, np.eye(omega.n), lower=False),
     )
 
 
@@ -373,12 +378,10 @@ def abstract_kernel_stabilization(
     rank_tol: float = DEFAULT_RANK_TOL,
     distance_tol: float = DEFAULT_DISTANCE_TOL,
 ):
-    """Kernel stabilization report of a derivation: for an inner one,
-    ``kernel_stabilization_report`` of its generator, which adds the
-    spectrum and multiplicities; otherwise
-    ``superoperator_stabilization_report`` of its map."""
-    if delta.generator is not None:
-        return kernel_stabilization_report(delta.generator, n_max, rank_tol, distance_tol)
+    """Kernel stabilization report of a derivation, inner or abstract:
+    ``superoperator_stabilization_report`` of the map it holds, which
+    needs no generator and so leaves the report's spectrum and
+    multiplicities unset."""
     return superoperator_stabilization_report(delta.map, n_max, rank_tol, distance_tol)
 
 

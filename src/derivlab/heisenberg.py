@@ -262,9 +262,12 @@ class RigidityReport:
     kernel_dim: int
     max_relative_commutator: float
     max_commutant_membership_residual: float
-    passed: bool
     commutator_tol: float
     rank_tol: float
+
+    @property
+    def passed(self) -> bool:
+        return self.max_relative_commutator <= self.commutator_tol
 
 
 def rigidity_check(
@@ -307,14 +310,12 @@ def rigidity_check(
             comm_d.membership_residual(y) / scale if scale > 0 else 0.0,
         )
 
-    passed = worst_rel <= commutator_tol
     return RigidityReport(
         ambient_dim=d.shape[0],
         trials=trials,
         kernel_dim=sq_kernel.dim,
         max_relative_commutator=worst_rel,
         max_commutant_membership_residual=worst_membership,
-        passed=passed,
         commutator_tol=commutator_tol,
         rank_tol=rank_tol,
     )

@@ -28,6 +28,7 @@ from .errors import (
 
 DEFAULT_RANK_TOL = 1e-10
 HERMITIAN_RTOL = 1e-12
+_SPANNING_RANK_TOL = 1e-12
 _DEFAULT_MAX_DIM = 64
 
 
@@ -55,16 +56,16 @@ def frob(m) -> float:
     return float(np.linalg.norm(m))
 
 
-def is_hermitian(m, rtol: float = HERMITIAN_RTOL) -> bool:
+def is_hermitian(m) -> bool:
     m = np.asarray(m)
-    return frob(m - m.conj().T) <= rtol * max(1.0, frob(m))
+    return frob(m - m.conj().T) <= HERMITIAN_RTOL * max(1.0, frob(m))
 
 
-def require_hermitian(m, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
+def require_hermitian(m) -> np.ndarray:
     m = as_cmatrix(m)
     if m.shape[0] != m.shape[1]:
         raise ShapeMismatch(f"square matrix required, got {m.shape}")
-    if not is_hermitian(m, rtol):
+    if not is_hermitian(m):
         raise NotHermitian(
             f"||M - M*|| = {frob(m - m.conj().T):.3e} exceeds tolerance"
         )
@@ -231,13 +232,14 @@ class OperatorSubspace:
         return frob(np.asarray(x, dtype=np.complex128) - self.project(x))
 
     @classmethod
-    def from_spanning(cls, ambient_dim: int, mats, rank_tol: float = 1e-12):
+    def from_spanning(cls, ambient_dim: int, mats):
         """Orthonormalize an arbitrary spanning family (SVD-based, so
         linearly dependent input is fine)."""
         rows = np.array([vec(as_cmatrix(m)) for m in mats]).reshape(len(mats), ambient_dim**2)
         _, s, vh = np.linalg.svd(rows, full_matrices=False)
         # the rows of vh, unconjugated, span the rows vec(m)
-        return cls.from_vec_columns(ambient_dim, vh[: _numerical_rank(s, rank_tol, 0.0)].T)
+        rank = _numerical_rank(s, _SPANNING_RANK_TOL, 0.0)
+        return cls.from_vec_columns(ambient_dim, vh[:rank].T)
 
     @classmethod
     def from_vec_columns(cls, ambient_dim: int, columns: np.ndarray):

@@ -323,6 +323,7 @@ class TestMain:
             ["run", "--tol", "rank=abc"],
             ["run", "--dims", "3", "--tol", "rank=nan"],
             ["run", "--dims", "3", "--tol", "subspace=inf"],
+            ["run", "--dims", "3", "--tol", "rank=1e-16,rank=1"],
             ["gen", "--kind", "hermitian", "--n", "0"],
             ["gen", "--kind", "hermitian", "--n", "3", "--seed", "-1"],
             ["gen", "--kind", "hermitian_with_multiplicity", "--n", "3",

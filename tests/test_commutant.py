@@ -253,3 +253,33 @@ class TestSingleGeneratorRoutes:
         # the one generator gives the lost block weight 0, one more distinct
         # value, so its commutant is still {D}': only the defect sees the loss
         assert report.distance_kernel_projection <= report.distance_tol
+
+    @pytest.mark.parametrize("n", [4, 6, 9])
+    @pytest.mark.parametrize("kind", [0, 1], ids=["simple", "multiplicity"])
+    def test_merged_clusters_fail_the_check(self, monkeypatch, n, kind):
+        # negative control: a resolution that merged its two lowest clusters
+        def merging(d, cluster_tol):
+            res = spectral_resolution(d, cluster_tol)
+            return dataclasses.replace(
+                res,
+                values=np.concatenate([[res.values[:2].mean()], res.values[2:]]),
+                projections=np.concatenate(
+                    [res.projections[:1] + res.projections[1:2], res.projections[2:]]
+                ),
+                multiplicities=np.concatenate(
+                    [[res.multiplicities[:2].sum()], res.multiplicities[2:]]
+                ),
+            )
+
+        module = importlib.import_module("derivlab.commutant")
+        monkeypatch.setattr(module, "spectral_resolution", merging)
+        d = _spectral_instances(n, 3)[kind][1]
+        m0, m1 = spectral_resolution(d).multiplicities[:2]
+        report = kernel_commutant_check(d)
+        assert report.passed is False
+        assert report.distance_kernel_projection >= 1e3 * report.distance_tol
+        # {P}' gains the two off-diagonal blocks between the merged eigenspaces
+        assert report.projection_commutant_dim - report.kernel_dim == 2 * m0 * m1
+        # the merged family is still orthogonal and complete: only the
+        # distances see the merge
+        assert report.projection_defect <= report.containment_tol

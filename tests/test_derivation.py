@@ -173,10 +173,11 @@ class TestKernelTower:
         # say so with a wide margin
         nil = np.diag(np.ones(3), 1)
         eye = np.eye(4)
-        sop = Superoperator(4, kron(eye, nil) - kron(nil.T, eye), "ad_N")
+        sop = Superoperator(4, kron(eye, nil) - kron(nil.T, eye))
         report = superoperator_stabilization_report(sop, 5)
         assert report.kernel_dims == (4, 7, 10, 12, 14)
-        assert report.passed is False
+        assert report.k_values == (1, 2, 3, 4, 5)
+        assert report.passed is all(report.per_k_pass) is False
         assert report.per_k_pass == (True, False, False, False, False)
         assert min(report.distances[1:]) / report.distance_tol >= 1e3
 

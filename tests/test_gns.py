@@ -48,12 +48,18 @@ def tracial_state(n):
 class TestState:
     def test_tracial(self):
         omega = tracial_state(3)
+        assert omega.n == 3
         assert omega.faithful
         assert abs(omega.expectation(np.eye(3)) - 1.0) <= 1e-12
 
     def test_pure_state_not_faithful(self):
         omega = state_from_density(matrix_unit(2, 0, 0))
         assert not omega.faithful
+
+    def test_faithful_iff_min_eigenvalue_clears_the_tolerance(self):
+        # FAITHFULNESS_TOL is 1e-10
+        assert state_from_density(np.diag([1.0 - 1e-9, 1e-9])).faithful
+        assert not state_from_density(np.diag([1.0 - 1e-11, 1e-11])).faithful
 
     def test_expectation_values(self):
         omega = state_from_density(np.diag([0.7, 0.3]))
@@ -93,6 +99,12 @@ class TestDerivationConstruction:
         mat = ad_superoperator(random_hermitian(3, seed=3)).matrix
         delta = abstract_derivation(mat)
         assert delta.kind == "abstract"
+        assert delta.ambient_dim == 3
+
+    def test_inner_kind_and_ambient_dim(self):
+        delta = inner_derivation(random_hermitian(3, seed=3))
+        assert delta.kind == "inner"
+        assert delta.ambient_dim == 3
 
     def test_abstract_rejects_near_derivation(self):
         mat = ad_superoperator(random_hermitian(3, seed=4)).matrix
@@ -139,6 +151,11 @@ class TestGNSConstruction:
         rep = gns_construct(tracial_state(2))
         assert rep.hilbert_dim == 4
         assert abs(rep.inner(rep.cyclic_vector, rep.cyclic_vector) - 1.0) <= 1e-12
+
+    def test_cyclic_vector_is_the_class_of_the_identity(self):
+        rep = gns_construct(equilibrium_instance(3, 5)[0])
+        assert rep.hilbert_dim == 9
+        assert np.array_equal(rep.cyclic_vector, rep.embed(np.eye(3)))
 
     def test_inner_product_reproduces_state(self):
         omega = state_from_density(np.diag([0.7, 0.3]))
@@ -477,9 +494,7 @@ class TestChunkedChecks:
         # residual is bounded by a column j = c, so only a map that is no
         # derivation lets the off-block mass of the columns j != c set the max
         noisy = Derivation(
-            n,
-            Superoperator(n, delta.map.matrix + 1e-2 * random_matrix(n * n, seed=n)),
-            "abstract",
+            Superoperator(n, delta.map.matrix + 1e-2 * random_matrix(n * n, seed=n))
         )
         ops = operators_under_test(s, n)
         cases = [(name, delta, op) for name, op in ops.items()]

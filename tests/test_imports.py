@@ -2,7 +2,9 @@
 
 No linter ships with the lab, so this parses each file with ``ast`` and
 fails on a name that a top-level import binds and the file never reads.
-``__init__.py`` files are exempt: their imports are re-exports.
+``__init__.py`` files are exempt: their imports are re-exports, and each
+re-export must instead be imported from the package root by a demo, a
+test or a perfbench file.
 """
 
 import ast
@@ -16,6 +18,12 @@ FILES = sorted(
     for p in [*(ROOT / "src" / "derivlab").glob("*.py"), *(ROOT / "tests").glob("*.py")]
     if p.name != "__init__.py"
 )
+CALLERS = sorted(
+    p for d in ("demos", "tests", "perfbench") for p in (ROOT / d).glob("*.py")
+)
+# perfbench's wrapper test reads derivlab.kron through a loop over
+# namespaces, which no import statement shows
+READ_BY_ATTRIBUTE = {"kron"}
 
 
 def unused_imports(source: str) -> list:
@@ -40,3 +48,25 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def root_imports(source: str) -> set:
+    """Names a file imports with ``from derivlab import ...``, at any depth."""
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "derivlab"
+        for alias in node.names
+    }
+
+
+def test_every_root_reexport_has_a_caller():
+    init = ast.parse((ROOT / "src" / "derivlab" / "__init__.py").read_text())
+    exported = {
+        alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    imported = set().union(*(root_imports(p.read_text()) for p in CALLERS))
+    assert sorted(exported - imported - READ_BY_ATTRIBUTE) == []
