@@ -67,6 +67,22 @@ _BR_MAX_DIM = 12
 _RIGIDITY_MAX_DIM = 16
 
 
+def _skipped(suites, dims) -> list:
+    """The id prefixes, "<suite part>/n=<n>", of the checks that the dim
+    limits above leave out of a run of these suites."""
+    limits = (
+        ("br_gns", "br_gns", _BR_MAX_DIM),
+        ("heisenberg", "heisenberg/rigidity", _RIGIDITY_MAX_DIM),
+    )
+    return [
+        f"{part}/n={n}"
+        for suite, part, limit in limits
+        if suite in suites
+        for n in dims
+        if n > limit
+    ]
+
+
 @dataclass
 class ExperimentConfig:
     suite: str = "all"
@@ -456,6 +472,7 @@ def run(config: ExperimentConfig) -> int:
         checks.extend(_SUITE_RUNNERS[name](config))
 
     n_pass = sum(1 for c in checks if c["pass"])
+    skipped = _skipped(names, config.dims)
     report = {
         "meta": {
             "version": __version__,
@@ -469,6 +486,7 @@ def run(config: ExperimentConfig) -> int:
             },
             "counts": {"total": len(checks), "passed": n_pass},
             "max_residual": max((c["residual"] for c in checks), default=0.0),
+            "skipped": skipped,
             "wall_clock_s": round(time.time() - started, 3),
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         },
@@ -492,6 +510,7 @@ def run(config: ExperimentConfig) -> int:
     print(
         f"{n_pass}/{len(checks)} checks passed in "
         f"{report['meta']['wall_clock_s']:.1f}s -> {config.output_path}"
+        + (f"; skipped above the dim limits: {', '.join(skipped)}" if skipped else "")
     )
     return 0 if n_pass == len(checks) else 1
 

@@ -15,9 +15,11 @@ from .numlin import (
     as_cmatrix,
     containment_residual,
     frob,
+    from_frame,
     is_hermitian,
     kron,
     nullspace,
+    real_frame,
     require_hermitian,
     subspace_distance,
 )
@@ -39,7 +41,10 @@ def commutant(gens, rank_tol: float = DEFAULT_RANK_TOL) -> OperatorSubspace:
     """Orthonormal basis of {x : [g, x] = 0 for every generator g}.
 
     One SVD of the vertically stacked commutation superoperators; the
-    identity always belongs to the result.
+    identity always belongs to the result.  When every generator is
+    exactly Hermitian, the stack of i[g, .] is real in the Hermitian frame
+    (``numlin.real_frame``) and that real matrix is factored instead,
+    with the same singular values; other lists stay complex.
     """
     mats = [as_cmatrix(g) for g in gens]
     if not mats:
@@ -49,10 +54,13 @@ def commutant(gens, rank_tol: float = DEFAULT_RANK_TOL) -> OperatorSubspace:
         if g.shape != (n, n):
             raise ShapeMismatch("generators must be square and of equal size")
     stacked = np.vstack([commutation_matrix(g) for g in mats])
+    frame = real_frame(1j * stacked, n)
     # scale floor 1: generators proportional to I commute with everything
-    return OperatorSubspace.from_vec_columns(
-        n, nullspace(stacked, rank_tol, scale=1.0)
-    )
+    if frame is None:
+        basis = nullspace(stacked, rank_tol, scale=1.0)
+    else:
+        basis = from_frame(nullspace(frame, rank_tol, scale=1.0), n)
+    return OperatorSubspace.from_vec_columns(n, basis)
 
 
 def bicommutant(gens) -> OperatorSubspace:
@@ -74,7 +82,13 @@ def hermitian_commutant(h, rank_tol: float = DEFAULT_RANK_TOL) -> OperatorSubspa
     """{H}' for one Hermitian H, from eigh of the Hermitian matrix
     I (x) H - H^T (x) I: the eigenvectors whose |eigenvalue| is at most
     rank_tol * max(largest |eigenvalue|, 1), the rank rule of ``commutant``.
-    An eigensolver, so a route independent of the SVD in ``commutant``."""
+    An eigensolver, so a route independent of the SVD in ``commutant``.
+
+    It stays a complex eigh of the untransformed matrix, although that
+    matrix is real in the Hermitian frame: the kernel of ad_iD and {P_i}'
+    both go through the frame change and a real SVD, so a {D}' that
+    shares neither the algorithm nor the frame code with them lets
+    ``kernel_commutant_check`` catch a fault in either."""
     h = require_hermitian(h)
     w, v = np.linalg.eigh(commutation_matrix(h))
     cut = rank_tol * max(float(np.max(np.abs(w))), 1.0)
@@ -107,7 +121,10 @@ def projection_commutant(
     """
     k = len(res.projections)
     weights = np.arange(k) + np.random.default_rng(_WEIGHTS_SEED).uniform(-0.25, 0.25, k)
-    return commutant([np.tensordot(weights, np.asarray(res.projections), axes=1)], rank_tol)
+    g = np.tensordot(weights, np.asarray(res.projections), axes=1)
+    # each P = B B* is Hermitian only up to the rounding of the product;
+    # the exactly Hermitian generator lets ``commutant`` factor a real map
+    return commutant([(g + g.conj().T) / 2], rank_tol)
 
 
 def algebra_commutant(
@@ -189,8 +206,9 @@ def kernel_commutant_check(
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> KernelCommutantReport:
     """Compare the three realizations of the same subspace — the kernel of
-    ad_iD (SVD), the commutant of {D} (eigh), and the commutant of the
-    spectral projections (one generator, which needs the projections to be
+    ad_iD (real SVD in the Hermitian frame), the commutant of {D} (complex
+    eigh), and the commutant of the spectral projections (one generator,
+    real SVD in the frame, which needs the projections to be
     orthogonal and complete: a defect above containment_tol fails the
     check) — and check that the algebra generated by the projections sits
     inside the kernel.  One projection commutant serves the distances and

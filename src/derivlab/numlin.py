@@ -1,10 +1,21 @@
 """Dense complex linear algebra substrate.
 
-Matrices are plain complex128 ndarrays.  Subspaces of the matrix space
+Matrices are plain complex128 ndarrays, apart from the float64 matrices
+of the Hermitian frame below.  Subspaces of the matrix space
 M_n carry the Hilbert-Schmidt geometry <a, b> = tr(b* a).  One global
 vectorization convention is used everywhere: column stacking,
 
     vec(X)[i + n*j] = X[i, j],      vec(A X B) = kron(B.T, A) vec(X).
+
+The Hermitian frame is the unitary n^2 x n^2 matrix T whose columns are
+vec(E_kk) for every k, then vec(E_ij + E_ji)/sqrt(2) for i < j, then
+vec(i(E_ij - E_ji))/sqrt(2) for i < j (pairs in ``np.triu_indices``
+order): an HS-orthonormal basis of Hermitian matrices.  A map on M_n
+that sends Hermitian matrices to Hermitian matrices, phi(x*) = phi(x)*
+(ad_iD for Hermitian D, i[g, .] for Hermitian g), has a real matrix
+T* M T with the singular values of M, and its kernels are T applied to
+real kernels.  ``real_frame`` forms T* M T by gathers, and
+``from_frame`` maps frame vectors back to vec coordinates.
 
 All matrix norms written ||.|| in residual bounds are Frobenius norms
 (the Hilbert-Schmidt norm), which keeps every Taylor-type bound in this
@@ -13,6 +24,7 @@ package a provable inequality.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 
@@ -42,14 +54,23 @@ def max_ambient_dim() -> int:
     return int(raw)
 
 
-def as_cmatrix(data) -> np.ndarray:
-    """Coerce to a 2-D complex128 array, rejecting NaN/Inf entries."""
-    m = np.asarray(data, dtype=np.complex128)
+def _finite_matrix(m: np.ndarray) -> np.ndarray:
     if m.ndim != 2:
         raise ShapeMismatch(f"expected a 2-D array, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
+
+
+def as_cmatrix(data) -> np.ndarray:
+    """Coerce to a 2-D complex128 array, rejecting NaN/Inf entries."""
+    return _finite_matrix(np.asarray(data, dtype=np.complex128))
+
+
+def _as_matrix(data) -> np.ndarray:
+    # as_cmatrix, except that a float64 array stays real
+    m = np.asarray(data)
+    return _finite_matrix(m if m.dtype == np.float64 else m.astype(np.complex128))
 
 
 def frob(m) -> float:
@@ -95,16 +116,17 @@ def nullspace(m, rank_tol: float = DEFAULT_RANK_TOL, scale: float = 0.0) -> np.n
     purely relative and the zero matrix returns the full space.  Kernel
     computations pass scale = 1 so that matrices consisting of pure
     roundoff (e.g. the commutator map of a near-scalar operator) collapse
-    to the full space instead of ranking their noise.
+    to the full space instead of ranking their noise.  A float64 matrix
+    is factored in real arithmetic and gets a real basis.
     """
     if rank_tol <= 0:
         raise ValueError("rank_tol must be positive")
-    m = as_cmatrix(m)
+    m = _as_matrix(m)
     rows, cols = m.shape
     # reduced SVD loses nullspace directions when the matrix is wide
     u, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
     if max(s[0] if s.size else 0.0, scale) == 0.0:
-        return np.eye(cols, dtype=np.complex128)
+        return np.eye(cols, dtype=m.dtype)
     return vh[_numerical_rank(s, rank_tol, scale):].conj().T
 
 
@@ -131,13 +153,15 @@ def kernel_tower(
     because 1 - cos loses every digit below sqrt(eps).
 
     For a normal M the range is orthogonal to the kernel, every sine is 1
-    and the tower is ker M repeated; a nilpotent part makes it grow.
+    and the tower is ker M repeated: a level that adds nothing to ker M is
+    the array of ker M itself, so callers can map repeats once.  A
+    nilpotent part makes it grow.  A float64 M gives real bases.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     if rank_tol <= 0:
         raise ValueError("rank_tol must be positive")
-    m = as_cmatrix(m)
+    m = _as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ShapeMismatch(f"kernel towers need a square matrix, got {m.shape}")
     u, s, vh = np.linalg.svd(m)
@@ -152,9 +176,72 @@ def kernel_tower(
         cosines = q.conj().T @ u_r
         w = np.linalg.svd(cosines, full_matrices=False)[2].conj().T
         sines = np.linalg.norm(u_r @ w - q @ (cosines @ w), axis=0)
-        grown = np.linalg.qr(w[:, sines <= rank_tol] / s_r[:, None])[0]
+        joined = w[:, sines <= rank_tol]
+        if joined.shape[1] == 0:
+            tower.append(v_0)
+            continue
+        grown = np.linalg.qr(joined / s_r[:, None])[0]
         tower.append(np.hstack([v_0, v_r @ grown]))
     return tower
+
+
+@functools.lru_cache(maxsize=None)
+def _frame_order(n: int) -> tuple:
+    # vec indices of E_kk, of E_ij and of E_ji (i < j), in frame order,
+    # and the ends of the diagonal and upper runs
+    i, j = np.triu_indices(n, 1)
+    order = np.concatenate([np.arange(n) * (n + 1), i + n * j, j + n * i])
+    order.setflags(write=False)  # shared by every caller through the cache
+    return order, (n, n + i.size)
+
+
+_SQRT_HALF = np.sqrt(0.5)
+
+
+def _frame_side(g: np.ndarray, ends: tuple, axis: int, phase: complex) -> np.ndarray:
+    # in place on rows (or columns) gathered in frame order: the diagonal
+    # run stays, (upper, lower) -> ((upper + lower), phase (upper - lower))
+    # / sqrt 2; one temporary of the pair size
+    _, upper, lower = np.split(g, ends, axis=axis)
+    difference = upper - lower
+    upper += lower
+    upper *= _SQRT_HALF
+    np.multiply(difference, phase * _SQRT_HALF, out=lower)
+    return g
+
+
+def real_frame(m, n: int):
+    """T* M T (module docstring) of each n^2-row block of M, as a float64
+    array, when it is exactly real; None otherwise.
+
+    Exactly real means a zero imaginary part, bit for bit.  That holds
+    when M[r', s'] = conj(M[r, s]) exactly, where ' swaps the two matrix
+    indices of a vec index: true of ad_iD and of i[g, .] built from an
+    exactly Hermitian D or g, because the gather adds each entry to its
+    conjugate.  A map that is *-preserving only to roundoff, or not at
+    all, gets None and stays on the complex route.  Costs one gather per
+    side, O(n^4).
+    """
+    order, ends = _frame_order(n)
+    m = np.asarray(m)
+    rows = _frame_side(m.reshape(-1, n * n, n * n)[:, order], ends, 1, -1j)
+    frame = _frame_side(rows[:, :, order], ends, 2, 1j).reshape(m.shape)
+    del rows
+    if np.any(frame.imag):
+        return None
+    return np.ascontiguousarray(frame.real)  # a copy: frees the complex array
+
+
+def from_frame(v, n: int) -> np.ndarray:
+    """T v: frame coordinates (columns) back to complex vec coordinates.
+    A real v gives vecs of Hermitian matrices."""
+    order, (d, u) = _frame_order(n)
+    v = np.asarray(v)
+    out = np.empty(v.shape, dtype=np.complex128)
+    out[order] = np.concatenate(
+        [v[:d], (v[d:u] + 1j * v[u:]) * _SQRT_HALF, (v[d:u] - 1j * v[u:]) * _SQRT_HALF]
+    )
+    return out
 
 
 def kron(a, b) -> np.ndarray:

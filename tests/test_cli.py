@@ -285,6 +285,27 @@ class TestMain:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "suite, dims, ids, skipped",
+        [
+            ("br_gns", "2,13", ["br_gns/n=2/i=0", "br_gns/n=2/i=1"], ["br_gns/n=13"]),
+            ("heisenberg", "2,17", ["heisenberg/rigidity/n=2"], ["heisenberg/rigidity/n=17"]),
+            ("kernel_stab", "2,17", [], []),
+        ],
+    )
+    def test_dims_above_a_suite_limit_are_reported(
+        self, suite, dims, ids, skipped, tmp_path, capsys
+    ):
+        out = tmp_path / "report.json"
+        assert main(["run", "--suite", suite, "--dims", dims, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["meta"]["skipped"] == skipped
+        reported = [c["id"] for c in report["checks"]]
+        assert set(ids) <= set(reported)
+        assert not [i for i in reported for prefix in skipped if i.startswith(prefix)]
+        note = f"; skipped above the dim limits: {', '.join(skipped)}" if skipped else ""
+        assert capsys.readouterr().out.splitlines()[-1].endswith(f"-> {out}{note}")
+
     def test_dims_above_env_budget_exit_2(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DERIVLAB_MAX_DIM", "8")
         out = tmp_path / "never.json"

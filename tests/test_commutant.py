@@ -8,6 +8,7 @@ from derivlab.cli import _spectral_instances
 from derivlab.commutant import (
     bicommutant,
     commutant,
+    commutation_matrix,
     hermitian_commutant,
     kernel_commutant_check,
     projection_commutant,
@@ -19,6 +20,9 @@ from derivlab.numlin import (
     OperatorSubspace,
     containment_residual,
     frob,
+    from_frame,
+    nullspace,
+    real_frame,
     subspace_distance,
 )
 from derivlab.spectral import spectral_resolution
@@ -82,6 +86,41 @@ class TestCommutant:
             commutant([])
         with pytest.raises(ShapeMismatch):
             commutant([np.eye(2), np.eye(3)])
+
+
+def _complex_route_commutant(gens, rank_tol=1e-10):
+    """The commutant from the complex stack, without the frame."""
+    stacked = np.vstack([commutation_matrix(g) for g in gens])
+    return OperatorSubspace.from_vec_columns(
+        gens[0].shape[0], nullspace(stacked, rank_tol, scale=1.0)
+    )
+
+
+class TestHermitianFrameRoute:
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_commutation_stack_is_real_in_the_frame(self, n):
+        t = from_frame(np.eye(n * n), n)
+        gens = [d for _, d in _spectral_instances(n, 31)]
+        stacked = np.vstack([1j * commutation_matrix(g) for g in gens])
+        frame = real_frame(stacked, n)
+        assert frame is not None and frame.dtype == np.float64
+        for block, real_block in zip(stacked.reshape(2, n * n, n * n), np.split(frame, 2)):
+            assert frob(real_block - t.conj().T @ block @ t) <= 1e-13 * max(1.0, frob(block))
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 16])
+    def test_real_and_complex_routes_agree(self, n):
+        for _, d in _spectral_instances(n, 32):
+            for gens in ([d], [d, _spectral_instances(n, 33)[0][1]]):
+                real, oracle = commutant(gens), _complex_route_commutant(gens)
+                assert real.dim == oracle.dim
+                assert subspace_distance(real, oracle) <= 1e-12
+                # the real route's basis is Hermitian, bit for bit
+                assert all(np.array_equal(b, b.conj().T) for b in real.basis)
+
+    def test_non_hermitian_list_stays_complex(self):
+        gens = [random_matrix(3, seed=34), random_hermitian(3, seed=35)]
+        assert real_frame(np.vstack([1j * commutation_matrix(g) for g in gens]), 3) is None
+        assert np.array_equal(commutant(gens).basis, _complex_route_commutant(gens).basis)
 
 
 class TestBicommutant:

@@ -19,8 +19,11 @@ from derivlab.errors import ZeroT
 from derivlab.numlin import (
     OperatorSubspace,
     frob,
+    from_frame,
+    kernel_tower,
     kron,
     nullspace,
+    real_frame,
     subspace_distance,
     unvec,
     vec,
@@ -202,6 +205,51 @@ class TestKernelTower:
         report = kernel_stabilization_report(d, 4)
         assert report.kernel_dims == tuple(k.dim for k in tower)
         assert subspace_distance(derivation_kernel(d, 4), tower[3]) <= 1e-14
+
+
+def _complex_route_tower(sop, k_max, rank_tol=1e-10):
+    """The kernel tower of the map's complex matrix, without the frame."""
+    return [
+        OperatorSubspace.from_vec_columns(sop.ambient_dim, q)
+        for q in kernel_tower(sop.matrix, k_max, rank_tol, scale=1.0)
+    ]
+
+
+class TestHermitianFrameRoute:
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_ad_is_exactly_real_in_the_frame(self, n):
+        t = from_frame(np.eye(n * n), n)
+        for _, d in _spectral_instances(n, 21):
+            m = ad_superoperator(d).matrix
+            frame = real_frame(m, n)
+            assert frame is not None and frame.dtype == np.float64
+            assert frob(frame - t.conj().T @ m @ t) <= 1e-13 * max(1.0, frob(m))
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 16])
+    def test_real_and_complex_routes_agree(self, n):
+        for _, d in _spectral_instances(n, 22):
+            sop = ad_superoperator(d)
+            real = sop.kernel_tower(8)
+            oracle = _complex_route_tower(sop, 8)
+            assert [k.dim for k in real] == [k.dim for k in oracle]
+            for k_real, k_complex in zip(real, oracle):
+                assert subspace_distance(k_real, k_complex) <= 1e-12
+
+    def test_jordan_control_stays_complex(self):
+        nil = np.diag(np.ones(3), 1)
+        eye = np.eye(4)
+        sop = Superoperator(4, kron(eye, nil) - kron(nil.T, eye))
+        assert real_frame(sop.matrix, 4) is None
+        for k_map, k_complex in zip(sop.kernel_tower(5), _complex_route_tower(sop, 5)):
+            assert np.array_equal(k_map.basis, k_complex.basis)
+
+    def test_generator_hermitian_only_to_roundoff_stays_complex(self, gapped_hermitian):
+        d = gapped_hermitian(5, 23)
+        d = d + 1e-13 * random_matrix(5, seed=24)  # within is_hermitian's 1e-12
+        sop = ad_superoperator(d)
+        assert real_frame(sop.matrix, 5) is None
+        for k_map, k_complex in zip(sop.kernel_tower(3), _complex_route_tower(sop, 3)):
+            assert np.array_equal(k_map.basis, k_complex.basis)
 
 
 class TestDerivationAlgebra:

@@ -15,11 +15,13 @@ from derivlab.numlin import (
     as_cmatrix,
     containment_residual,
     frob,
+    from_frame,
     hermitian_eig,
     hs_inner,
     kernel_tower,
     kron,
     nullspace,
+    real_frame,
     subspace_distance,
     unvec,
     vec,
@@ -157,6 +159,62 @@ class TestKernelTower:
             kernel_tower(np.eye(2), 2, rank_tol=0.0)
         with pytest.raises(ShapeMismatch):
             kernel_tower(np.ones((2, 3)), 2)
+
+
+class TestRealInputs:
+    def test_real_input_gives_real_bases(self):
+        m = np.diag([1.0, 0.0, 2.0, 0.0])
+        m[0, 1] = 1.0
+        basis = nullspace(m)
+        assert basis.dtype == np.float64 and basis.shape == (4, 2)
+        assert nullspace(np.zeros((3, 3))).dtype == np.float64
+        tower = kernel_tower(np.diag(np.ones(3), 1), 3)
+        assert [q.dtype for q in tower] == [np.float64] * 3
+        assert [q.shape[1] for q in tower] == [1, 2, 3]
+
+    def test_other_inputs_stay_complex(self):
+        assert nullspace(np.diag([1, 0, 2])).dtype == np.complex128
+        assert kernel_tower(np.diag([1.0 + 0j, 0.0]), 2)[0].dtype == np.complex128
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_real_input_must_be_finite(self, bad):
+        with pytest.raises(ValueError):
+            nullspace(np.array([[1.0, bad], [0.0, 0.0]]))
+        with pytest.raises(ValueError):
+            kernel_tower(np.array([[1.0, bad], [0.0, 0.0]]), 2)
+
+
+class TestHermitianFrame:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_round_trip_is_unitary(self, n):
+        t = from_frame(np.eye(n * n), n)
+        assert frob(t.conj().T @ t - np.eye(n * n)) <= 1e-14
+        assert frob(t @ t.conj().T - np.eye(n * n)) <= 1e-14
+        # every column is the vec of a Hermitian matrix, bit for bit
+        for column in t.T:
+            x = unvec(column, n)
+            assert np.array_equal(x, x.conj().T)
+        # x -> a x a^T for real a sends Hermitian matrices to Hermitian ones
+        a = random_matrix(n, seed=n).real
+        m = kron(a, a)
+        frame = real_frame(m, n)
+        assert frame.dtype == np.float64
+        assert frob(t @ frame @ t.conj().T - m) <= 1e-13 * frob(m)
+        assert frob(from_frame(frame, n) - m @ t) <= 1e-13 * frob(m)
+
+    def test_blocks_are_changed_one_by_one(self):
+        n = 3
+        a, b = random_matrix(n, seed=1).real, random_matrix(n, seed=2).real
+        blocks = [kron(a, a), kron(b, b)]
+        stacked = real_frame(np.vstack(blocks), n)
+        assert stacked.shape == (2 * n * n, n * n)
+        assert np.array_equal(stacked, np.vstack([real_frame(x, n) for x in blocks]))
+
+    def test_maps_that_are_not_star_preserving_get_none(self):
+        n = 3
+        a = random_matrix(n, seed=4).real
+        assert real_frame(kron(np.eye(n), a), n) is None  # x -> a x
+        assert real_frame(1j * kron(a, a), n) is None  # x -> i a x a^T
 
 
 class TestKronVec:

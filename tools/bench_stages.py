@@ -1,0 +1,115 @@
+"""Per-stage timings of the superoperator layers at fixed dimensions.
+
+For each n it times, on the repeated-eigenvalue instance of the spectral
+suites (``cli._spectral_instances``): the ad_iD superoperator build, the
+change to the Hermitian frame, the kernel tower to k = 8, one
+``nullspace`` of the matrix the tower factors, one ``subspace_distance``,
+and the four stages of ``kernel_commutant_check`` (the kernel of ad_iD,
+``hermitian_commutant``, ``projection_commutant``, ``algebra_commutant``).
+Each figure is the fastest of up to three runs, stopping early once a
+stage has used one second.
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/bench_stages.py \
+        [--dims 4,8,12,16,24,32] [--seed 8] [--out stages.json]
+
+With another checkout's ``src`` on PYTHONPATH it times that code; a stage
+whose function the checkout lacks (the frame change before it existed)
+is reported as null, and ``nullspace`` then factors the complex matrix.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import sys
+import time
+
+import numpy as np
+
+from derivlab import numlin
+from derivlab.cli import _spectral_instances
+from derivlab.commutant import (
+    algebra_commutant,
+    hermitian_commutant,
+    projection_commutant,
+)
+from derivlab.derivation import ad_superoperator
+from derivlab.spectral import spectral_resolution
+
+DIMS = (4, 8, 12, 16, 24, 32)
+K_MAX = 8
+
+
+def _best_of(fn, repeats: int = 3, budget_s: float = 1.0) -> float:
+    best, spent = np.inf, 0.0
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        took = time.perf_counter() - start
+        best, spent = min(best, took), spent + took
+        if spent >= budget_s:
+            break
+    return best
+
+
+def stage_times(n: int, seed: int = 8) -> dict:
+    """Seconds per stage at dimension n (None for a stage the code lacks)."""
+    d = _spectral_instances(n, seed)[1][1]
+    sop = ad_superoperator(d)
+    real_frame = getattr(numlin, "real_frame", None)
+    frame = None if real_frame is None else real_frame(sop.matrix, n)
+    factored = sop.matrix if frame is None else frame
+    kernel = sop.kernel()
+    comm = hermitian_commutant(d)
+    res = spectral_resolution(d)
+    proj_comm = projection_commutant(res)
+    stages = {
+        "superoperator_build": lambda: ad_superoperator(d),
+        "frame_change": None if real_frame is None else lambda: real_frame(sop.matrix, n),
+        "kernel_tower": lambda: sop.kernel_tower(K_MAX),
+        "nullspace": lambda: numlin.nullspace(factored, scale=1.0),
+        "subspace_distance": lambda: numlin.subspace_distance(kernel, comm),
+        "commutant_check.kernel": lambda: ad_superoperator(d).kernel(),
+        "commutant_check.hermitian_commutant": lambda: hermitian_commutant(d),
+        "commutant_check.projection_commutant": lambda: projection_commutant(res),
+        "commutant_check.algebra_commutant": lambda: algebra_commutant(proj_comm),
+    }
+    return {name: None if fn is None else _best_of(fn) for name, fn in stages.items()}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--dims", default=",".join(map(str, DIMS)))
+    parser.add_argument("--seed", type=int, default=8)
+    parser.add_argument("--out", default=None, help="also write the JSON here")
+    args = parser.parse_args(argv)
+    result = {
+        "env": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "machine": platform.machine(),
+            "cpus": os.cpu_count(),
+            "openblas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "derivlab": numlin.__file__,
+        },
+        "seed": args.seed,
+        "seconds": {},
+    }
+    for n in (int(x) for x in args.dims.split(",")):
+        result["seconds"][str(n)] = stage_times(n, args.seed)
+        print(f"n={n}: " + ", ".join(
+            f"{k}={'-' if v is None else f'{v:.2e}'}"
+            for k, v in result["seconds"][str(n)].items()
+        ), file=sys.stderr)
+    payload = json.dumps(result, indent=2)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(payload + "\n")
+    print(payload)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
