@@ -56,28 +56,22 @@ DEFAULT_TOLERANCES = {
 # grid sizes for the discretization convergence study; these live outside
 # the matrix-algebra dimension range on purpose
 HEISENBERG_GRIDS = (128, 256, 512)
-# br_gns stops at 12; larger dims stay in other suites.  Memory does not
-# set the limit: the GNS implementation and flow checks work in chunks
-# under gns._CHUNK_BYTES, and a process that runs one instance peaks at
-# 74 MB RSS at n=12 and 92 MB at n=16.  Time does: the flow check's products grow as n^7, and one
-# instance takes 0.1 s at n=12, 0.5 s at n=16, 2.2 s at n=20 and 7.4 s at
-# n=24 on one BLAS thread.  Raising the limit would also add the ids
-# br_gns/n=13..16 to a --dims 2..16 report
-_BR_MAX_DIM = 12
-_RIGIDITY_MAX_DIM = 16
+# the largest n of each check-id prefix; larger dims stay in other suites
+# and are listed in meta.skipped.  br_gns: time, not memory, sets it.  Its
+# GNS checks work in chunks under gns._CHUNK_BYTES (one instance peaks at
+# 74 MB RSS at n=12, 92 MB at n=16), but the flow check's products grow
+# as n^7: one instance takes 0.1 s at n=12, 0.5 s at n=16, 2.2 s at n=20
+# and 7.4 s at n=24 on one BLAS thread.  Raising it would also add the ids
+# br_gns/n=13..16 to a --dims 2..16 report.
+_DIM_LIMITS = {"br_gns": 12, "heisenberg/rigidity": 16}
 
 
 def _skipped(suites, dims) -> list:
-    """The id prefixes, "<suite part>/n=<n>", of the checks that the dim
-    limits above leave out of a run of these suites."""
-    limits = (
-        ("br_gns", "br_gns", _BR_MAX_DIM),
-        ("heisenberg", "heisenberg/rigidity", _RIGIDITY_MAX_DIM),
-    )
+    """Id prefixes "<part>/n=<n>" of the checks _DIM_LIMITS leaves out of these suites."""
     return [
         f"{part}/n={n}"
-        for suite, part, limit in limits
-        if suite in suites
+        for part, limit in _DIM_LIMITS.items()
+        if part.split("/")[0] in suites
         for n in dims
         if n > limit
     ]
@@ -110,8 +104,8 @@ class ExperimentConfig:
             raise ConfigInvalid(f"DERIVLAB_MAX_DIM must be an integer: {exc}") from exc
         if any(n < 2 or n > limit for n in self.dims):
             raise ConfigInvalid(f"dims must lie within [2, {limit}]")
-        if self.suite == "br_gns" and min(self.dims) > _BR_MAX_DIM:
-            raise ConfigInvalid(f"br_gns checks only dims up to {_BR_MAX_DIM}")
+        if self.suite == "br_gns" and min(self.dims) > _DIM_LIMITS["br_gns"]:
+            raise ConfigInvalid(f"br_gns checks only dims up to {_DIM_LIMITS['br_gns']}")
         if not 2 <= self.n_max <= 8:
             raise ConfigInvalid("n_max must lie within [2, 8]")
         if self.seed < 0:
@@ -354,7 +348,7 @@ def _suite_br_gns(config: ExperimentConfig) -> list:
             config.tolerances,
         )
         for n in config.dims
-        if n <= _BR_MAX_DIM
+        if n <= _DIM_LIMITS["br_gns"]
         for idx in range(2)
     ]
 
@@ -421,7 +415,7 @@ def heisenberg_rigidity_check(check_id: str, d, seed: int, tol=DEFAULT_TOLERANCE
         "a commutator with D that commutes with D must vanish",
         rig.passed,
         rig.max_relative_commutator,
-        rig.commutator_tol,
+        heis_mod.RIGIDITY_TOL,
         {"kernel_dim": rig.kernel_dim, "trials": rig.trials},
     )
 
@@ -436,7 +430,7 @@ def _suite_heisenberg(config: ExperimentConfig) -> list:
                 generate("hermitian", n, config.seed + 4),
             )
         )
-        if n <= _RIGIDITY_MAX_DIM:
+        if n <= _DIM_LIMITS["heisenberg/rigidity"]:
             d = generate(
                 "hermitian_with_multiplicity",
                 n,

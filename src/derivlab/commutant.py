@@ -41,10 +41,11 @@ def commutant(gens, rank_tol: float = DEFAULT_RANK_TOL) -> OperatorSubspace:
     """Orthonormal basis of {x : [g, x] = 0 for every generator g}.
 
     One SVD of the vertically stacked commutation superoperators; the
-    identity always belongs to the result.  When every generator is
-    exactly Hermitian, the stack of i[g, .] is real in the Hermitian frame
-    (``numlin.real_frame``) and that real matrix is factored instead,
-    with the same singular values; other lists stay complex.
+    identity always belongs to the result.  A generator that
+    ``is_hermitian`` accepts counts as its exact Hermitian part (g + g*)/2;
+    when every one does, the stack of i[g, .] is real in the Hermitian
+    frame (``numlin.real_frame``) and that real matrix is factored instead,
+    with the same singular values.  Other lists stay complex.
     """
     mats = [as_cmatrix(g) for g in gens]
     if not mats:
@@ -53,6 +54,7 @@ def commutant(gens, rank_tol: float = DEFAULT_RANK_TOL) -> OperatorSubspace:
     for g in mats:
         if g.shape != (n, n):
             raise ShapeMismatch("generators must be square and of equal size")
+    mats = [(g + g.conj().T) / 2 if is_hermitian(g) else g for g in mats]
     stacked = np.vstack([commutation_matrix(g) for g in mats])
     frame = real_frame(1j * stacked, n)
     # scale floor 1: generators proportional to I commute with everything
@@ -122,9 +124,7 @@ def projection_commutant(
     k = len(res.projections)
     weights = np.arange(k) + np.random.default_rng(_WEIGHTS_SEED).uniform(-0.25, 0.25, k)
     g = np.tensordot(weights, np.asarray(res.projections), axes=1)
-    # each P = B B* is Hermitian only up to the rounding of the product;
-    # the exactly Hermitian generator lets ``commutant`` factor a real map
-    return commutant([(g + g.conj().T) / 2], rank_tol)
+    return commutant([g], rank_tol)
 
 
 def algebra_commutant(

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .commutant import commutation_matrix
+from .commutant import commutant
 from .derivation import (
     DEFAULT_DISTANCE_TOL,
     Superoperator,
@@ -364,12 +364,12 @@ def kernel_correspondence_distance(
     in which the restriction is i (I (x) T - T^T (x) I) / n for the
     partial trace T[p, r] = sum_j S[p + nj, r + nj].  a -> I (x) a /
     sqrt(n) is an isometry from M_n onto that range, so both kernels are
-    compared in M_n, with unchanged projector distance.
+    compared in M_n, with unchanged projector distance; the first kernel
+    is ``commutant([T / n])``.
     """
     n = gns.n
     partial = np.einsum("jpjr->pr", as_cmatrix(s).reshape(n, n, n, n))
-    restricted = Superoperator(n, 1j / n * commutation_matrix(partial))
-    return subspace_distance(restricted.kernel(rank_tol), delta.map.kernel(rank_tol))
+    return subspace_distance(commutant([partial / n], rank_tol), delta.map.kernel(rank_tol))
 
 
 def abstract_kernel_stabilization(

@@ -26,6 +26,7 @@ PERIODIC_INTERVAL = "periodic_interval"
 # puts its tail below 1e-8 at the 5 outermost grid sites
 _GAUSS_CLEARANCE = 6.2
 _MIN_SITES_PER_SIGMA = 4.0
+RIGIDITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -52,13 +53,28 @@ def _central_difference(n: int, h: float, periodic: bool) -> np.ndarray:
     """Skew-symmetric central-difference matrix: (Cv)_j = (v_{j+1} - v_{j-1}) / 2h
     with zero (Dirichlet) padding on the line, cyclic wrap on the circle."""
     c = np.zeros((n, n))
-    for j in range(n - 1):
-        c[j, j + 1] = 1.0 / (2.0 * h)
-        c[j + 1, j] = -1.0 / (2.0 * h)
+    step = 1.0 / (2.0 * h)
+    np.fill_diagonal(c[:, 1:], step)
+    np.fill_diagonal(c[1:], -step)
     if periodic:
-        c[0, n - 1] = -1.0 / (2.0 * h)
-        c[n - 1, 0] = 1.0 / (2.0 * h)
+        c[0, -1], c[-1, 0] = -step, step
     return c
+
+
+def _pair(scheme: str, grid: np.ndarray, h: float, params, profiles, half_width=0.0):
+    # position diag(grid) as B, momentum i*C as A, unit test vectors
+    n = grid.size
+    return DiscretizedPair(
+        n=n,
+        A=1j * _central_difference(n, h, periodic=scheme == PERIODIC_INTERVAL),
+        B=np.diag(grid).astype(complex),
+        grid=grid,
+        test_domain=[v / np.linalg.norm(v) for v in profiles],
+        scheme=scheme,
+        h=h,
+        test_params=tuple(params),
+        half_width=half_width,
+    )
 
 
 def _gaussian_params(n: int, half_width: float) -> list:
@@ -99,34 +115,12 @@ def schrodinger_pair(n: int, half_width: float, params=None) -> DiscretizedPair:
             f"no default Gaussian with sigma >= 4h = {4 * h:.3g} fits inside "
             f"the decay margin at n={n}"
         )
-
-    vectors = []
-    for sigma, mu in params:
-        v = np.exp(-((grid - mu) ** 2) / (2.0 * sigma**2))
-        vectors.append(v / np.linalg.norm(v))
-
-    q = np.diag(grid).astype(complex)
-    p = 1j * _central_difference(n, h, periodic=False)
-    return DiscretizedPair(
-        n=n,
-        A=p,
-        B=q,
-        grid=grid,
-        test_domain=vectors,
-        scheme=SCHRODINGER_LINE,
-        h=h,
-        test_params=tuple(params),
-        half_width=half_width,
-    )
+    profiles = [np.exp(-((grid - mu) ** 2) / (2.0 * sigma**2)) for sigma, mu in params]
+    return _pair(SCHRODINGER_LINE, grid, h, params, profiles, half_width)
 
 
-def _bump_params() -> list:
-    # supports [c - w, c + w] stay clear of the seam at 0 and 1
-    return [
-        (c, w)
-        for w in (0.22, 0.3)
-        for c in (0.32, 0.45, 0.55, 0.68)
-    ]
+# (center, width): supports [c - w, c + w] stay clear of the seam at 0, 1
+_BUMP_PARAMS = tuple((c, w) for w in (0.22, 0.3) for c in (0.32, 0.45, 0.55, 0.68))
 
 
 def periodic_pair(n: int, params=None) -> DiscretizedPair:
@@ -143,31 +137,19 @@ def periodic_pair(n: int, params=None) -> DiscretizedPair:
     grid = np.arange(n) / n
 
     if params is None:
-        params = [(c, w) for c, w in _bump_params() if w >= _MIN_SITES_PER_SIGMA * h]
+        params = [(c, w) for c, w in _BUMP_PARAMS if w >= _MIN_SITES_PER_SIGMA * h]
     params = [tuple(p) for p in params]
     if not params:
         raise GridTooCoarse(f"no default bump is resolvable at n={n}")
 
-    vectors = []
+    profiles = []
     for center, width in params:
         s = (grid - center) / width
         v = np.zeros(n)
         inside = np.abs(s) < 1.0
         v[inside] = np.exp(1.0 - 1.0 / (1.0 - s[inside] ** 2))
-        vectors.append(v / np.linalg.norm(v))
-
-    b = np.diag(grid).astype(complex)
-    a = 1j * _central_difference(n, h, periodic=True)
-    return DiscretizedPair(
-        n=n,
-        A=a,
-        B=b,
-        grid=grid,
-        test_domain=vectors,
-        scheme=PERIODIC_INTERVAL,
-        h=h,
-        test_params=tuple(params),
-    )
+        profiles.append(v)
+    return _pair(PERIODIC_INTERVAL, grid, h, params, profiles)
 
 
 def _refine(pair: DiscretizedPair, factor: int) -> DiscretizedPair:
@@ -262,22 +244,20 @@ class RigidityReport:
     kernel_dim: int
     max_relative_commutator: float
     max_commutant_membership_residual: float
-    commutator_tol: float
     rank_tol: float
 
     @property
     def passed(self) -> bool:
-        return self.max_relative_commutator <= self.commutator_tol
+        return self.max_relative_commutator <= RIGIDITY_TOL
 
 
 def rigidity_check(
     d,
     trials: int,
     rank_tol: float = DEFAULT_RANK_TOL,
-    commutator_tol: float = 1e-8,
     seed: int = 0,
 ) -> RigidityReport:
-    """Sample x from ker(ad_iD^2) and verify ||[D, x]|| <= tol ||D|| ||x||.
+    """Sample x from ker(ad_iD^2) and verify ||[D, x]|| <= RIGIDITY_TOL ||D|| ||x||.
 
     Also confirms the membership route: [D, x] projects onto the
     commutant {D}' with no loss (it lies there by construction), and is
@@ -316,6 +296,5 @@ def rigidity_check(
         kernel_dim=sq_kernel.dim,
         max_relative_commutator=worst_rel,
         max_commutant_membership_residual=worst_membership,
-        commutator_tol=commutator_tol,
         rank_tol=rank_tol,
     )

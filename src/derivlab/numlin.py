@@ -122,11 +122,8 @@ def nullspace(m, rank_tol: float = DEFAULT_RANK_TOL, scale: float = 0.0) -> np.n
     if rank_tol <= 0:
         raise ValueError("rank_tol must be positive")
     m = _as_matrix(m)
-    rows, cols = m.shape
     # reduced SVD loses nullspace directions when the matrix is wide
-    u, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
-    if max(s[0] if s.size else 0.0, scale) == 0.0:
-        return np.eye(cols, dtype=m.dtype)
+    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
     return vh[_numerical_rank(s, rank_tol, scale):].conj().T
 
 

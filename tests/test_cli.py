@@ -1,3 +1,4 @@
+import importlib
 import json
 import re
 
@@ -130,6 +131,26 @@ class TestRun:
             assert check["pass"] is True
             assert check["tolerance"] == 1e-8
             assert len(set(check["details"]["kernel_dims"])) == 1
+
+    def test_every_factored_map_is_real_in_the_frame(self, tmp_path, monkeypatch):
+        # regression: 6 of the 24 kernel-correspondence kernels of this run
+        # fell back to the complex SVD, because the partial trace T of S is
+        # Hermitian only to roundoff; every map the suites factor is
+        # *-preserving, so each must reach the real Hermitian frame
+        frames = []
+
+        def recorded(m, n):
+            frames.append(numlin.real_frame(m, n))
+            return frames[-1]
+
+        # the package root binds the name commutant to the function
+        for module in ("derivlab.derivation", "derivlab.commutant"):
+            monkeypatch.setattr(importlib.import_module(module), "real_frame", recorded)
+        config = ExperimentConfig(
+            suite="all", dims=tuple(range(2, 8)), output_path=str(tmp_path / "r.json")
+        )
+        assert run(config) == 0
+        assert frames and all(frame is not None for frame in frames)
 
     def test_determinism_modulo_timing(self, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"

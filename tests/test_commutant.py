@@ -117,6 +117,17 @@ class TestHermitianFrameRoute:
                 # the real route's basis is Hermitian, bit for bit
                 assert all(np.array_equal(b, b.conj().T) for b in real.basis)
 
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_projections_take_the_real_route(self, n):
+        # each P = B B* is Hermitian only to roundoff; commutant factors
+        # its exact Hermitian part, so the list reaches the real frame
+        res = spectral_resolution(_spectral_instances(n, 36)[1][1])
+        projections = list(res.projections)
+        real, oracle = commutant(projections), _complex_route_commutant(projections)
+        assert all(np.array_equal(b, b.conj().T) for b in real.basis)
+        assert real.dim == oracle.dim
+        assert subspace_distance(real, oracle) <= 1e-12
+
     def test_non_hermitian_list_stays_complex(self):
         gens = [random_matrix(3, seed=34), random_hermitian(3, seed=35)]
         assert real_frame(np.vstack([1j * commutation_matrix(g) for g in gens]), 3) is None

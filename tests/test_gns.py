@@ -389,7 +389,7 @@ def perturbed(s, n, seed):
 
 
 class TestBatchedChecks:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_match_per_unit_oracle(self, n):
         omega, inner = equilibrium_instance(n, 40 + n)
         rep = gns_construct(omega)

@@ -12,9 +12,7 @@ stage has used one second.
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/bench_stages.py \
         [--dims 4,8,12,16,24,32] [--seed 8] [--out stages.json]
 
-With another checkout's ``src`` on PYTHONPATH it times that code; a stage
-whose function the checkout lacks (the frame change before it existed)
-is reported as null, and ``nullspace`` then factors the complex matrix.
+With another checkout's ``src`` on PYTHONPATH it times that code.
 """
 
 from __future__ import annotations
@@ -55,28 +53,26 @@ def _best_of(fn, repeats: int = 3, budget_s: float = 1.0) -> float:
 
 
 def stage_times(n: int, seed: int = 8) -> dict:
-    """Seconds per stage at dimension n (None for a stage the code lacks)."""
+    """Seconds per stage at dimension n."""
     d = _spectral_instances(n, seed)[1][1]
     sop = ad_superoperator(d)
-    real_frame = getattr(numlin, "real_frame", None)
-    frame = None if real_frame is None else real_frame(sop.matrix, n)
-    factored = sop.matrix if frame is None else frame
+    frame = numlin.real_frame(sop.matrix, n)
     kernel = sop.kernel()
     comm = hermitian_commutant(d)
     res = spectral_resolution(d)
     proj_comm = projection_commutant(res)
     stages = {
         "superoperator_build": lambda: ad_superoperator(d),
-        "frame_change": None if real_frame is None else lambda: real_frame(sop.matrix, n),
+        "frame_change": lambda: numlin.real_frame(sop.matrix, n),
         "kernel_tower": lambda: sop.kernel_tower(K_MAX),
-        "nullspace": lambda: numlin.nullspace(factored, scale=1.0),
+        "nullspace": lambda: numlin.nullspace(frame, scale=1.0),
         "subspace_distance": lambda: numlin.subspace_distance(kernel, comm),
         "commutant_check.kernel": lambda: ad_superoperator(d).kernel(),
         "commutant_check.hermitian_commutant": lambda: hermitian_commutant(d),
         "commutant_check.projection_commutant": lambda: projection_commutant(res),
         "commutant_check.algebra_commutant": lambda: algebra_commutant(proj_comm),
     }
-    return {name: None if fn is None else _best_of(fn) for name, fn in stages.items()}
+    return {name: _best_of(fn) for name, fn in stages.items()}
 
 
 def main(argv=None) -> int:
@@ -100,8 +96,7 @@ def main(argv=None) -> int:
     for n in (int(x) for x in args.dims.split(",")):
         result["seconds"][str(n)] = stage_times(n, args.seed)
         print(f"n={n}: " + ", ".join(
-            f"{k}={'-' if v is None else f'{v:.2e}'}"
-            for k, v in result["seconds"][str(n)].items()
+            f"{k}={v:.2e}" for k, v in result["seconds"][str(n)].items()
         ), file=sys.stderr)
     payload = json.dumps(result, indent=2)
     if args.out:
