@@ -10,8 +10,6 @@ derivation as an n^2 x n^2 superoperator, computes ker(ad^k) for k up to
 
 import json
 
-import numpy as np
-
 from derivlab import ad_superoperator, kernel_stabilization_report
 from derivlab.cli import generate
 

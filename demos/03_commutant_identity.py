@@ -8,8 +8,6 @@ von Neumann algebra.  Each is computed by an independent numerical route
 pairwise projector distances come out at roundoff level.
 """
 
-import numpy as np
-
 from derivlab import (
     bicommutant,
     commutant,

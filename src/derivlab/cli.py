@@ -56,25 +56,19 @@ DEFAULT_TOLERANCES = {
 # grid sizes for the discretization convergence study; these live outside
 # the matrix-algebra dimension range on purpose
 HEISENBERG_GRIDS = (128, 256, 512)
-# the largest n of each check-id prefix; larger dims stay in other suites
-# and are listed in meta.skipped.  br_gns: time, not memory, sets it.  Its
-# GNS checks work in chunks under gns._CHUNK_BYTES (one instance peaks at
-# 74 MB RSS at n=12, 92 MB at n=16), but the flow check's products grow
-# as n^7: one instance takes 0.1 s at n=12, 0.5 s at n=16, 2.2 s at n=20
-# and 7.4 s at n=24 on one BLAS thread.  Raising it would also add the ids
+# the largest n of br_gns; larger dims stay in the other suites and are
+# listed in meta.skipped.  Time, not memory, sets it.  Its GNS checks work
+# in chunks under gns._CHUNK_BYTES (one instance peaks at 74 MB RSS at
+# n=12, 92 MB at n=16), but the flow check's products grow as n^7: one
+# instance takes 0.1 s at n=12, 0.5 s at n=16, 2.2 s at n=20 and 7.4 s
+# at n=24 on one BLAS thread.  Raising it would also add the ids
 # br_gns/n=13..16 to a --dims 2..16 report.
-_DIM_LIMITS = {"br_gns": 12, "heisenberg/rigidity": 16}
+_BR_GNS_MAX_DIM = 12
 
 
 def _skipped(suites, dims) -> list:
-    """Id prefixes "<part>/n=<n>" of the checks _DIM_LIMITS leaves out of these suites."""
-    return [
-        f"{part}/n={n}"
-        for part, limit in _DIM_LIMITS.items()
-        if part.split("/")[0] in suites
-        for n in dims
-        if n > limit
-    ]
+    """Id prefixes "br_gns/n=<n>" of the checks _BR_GNS_MAX_DIM leaves out."""
+    return [f"br_gns/n={n}" for n in dims if "br_gns" in suites and n > _BR_GNS_MAX_DIM]
 
 
 @dataclass
@@ -104,8 +98,8 @@ class ExperimentConfig:
             raise ConfigInvalid(f"DERIVLAB_MAX_DIM must be an integer: {exc}") from exc
         if any(n < 2 or n > limit for n in self.dims):
             raise ConfigInvalid(f"dims must lie within [2, {limit}]")
-        if self.suite == "br_gns" and min(self.dims) > _DIM_LIMITS["br_gns"]:
-            raise ConfigInvalid(f"br_gns checks only dims up to {_DIM_LIMITS['br_gns']}")
+        if self.suite == "br_gns" and min(self.dims) > _BR_GNS_MAX_DIM:
+            raise ConfigInvalid(f"br_gns checks only dims up to {_BR_GNS_MAX_DIM}")
         if not 2 <= self.n_max <= 8:
             raise ConfigInvalid("n_max must lie within [2, 8]")
         if self.seed < 0:
@@ -348,7 +342,7 @@ def _suite_br_gns(config: ExperimentConfig) -> list:
             config.tolerances,
         )
         for n in config.dims
-        if n <= _DIM_LIMITS["br_gns"]
+        if n <= _BR_GNS_MAX_DIM
         for idx in range(2)
     ]
 
@@ -430,18 +424,17 @@ def _suite_heisenberg(config: ExperimentConfig) -> list:
                 generate("hermitian", n, config.seed + 4),
             )
         )
-        if n <= _DIM_LIMITS["heisenberg/rigidity"]:
-            d = generate(
-                "hermitian_with_multiplicity",
-                n,
-                config.seed + 5,
-                multiplicities=_multiplicity_pattern(n),
+        d = generate(
+            "hermitian_with_multiplicity",
+            n,
+            config.seed + 5,
+            multiplicities=_multiplicity_pattern(n),
+        )
+        checks.append(
+            heisenberg_rigidity_check(
+                f"heisenberg/rigidity/n={n}", d, config.seed, config.tolerances
             )
-            checks.append(
-                heisenberg_rigidity_check(
-                    f"heisenberg/rigidity/n={n}", d, config.seed, config.tolerances
-                )
-            )
+        )
     return checks
 
 

@@ -204,14 +204,11 @@ class GNSRepresentation:
 
     def pi(self, a) -> np.ndarray:
         """The representation: left multiplication by a in GNS coordinates,
-        which is I (x) a.  Takes one n x n matrix or a (k, n, n) stack."""
-        n, d = self.n, self.hilbert_dim
+        which is I (x) a."""
         a = np.asarray(a, dtype=np.complex128)
-        if a.ndim not in (2, 3) or a.shape[-2:] != (n, n):
-            raise ShapeMismatch(f"expected {n}x{n} matrices, got shape {a.shape}")
-        # I (x) [a_0; a_1; ...] holds row block p of I (x) a_k at rows (p, k)
-        blocks = kron(np.eye(n), a.reshape(-1, n)).reshape(n, -1, n, d)
-        return blocks.swapaxes(0, 1).reshape(a.shape[:-2] + (d, d))
+        if a.shape != (self.n, self.n):
+            raise ShapeMismatch(f"expected a {self.n}x{self.n} matrix, got shape {a.shape}")
+        return kron(np.eye(self.n), a)
 
     def inner(self, u, v) -> complex:
         """Hilbert-space inner product, linear in the first argument."""

@@ -176,7 +176,6 @@ class HcrResidualReport:
     for a row compares it with the same vector on the previous grid.
     """
 
-    scheme: str
     grid_sizes: tuple
     rows: tuple
     orders: tuple
@@ -206,7 +205,6 @@ def hcr_residual(pair: DiscretizedPair, refinements: int = 3) -> HcrResidualRepo
             rows.append((p.n, p.h, vid, residuals[level][vid], order))
 
     return HcrResidualReport(
-        scheme=pair.scheme,
         grid_sizes=tuple(p.n for p in pairs),
         rows=tuple(rows),
         orders=tuple(orders),
@@ -239,12 +237,10 @@ class RigidityReport:
     statement is that this forces [D, x] itself to vanish.
     """
 
-    ambient_dim: int
     trials: int
     kernel_dim: int
     max_relative_commutator: float
     max_commutant_membership_residual: float
-    rank_tol: float
 
     @property
     def passed(self) -> bool:
@@ -278,11 +274,8 @@ def rigidity_check(
             sq_kernel.dim
         )
         x = np.tensordot(coeffs, sq_kernel.basis, axes=1)
-        x_norm = frob(x)
-        if x_norm == 0:
-            continue
         y = d @ x - x @ d
-        scale = d_norm * x_norm
+        scale = d_norm * frob(x)
         worst_rel = max(worst_rel, frob(y) / scale if scale > 0 else 0.0)
         # [D, x] commutes with D, so projecting onto {D}' must recover it
         worst_membership = max(
@@ -291,10 +284,8 @@ def rigidity_check(
         )
 
     return RigidityReport(
-        ambient_dim=d.shape[0],
         trials=trials,
         kernel_dim=sq_kernel.dim,
         max_relative_commutator=worst_rel,
         max_commutant_membership_residual=worst_membership,
-        rank_tol=rank_tol,
     )

@@ -266,11 +266,6 @@ def unvec(v, n: int) -> np.ndarray:
     return v.reshape((n, n), order="F")
 
 
-def hs_inner(a, b) -> complex:
-    """Hilbert-Schmidt inner product tr(b* a), linear in the first slot."""
-    return complex(np.vdot(np.asarray(b), np.asarray(a)))
-
-
 @dataclass(frozen=True)
 class OperatorSubspace:
     """A subspace of M_n given by a Hilbert-Schmidt-orthonormal basis.
@@ -291,11 +286,9 @@ class OperatorSubspace:
         if b.shape[0] > self.ambient_dim**2:
             raise ShapeMismatch("more basis elements than the ambient dimension")
         object.__setattr__(self, "basis", b)
-        if b.shape[0]:
-            rows = self.vectors()
-            gram = rows.conj() @ rows.T
-            if frob(gram - np.eye(b.shape[0])) > 1e-10:
-                raise ValueError("basis is not orthonormal in the HS inner product")
+        rows = self.vectors()
+        if frob(rows.conj() @ rows.T - np.eye(self.dim)) > 1e-10:
+            raise ValueError("basis is not orthonormal in the HS inner product")
 
     @property
     def dim(self) -> int:
@@ -303,7 +296,7 @@ class OperatorSubspace:
 
     def vectors(self) -> np.ndarray:
         """Basis as rows of a (dim, n^2) array in vec coordinates."""
-        return self.basis.transpose(0, 2, 1).reshape(self.dim, -1)
+        return self.basis.transpose(0, 2, 1).reshape(self.dim, self.ambient_dim**2)
 
     def project(self, x) -> np.ndarray:
         """Orthogonal projection of a matrix onto the subspace."""
@@ -344,10 +337,6 @@ def _offspace_mass(a_rows: np.ndarray, b_rows: np.ndarray) -> float:
     # ||(I - P_b) P_a||_F^2 = sum_j ||(I - P_b) a_j||^2 over the basis of a;
     # the residual vectors are formed explicitly, which avoids the
     # catastrophic cancellation of the cross-Gram trace formula
-    if a_rows.shape[0] == 0:
-        return 0.0
-    if b_rows.shape[0] == 0:
-        return float(np.linalg.norm(a_rows) ** 2)
     coeffs = b_rows.conj() @ a_rows.T
     residual = a_rows - coeffs.T @ b_rows
     return float(np.linalg.norm(residual) ** 2)

@@ -34,10 +34,6 @@ class SpectralResolution:
     cluster_tol: float
 
     @property
-    def dim(self) -> int:
-        return self.projections.shape[1]
-
-    @property
     def n_clusters(self) -> int:
         return len(self.values)
 

