@@ -43,7 +43,7 @@ from .gns import (
 )
 from .spectral import DEFAULT_CLUSTER_TOL
 
-SUITES = ("kernel_stab", "commutant_identity", "br_gns", "heisenberg", "all")
+FORMATS = ("json", "csv")
 
 DEFAULT_TOLERANCES = {
     "rank": numlin.DEFAULT_RANK_TOL,
@@ -90,21 +90,19 @@ class ExperimentConfig:
             raise ConfigInvalid(f"unknown suite {self.suite!r}; choose from {SUITES}")
         if not self.dims:
             raise ConfigInvalid("dims must be nonempty")
-        if len(set(self.dims)) != len(self.dims):
-            raise ConfigInvalid("dims must not repeat")
-        try:
-            limit = min(64, numlin.max_ambient_dim())
-        except ValueError as exc:
-            raise ConfigInvalid(f"DERIVLAB_MAX_DIM must be an integer: {exc}") from exc
+        # bounds first: dims may be a lazy range of any length
+        limit = _dim_limit()
         if any(n < 2 or n > limit for n in self.dims):
             raise ConfigInvalid(f"dims must lie within [2, {limit}]")
+        if len(set(self.dims)) != len(self.dims):
+            raise ConfigInvalid("dims must not repeat")
         if self.suite == "br_gns" and min(self.dims) > _BR_GNS_MAX_DIM:
             raise ConfigInvalid(f"br_gns checks only dims up to {_BR_GNS_MAX_DIM}")
         if not 2 <= self.n_max <= 8:
             raise ConfigInvalid("n_max must lie within [2, 8]")
         if self.seed < 0:
             raise ConfigInvalid("seed must be a nonnegative integer")
-        if self.format not in ("json", "csv"):
+        if self.format not in FORMATS:
             raise ConfigInvalid(f"unknown format {self.format!r}")
         for name, value in self.tolerances.items():
             if name not in DEFAULT_TOLERANCES:
@@ -113,6 +111,14 @@ class ExperimentConfig:
                 )
             if not 0 < value < np.inf:
                 raise ConfigInvalid(f"tolerance {name} must be positive and finite")
+
+
+def _dim_limit() -> int:
+    """Largest n of run dims and gen --n: 64, or a smaller DERIVLAB_MAX_DIM."""
+    try:
+        return min(64, numlin.max_ambient_dim())
+    except ValueError as exc:
+        raise ConfigInvalid(f"DERIVLAB_MAX_DIM must be an integer: {exc}") from exc
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -144,6 +150,12 @@ def _conjugated(u: np.ndarray, values) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
 
+def _density(u: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The faithful density matrix u diag(weights) u*, trace normalized."""
+    rho = _conjugated(u, weights / weights.sum())
+    return rho / np.trace(rho).real
+
+
 def generate(kind: str, n: int, seed: int, multiplicities=None):
     """Deterministic pseudo-random instances.
 
@@ -152,8 +164,9 @@ def generate(kind: str, n: int, seed: int, multiplicities=None):
     conjugated by a Haar-style unitary), "density" (faithful density
     matrix).  Only "hermitian_with_multiplicity" takes multiplicities.
     """
-    if n < 1 or seed < 0:
-        raise ConfigInvalid(f"need n >= 1 and seed >= 0, got n={n}, seed={seed}")
+    limit = _dim_limit()
+    if not 1 <= n <= limit or seed < 0:
+        raise ConfigInvalid(f"need 1 <= n <= {limit} and seed >= 0, got n={n}, seed={seed}")
     if multiplicities is not None and kind != "hermitian_with_multiplicity":
         raise BadMultiplicities(
             f"multiplicities apply only to hermitian_with_multiplicity, not {kind!r}"
@@ -177,9 +190,7 @@ def generate(kind: str, n: int, seed: int, multiplicities=None):
         return _conjugated(_haar_unitary(n, rng), diag)
     if kind == "density":
         weights = rng.uniform(0.5, 1.5, size=n)
-        p = weights / weights.sum()
-        rho = _conjugated(_haar_unitary(n, rng), p)
-        return rho / np.trace(rho).real
+        return _density(_haar_unitary(n, rng), weights)
     raise ConfigInvalid(f"unknown generation kind {kind!r}")
 
 
@@ -188,10 +199,7 @@ def equilibrium_instance(n: int, seed: int) -> tuple[State, Derivation]:
     automatically an equilibrium state for the derivation."""
     rng = _rng(seed, n, 1)
     u = _haar_unitary(n, rng)
-    weights = rng.uniform(0.5, 1.5, size=n)
-    p = weights / weights.sum()
-    rho = _conjugated(u, p)
-    rho /= np.trace(rho).real
+    rho = _density(u, rng.uniform(0.5, 1.5, size=n))
     return state_from_density(rho), inner_derivation(_conjugated(u, _gapped_values(n, rng)))
 
 
@@ -206,8 +214,9 @@ def _check(check_id, description, passed, residual, tolerance, details=None):
     }
 
 
-def _multiplicity_pattern(n: int) -> list:
-    return [2] + [1] * (n - 2)
+def _multiplicity_instance(n: int, seed: int) -> np.ndarray:
+    """A generator whose lowest eigenvalue is doubled."""
+    return generate("hermitian_with_multiplicity", n, seed, multiplicities=[2] + [1] * (n - 2))
 
 
 def _spectral_instances(n: int, seed: int) -> list:
@@ -215,15 +224,7 @@ def _spectral_instances(n: int, seed: int) -> list:
     and one with a repeated eigenvalue."""
     return [
         ("simple", generate("hermitian", n, seed)),
-        (
-            "multiplicity",
-            generate(
-                "hermitian_with_multiplicity",
-                n,
-                seed,
-                multiplicities=_multiplicity_pattern(n),
-            ),
-        ),
+        ("multiplicity", _multiplicity_instance(n, seed)),
     ]
 
 
@@ -424,12 +425,7 @@ def _suite_heisenberg(config: ExperimentConfig) -> list:
                 generate("hermitian", n, config.seed + 4),
             )
         )
-        d = generate(
-            "hermitian_with_multiplicity",
-            n,
-            config.seed + 5,
-            multiplicities=_multiplicity_pattern(n),
-        )
+        d = _multiplicity_instance(n, config.seed + 5)
         checks.append(
             heisenberg_rigidity_check(
                 f"heisenberg/rigidity/n={n}", d, config.seed, config.tolerances
@@ -444,6 +440,7 @@ _SUITE_RUNNERS = {
     "br_gns": _suite_br_gns,
     "heisenberg": _suite_heisenberg,
 }
+SUITES = (*_SUITE_RUNNERS, "all")
 
 
 def run(config: ExperimentConfig) -> int:
@@ -509,11 +506,12 @@ def _number(kind, text: str, what: str):
         raise ConfigInvalid(f"malformed {what} {text!r}") from exc
 
 
-def _parse_dims(text: str) -> tuple:
+def _parse_dims(text: str):
+    # a range stays lazy until validate has bounded it
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return tuple(range(_number(int, lo, "dims"), _number(int, hi, "dims") + 1))
+        return range(_number(int, lo, "dims"), _number(int, hi, "dims") + 1)
     return tuple(_number(int, part, "dims") for part in text.split(",") if part)
 
 
@@ -539,14 +537,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    runp = sub.add_parser("run", help="run a verification suite")
-    runp.add_argument("--suite", default="all", choices=SUITES)
-    runp.add_argument("--dims", default="2..8", help="range 2..12 or list 2,4,6")
-    runp.add_argument("--n-max", type=int, default=5, dest="n_max")
-    runp.add_argument("--seed", type=int, default=7)
-    runp.add_argument("--tol", default="", help="comma list name=value")
-    runp.add_argument("--out", default="report.json")
-    runp.add_argument("--format", default="json", choices=("json", "csv"))
+    # an option left out stays out of the namespace: ExperimentConfig holds the defaults
+    runp = sub.add_parser(
+        "run", help="run a verification suite", argument_default=argparse.SUPPRESS
+    )
+    runp.add_argument("--suite", choices=SUITES)
+    runp.add_argument("--dims", help="range 2..12 or list 2,4,6")
+    runp.add_argument("--n-max", type=int, dest="n_max")
+    runp.add_argument("--seed", type=int)
+    runp.add_argument("--tol", dest="tolerances", metavar="TOL", help="comma list name=value")
+    runp.add_argument("--out", dest="output_path", metavar="OUT")
+    runp.add_argument("--format", choices=FORMATS)
 
     genp = sub.add_parser("gen", help="emit a seeded instance as a text matrix")
     genp.add_argument(
@@ -565,16 +566,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            config = ExperimentConfig(
-                suite=args.suite,
-                dims=_parse_dims(args.dims),
-                n_max=args.n_max,
-                seed=args.seed,
-                tolerances=_parse_tolerances(args.tol),
-                output_path=args.out,
-                format=args.format,
-            )
-            return run(config)
+            options = vars(args)
+            del options["command"]
+            for key, parse in (("dims", _parse_dims), ("tolerances", _parse_tolerances)):
+                if key in options:
+                    options[key] = parse(options[key])
+            return run(ExperimentConfig(**options))
         mult = [
             _number(int, m, "multiplicity") for m in args.multiplicities.split(",") if m
         ] or None

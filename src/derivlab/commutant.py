@@ -15,11 +15,9 @@ from .numlin import (
     as_cmatrix,
     containment_residual,
     frob,
-    from_frame,
     is_hermitian,
     kron,
-    nullspace,
-    real_frame,
+    map_kernels,
     require_hermitian,
     subspace_distance,
 )
@@ -40,12 +38,12 @@ def commutation_matrix(g: np.ndarray) -> np.ndarray:
 def commutant(gens, rank_tol: float = DEFAULT_RANK_TOL) -> OperatorSubspace:
     """Orthonormal basis of {x : [g, x] = 0 for every generator g}.
 
-    One SVD of the vertically stacked commutation superoperators; the
-    identity always belongs to the result.  A generator that
+    One SVD of the vertically stacked maps i[g, .] (``numlin.map_kernels``);
+    the identity always belongs to the result.  A generator that
     ``is_hermitian`` accepts counts as its exact Hermitian part (g + g*)/2;
-    when every one does, the stack of i[g, .] is real in the Hermitian
-    frame (``numlin.real_frame``) and that real matrix is factored instead,
-    with the same singular values.  Other lists stay complex.
+    when every one does, the stack is real in the Hermitian frame and that
+    real matrix is factored instead, with the same singular values.  Other
+    lists stay complex.
     """
     mats = [as_cmatrix(g) for g in gens]
     if not mats:
@@ -55,14 +53,9 @@ def commutant(gens, rank_tol: float = DEFAULT_RANK_TOL) -> OperatorSubspace:
         if g.shape != (n, n):
             raise ShapeMismatch("generators must be square and of equal size")
     mats = [(g + g.conj().T) / 2 if is_hermitian(g) else g for g in mats]
-    stacked = np.vstack([commutation_matrix(g) for g in mats])
-    frame = real_frame(1j * stacked, n)
-    # scale floor 1: generators proportional to I commute with everything
-    if frame is None:
-        basis = nullspace(stacked, rank_tol, scale=1.0)
-    else:
-        basis = from_frame(nullspace(frame, rank_tol, scale=1.0), n)
-    return OperatorSubspace.from_vec_columns(n, basis)
+    # map_kernels' scale floor: generators proportional to I commute with everything
+    stack = 1j * np.vstack([commutation_matrix(g) for g in mats])
+    return map_kernels(stack, n, rank_tol=rank_tol)[0]
 
 
 def bicommutant(gens) -> OperatorSubspace:

@@ -21,10 +21,8 @@ from .numlin import (
     OperatorSubspace,
     as_cmatrix,
     frob,
-    from_frame,
-    kernel_tower,
     kron,
-    real_frame,
+    map_kernels,
     require_hermitian,
     subspace_distance,
     unvec,
@@ -70,25 +68,10 @@ class Superoperator:
         return self.kernel_tower(1, rank_tol)[0]
 
     def kernel_tower(self, k_max: int, rank_tol: float = DEFAULT_RANK_TOL) -> tuple:
-        """Kernels of the map's powers 1..k_max from one SVD of the map
-        (``numlin.kernel_tower``).
-
-        A *-preserving map (exactly real ``real_frame``, e.g. ad_iD) is
-        factored as a real matrix in the Hermitian frame, at about half
-        the cost and memory of the complex SVD, with the same singular
-        values and so the same rank rule; any other map stays complex.
-        """
-        n = self.ambient_dim
-        frame = real_frame(self.matrix, n)
-        # scale floor 1: a map that is pure roundoff has full kernel
-        factored = self.matrix if frame is None else frame
-        tower = kernel_tower(factored, k_max, rank_tol, scale=1.0)
-        subspaces = {}  # levels repeating ker M are one array: map it once
-        for q in tower:
-            if id(q) not in subspaces:
-                columns = q if frame is None else from_frame(q, n)
-                subspaces[id(q)] = OperatorSubspace.from_vec_columns(n, columns)
-        return tuple(subspaces[id(q)] for q in tower)
+        """Kernels of the map's powers 1..k_max from one SVD of the map,
+        in the Hermitian frame when the map is *-preserving
+        (``numlin.map_kernels``)."""
+        return map_kernels(self.matrix, self.ambient_dim, k_max, rank_tol)
 
 
 def ad_superoperator(d) -> Superoperator:

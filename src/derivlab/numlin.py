@@ -108,29 +108,34 @@ def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
     return w, u
 
 
-def nullspace(m, rank_tol: float = DEFAULT_RANK_TOL, scale: float = 0.0) -> np.ndarray:
-    """Orthonormal basis of ker M as columns of an (n, d) array.
-
-    A singular value is treated as zero when sigma <= rank_tol *
-    max(sigma_max, scale); with the default scale = 0 the threshold is
-    purely relative and the zero matrix returns the full space.  Kernel
-    computations pass scale = 1 so that matrices consisting of pure
-    roundoff (e.g. the commutator map of a near-scalar operator) collapse
-    to the full space instead of ranking their noise.  A float64 matrix
-    is factored in real arithmetic and gets a real basis.
-    """
-    if rank_tol <= 0:
-        raise ValueError("rank_tol must be positive")
-    m = _as_matrix(m)
-    # reduced SVD loses nullspace directions when the matrix is wide
-    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
-    return vh[_numerical_rank(s, rank_tol, scale):].conj().T
-
-
 def _numerical_rank(s: np.ndarray, rank_tol: float, scale: float) -> int:
     # the one rank rule: sigma counts when sigma > rank_tol * max(sigma_max, scale)
     smax = s[0] if s.size else 0.0
     return int(np.sum(s > rank_tol * max(smax, scale)))
+
+
+def _svd_split(m, rank_tol: float, scale: float) -> tuple:
+    # (U_r, S_r, V_r, V_0): M = U_r S_r V_r* on its numerical range, V_0 spans ker M
+    if rank_tol <= 0:
+        raise ValueError("rank_tol must be positive")
+    m = _as_matrix(m)
+    # reduced SVD loses nullspace directions when the matrix is wide
+    u, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
+    rank = _numerical_rank(s, rank_tol, scale)
+    return u[:, :rank], s[:rank], vh[:rank].conj().T, vh[rank:].conj().T
+
+
+def nullspace(m, rank_tol: float = DEFAULT_RANK_TOL, scale: float = 0.0) -> np.ndarray:
+    """Orthonormal basis of ker M as columns of an (n, d) array.
+
+    A singular value counts as zero when sigma <= rank_tol * max(sigma_max,
+    scale): with the default scale = 0 the zero matrix returns the full
+    space, and ``map_kernels`` passes scale = 1 so that a map of pure
+    roundoff (e.g. ad of a near-scalar operator) collapses to the full
+    space instead of ranking its noise.  A float64 matrix is factored in
+    real arithmetic and gets a real basis.
+    """
+    return _svd_split(m, rank_tol, scale)[3]
 
 
 def kernel_tower(
@@ -151,21 +156,16 @@ def kernel_tower(
 
     For a normal M the range is orthogonal to the kernel, every sine is 1
     and the tower is ker M repeated: a level that adds nothing to ker M is
-    the array of ker M itself, so callers can map repeats once.  A
-    nilpotent part makes it grow.  A float64 M gives real bases.
+    the array of ker M itself.  A nilpotent part makes it grow.  A float64
+    M gives real bases.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    if rank_tol <= 0:
-        raise ValueError("rank_tol must be positive")
-    m = _as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ShapeMismatch(f"kernel towers need a square matrix, got {m.shape}")
-    u, s, vh = np.linalg.svd(m)
-    rank = _numerical_rank(s, rank_tol, scale)
-    u_r, s_r, v_r = u[:, :rank], s[:rank], vh[:rank].conj().T
-    v_0 = vh[rank:].conj().T
-    if rank == 0 or rank == s.size:  # M = 0 or M invertible: nothing grows
+    shape = np.shape(m)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ShapeMismatch(f"kernel towers need a square matrix, got {shape}")
+    u_r, s_r, v_r, v_0 = _svd_split(m, rank_tol, scale)
+    if s_r.size == 0 or v_0.shape[1] == 0:  # M = 0 or M invertible: nothing grows
         return [v_0] * k_max
     tower = [v_0]
     for _ in range(k_max - 1):
@@ -324,6 +324,28 @@ class OperatorSubspace:
         # column j unvecs to X_j[i, l] = columns[i + n l, j]
         n = ambient_dim
         return cls(n, columns.T.reshape(-1, n, n).transpose(0, 2, 1))
+
+
+def map_kernels(m, n: int, k_max: int = 1, rank_tol: float = DEFAULT_RANK_TOL) -> tuple:
+    """ker M, ..., ker M^k_max of a map M on M_n (or, at k_max = 1, of a
+    stack of maps) as OperatorSubspaces, by ``nullspace`` or ``kernel_tower``
+    at scale 1: a map of pure roundoff has full kernel.  A *-preserving map
+    (exactly real ``real_frame``) is factored as that real matrix, at about
+    half the cost and memory, with the same singular values; any other map
+    stays complex.  Levels repeating ker M are one object, wrapped once.
+    """
+    frame = real_frame(m, n)
+    factored = m if frame is None else frame
+    if k_max == 1:
+        bases = [nullspace(factored, rank_tol, scale=1.0)]
+    else:
+        bases = kernel_tower(factored, k_max, rank_tol, scale=1.0)
+    subspaces = {}  # by id: kernel_tower repeats ker M as one array
+    for q in bases:
+        if id(q) not in subspaces:
+            columns = q if frame is None else from_frame(q, n)
+            subspaces[id(q)] = OperatorSubspace.from_vec_columns(n, columns)
+    return tuple(subspaces[id(q)] for q in bases)
 
 
 def _check_same_ambient(s1: OperatorSubspace, s2: OperatorSubspace):

@@ -138,14 +138,14 @@ class TestRun:
         # Hermitian only to roundoff; every map the suites factor is
         # *-preserving, so each must reach the real Hermitian frame
         frames = []
+        real_frame = numlin.real_frame
 
         def recorded(m, n):
-            frames.append(numlin.real_frame(m, n))
+            frames.append(real_frame(m, n))
             return frames[-1]
 
-        # the package root binds the name commutant to the function
-        for module in ("derivlab.derivation", "derivlab.commutant"):
-            monkeypatch.setattr(importlib.import_module(module), "real_frame", recorded)
+        # numlin.map_kernels is the one caller, and every kernel goes through it
+        monkeypatch.setattr(numlin, "real_frame", recorded)
         config = ExperimentConfig(
             suite="all", dims=tuple(range(2, 8)), output_path=str(tmp_path / "r.json")
         )
@@ -350,6 +350,20 @@ class TestMain:
         assert not out.exists()
         assert "DERIVLAB_MAX_DIM" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("budget, code", [("8", 2), ("9", 0), ("abc", 2)])
+    def test_gen_n_shares_the_run_dim_limit(self, budget, code, tmp_path, monkeypatch):
+        monkeypatch.setenv("DERIVLAB_MAX_DIM", budget)
+        out = tmp_path / "m.txt"
+        assert main(["gen", "--kind", "density", "--n", "9", "--out", str(out)]) == code
+        assert out.exists() is (code == 0)
+        # run dims take the same limit
+        config = ExperimentConfig(dims=(9,))
+        if code:
+            with pytest.raises(ConfigInvalid):
+                config.validate()
+        else:
+            config.validate()
+
     def test_unknown_tolerance_exits_2(self, tmp_path, capsys):
         out = tmp_path / "never.json"
         code = main(
@@ -371,7 +385,9 @@ class TestMain:
             ["run", "--dims", "3", "--tol", "rank=nan"],
             ["run", "--dims", "3", "--tol", "subspace=inf"],
             ["run", "--dims", "3", "--tol", "rank=1e-16,rank=1"],
+            ["run", "--dims", "2..10000000000000"],
             ["gen", "--kind", "hermitian", "--n", "0"],
+            ["gen", "--kind", "hermitian", "--n", "65"],
             ["gen", "--kind", "hermitian", "--n", "3", "--seed", "-1"],
             ["gen", "--kind", "hermitian_with_multiplicity", "--n", "3",
              "--multiplicities", "2,x"],
@@ -418,11 +434,16 @@ class TestMain:
         res = spectral_resolution(numlin.read_matrix_text(out))
         assert tuple(res.multiplicities) == (2, 1)
 
-    def test_gen_derivation_writes_hermitian_generator(self, tmp_path):
-        # n=70 is past the superoperator budget: only the generator is built
+    def test_gen_derivation_writes_hermitian_generator(self, tmp_path, monkeypatch):
+        # only the generator is built: the n^2 x n^2 map would need kron
+        def refuse(*args):
+            raise AssertionError("gen built a superoperator")
+
+        for module in ("numlin", "derivation", "commutant", "gns"):
+            monkeypatch.setattr(importlib.import_module(f"derivlab.{module}"), "kron", refuse)
         paths = {kind: tmp_path / f"{kind}.txt" for kind in ("derivation", "hermitian")}
         for kind, path in paths.items():
-            assert main(["gen", "--kind", kind, "--n", "70", "--seed", "4",
+            assert main(["gen", "--kind", kind, "--n", "64", "--seed", "4",
                          "--out", str(path)]) == 0
         assert paths["derivation"].read_bytes() == paths["hermitian"].read_bytes()
 

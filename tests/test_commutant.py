@@ -89,8 +89,8 @@ class TestCommutant:
 
 
 def _complex_route_commutant(gens, rank_tol=1e-10):
-    """The commutant from the complex stack, without the frame."""
-    stacked = np.vstack([commutation_matrix(g) for g in gens])
+    """The commutant from the complex stack of i[g, .], without the frame."""
+    stacked = np.vstack([1j * commutation_matrix(g) for g in gens])
     return OperatorSubspace.from_vec_columns(
         gens[0].shape[0], nullspace(stacked, rank_tol, scale=1.0)
     )

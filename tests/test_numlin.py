@@ -19,6 +19,7 @@ from derivlab.numlin import (
     hermitian_eig,
     kernel_tower,
     kron,
+    map_kernels,
     nullspace,
     real_frame,
     subspace_distance,
@@ -214,6 +215,55 @@ class TestHermitianFrame:
         a = random_matrix(n, seed=4).real
         assert real_frame(kron(np.eye(n), a), n) is None  # x -> a x
         assert real_frame(1j * kron(a, a), n) is None  # x -> i a x a^T
+
+
+def _ad(d):
+    # the matrix of x -> i(Dx - xD), written out here
+    eye = np.eye(d.shape[0])
+    return 1j * (kron(eye, d) - kron(d.T, eye))
+
+
+class TestMapKernels:
+    def test_normal_map_repeats_one_subspace(self):
+        kernels = map_kernels(_ad(np.diag([0.0, 0.0, 1.0, 3.0])), 4, k_max=4)
+        assert all(k is kernels[0] for k in kernels)
+        assert kernels[0].dim == 2**2 + 1 + 1
+        # factored in the real frame: the basis is Hermitian, bit for bit
+        assert all(np.array_equal(b, b.conj().T) for b in kernels[0].basis)
+
+    def test_jordan_map_grows(self):
+        nil = np.diag(np.ones(3), 1)
+        eye = np.eye(4)
+        m = kron(eye, nil) - kron(nil.T, eye)
+        kernels = map_kernels(m, 4, k_max=5)
+        assert [k.dim for k in kernels] == [4, 7, 10, 12, 14]
+        assert len({id(k) for k in kernels}) == 5
+        for k, kernel in enumerate(kernels, start=1):
+            # oracle: the matrix power annihilates every basis vector
+            power = np.linalg.matrix_power(m, k)
+            assert np.linalg.norm(power @ kernel.vectors().T) <= 1e-10
+
+    def test_stack_only_at_k_max_1(self):
+        # {diag(0, 1, 1)}' and {diag(0, 0, 1)}' meet in the diagonal matrices
+        stack = np.vstack([_ad(np.diag([0.0, 1.0, 1.0])), _ad(np.diag([0.0, 0.0, 1.0]))])
+        (kernel,) = map_kernels(stack, 3)
+        assert kernel.dim == 3
+        for b in kernel.basis:
+            assert frob(b - np.diag(np.diag(b))) <= 1e-12
+        with pytest.raises(ShapeMismatch):
+            map_kernels(stack, 3, k_max=2)
+
+    def test_other_maps_factor_the_complex_matrix(self):
+        a = random_matrix(3, seed=4)
+        m = kron(np.eye(3), a) - kron(a.T, np.eye(3))  # x -> [a, x]
+        assert real_frame(m, 3) is None
+        (kernel,) = map_kernels(m, 3)
+        assert np.array_equal(kernel.vectors().T, nullspace(m, scale=1.0))
+
+    def test_roundoff_map_has_full_kernel(self):
+        # the scale floor 1: singular values of 1e-14 rank as zero
+        kernels = map_kernels(1e-14 * _ad(np.diag([0.0, 1.0, 2.0])), 3, k_max=2)
+        assert [k.dim for k in kernels] == [9, 9]
 
 
 class TestKronVec:
