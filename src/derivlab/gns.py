@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .commutant import commutant
 from .derivation import (
@@ -37,6 +36,7 @@ from .errors import NotDensity, NotDerivation, NotEquilibrium, NotFaithful, Shap
 from .numlin import (
     DEFAULT_RANK_TOL,
     as_cmatrix,
+    expm,
     frob,
     hermitian_eig,
     is_hermitian,
@@ -233,11 +233,9 @@ def gns_construct(omega: State) -> GNSRepresentation:
     except np.linalg.LinAlgError as exc:
         raise NotFaithful(f"Gram matrix is not positive definite: {exc}") from exc
     factor = lower.conj().T
-    return GNSRepresentation(
-        state=omega,
-        factor=factor,
-        factor_inv=scipy.linalg.solve_triangular(factor, np.eye(omega.n), lower=False),
-    )
+    # LU of an upper-triangular matrix does not pivot, so the inverse
+    # stays exactly upper triangular
+    return GNSRepresentation(state=omega, factor=factor, factor_inv=np.linalg.inv(factor))
 
 
 def implementing_operator(
@@ -330,11 +328,11 @@ def flow_intertwining_residual(
     """Max over matrix units a of
     ||exp(iSt) pi(a) exp(-iSt) - pi(exp(t map)(a))||."""
     n, d = gns.n, gns.hilbert_dim
-    u = scipy.linalg.expm(1j * t * as_cmatrix(s))
+    u = expm(1j * t * as_cmatrix(s))
     # exp(X)^-1 = exp(-X) for every square X; one inverse is cheaper
     # than a second expm
     u_inv = np.linalg.inv(u).reshape(n, n * d)
-    flowed = _unit_blocks(scipy.linalg.expm(t * delta.map.matrix), n)
+    flowed = _unit_blocks(expm(t * delta.map.matrix), n)
     # U (I (x) E_rc) U^-1 = sum_l U[:, r + nl] U^-1[c + nl, :], so the
     # units of a chunk of rows r come from one product, held as
     # diff[p, i, r, c, q, j]

@@ -33,5 +33,10 @@ def test_stage_timings_smoke(tmp_path, capsys):
         "commutant_check.hermitian_commutant",
         "commutant_check.projection_commutant",
         "commutant_check.algebra_commutant",
+        "gns_construct",
+        "implementing_operator",
+        "implementation_check",
+        "flow_intertwining_residual",
+        "kernel_correspondence_distance",
     ]
     assert all(0 < s < 1 and math.isfinite(s) for s in seconds.values())

@@ -218,6 +218,12 @@ class TestGNSConstruction:
         with pytest.raises(NotFaithful):
             gns_construct(state_from_density(matrix_unit(2, 0, 0)))
 
+    @pytest.mark.parametrize("n", [2, 5, 12])
+    def test_factor_inverse_is_upper_triangular(self, n):
+        rep = gns_construct(equilibrium_instance(n, 17)[0])
+        assert not np.tril(rep.factor_inv, -1).any()
+        assert frob(rep.factor @ rep.factor_inv - np.eye(n)) <= 1e-12
+
 
 class TestImplementingOperator:
     def test_zero_derivation(self):

@@ -1,4 +1,5 @@
-"""Every module-level import in the package, tests, demos and tools is used.
+"""Every module-level import in the package, tests, demos and tools is used,
+and importing the package loads no scipy module.
 
 No linter ships with the lab, so this parses each file with ``ast`` and
 fails on a name that a top-level import binds and the file never reads.
@@ -8,6 +9,9 @@ test or a perfbench file.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -71,3 +75,19 @@ def test_every_root_reexport_has_a_caller():
     }
     imported = set().union(*(root_imports(p.read_text()) for p in CALLERS))
     assert sorted(exported - imported - READ_BY_ATTRIBUTE) == []
+
+
+@pytest.mark.parametrize("module", ["derivlab.cli", "derivlab"])
+def test_import_loads_no_scipy(module):
+    # scipy is a test-only oracle; at run time the lab needs numpy alone
+    probe = f"import sys, {module}; print([m for m in sys.modules if m.startswith('scipy')])"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

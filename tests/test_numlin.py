@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +17,7 @@ from derivlab.numlin import (
     OperatorSubspace,
     as_cmatrix,
     containment_residual,
+    expm,
     frob,
     from_frame,
     hermitian_eig,
@@ -182,6 +186,60 @@ class TestRealInputs:
             nullspace(np.array([[1.0, bad], [0.0, 0.0]]))
         with pytest.raises(ValueError):
             kernel_tower(np.array([[1.0, bad], [0.0, 0.0]]), 2)
+
+    def test_complex_input_is_not_copied(self):
+        a = random_matrix(4, seed=3)
+        assert np.shares_memory(a, numlin._as_matrix(a))
+        real = np.eye(3)
+        assert np.shares_memory(real, numlin._as_matrix(real))
+
+
+class TestExpm:
+    """numlin.expm against scipy.linalg.expm and closed forms."""
+
+    def test_zero_matrix_is_identity(self):
+        with np.errstate(all="raise"):  # no log2(0) on the way
+            e = expm(np.zeros((3, 3)))
+        assert frob(e - np.eye(3)) <= 1e-15
+
+    def test_one_by_one(self):
+        for z in (0.3 - 2.0j, 3.0 + 40.0j):
+            assert abs(expm([[z]])[0, 0] - np.exp(z)) <= 1e-14 * abs(np.exp(z))
+
+    def test_nilpotent_jordan_block_is_a_finite_series(self):
+        n = 6
+        for c in (1.0, 20.0):  # below and above theta_13: no squaring, then squaring
+            nil = c * np.diag(np.ones(n - 1), 1)
+            series = sum(
+                np.linalg.matrix_power(nil, k) / math.factorial(k) for k in range(n)
+            )
+            assert frob(expm(nil) - series) <= 1e-14 * frob(series)
+
+    @pytest.mark.parametrize("norm", [50.0, 400.0])
+    def test_skew_hermitian_gives_unitary(self, norm):
+        h = random_hermitian(8, seed=21)
+        h *= norm / np.linalg.norm(h, 1)  # far above theta_13: s squarings run
+        u = expm(1j * h)
+        assert frob(u.conj().T @ u - np.eye(8)) <= 1e-12
+        w, v = hermitian_eig(h)
+        oracle = (v * np.exp(1j * w)) @ v.conj().T
+        assert frob(u - oracle) <= 1e-12
+        assert frob(u - scipy.linalg.expm(1j * h)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 5, 9])
+    def test_inverse_is_exp_of_minus(self, n):
+        x = random_matrix(n, seed=n)
+        assert frob(expm(x) @ expm(-x) - np.eye(n)) <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 5.0, 30.0])
+    def test_matches_scipy(self, scale):
+        x = random_matrix(7, seed=31, scale=scale / 7)
+        oracle = scipy.linalg.expm(x)
+        assert frob(expm(x) - oracle) <= 1e-13 * frob(oracle)
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError):
+            expm([[np.nan]])
 
 
 class TestHermitianFrame:

@@ -1,4 +1,4 @@
-"""Per-stage timings of the superoperator layers at fixed dimensions.
+"""Per-stage timings of the superoperator and GNS layers at fixed dimensions.
 
 For each n it times, on the repeated-eigenvalue instance of the spectral
 suites (``cli._spectral_instances``): the ad_iD superoperator build, the
@@ -6,8 +6,12 @@ change to the Hermitian frame, the kernel tower to k = 8, one
 ``nullspace`` of the matrix the tower factors, one ``subspace_distance``,
 and the four stages of ``kernel_commutant_check`` (the kernel of ad_iD,
 ``hermitian_commutant``, ``projection_commutant``, ``algebra_commutant``).
-Each figure is the fastest of up to three runs, stopping early once a
-stage has used one second.
+At n <= ``cli._BR_GNS_MAX_DIM`` it also times the GNS stages of
+``br_gns_check`` on ``cli.equilibrium_instance(n, seed)``:
+``gns_construct``, ``implementing_operator``, ``implementation_check``,
+``flow_intertwining_residual`` at t = 1 and
+``kernel_correspondence_distance``.  Each figure is the fastest of up to
+three runs, stopping early once a stage has used one second.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/bench_stages.py \
         [--dims 4,8,12,16,24,32] [--seed 8] [--out stages.json]
@@ -26,8 +30,8 @@ import time
 
 import numpy as np
 
-from derivlab import numlin
-from derivlab.cli import _spectral_instances
+from derivlab import gns, numlin
+from derivlab.cli import _BR_GNS_MAX_DIM, _spectral_instances, equilibrium_instance
 from derivlab.commutant import (
     algebra_commutant,
     hermitian_commutant,
@@ -72,6 +76,21 @@ def stage_times(n: int, seed: int = 8) -> dict:
         "commutant_check.projection_commutant": lambda: projection_commutant(res),
         "commutant_check.algebra_commutant": lambda: algebra_commutant(proj_comm),
     }
+    if n <= _BR_GNS_MAX_DIM:
+        omega, delta = equilibrium_instance(n, seed)
+        rep = gns.gns_construct(omega)
+        s = gns.implementing_operator(rep, delta)[0]
+        stages.update({
+            "gns_construct": lambda: gns.gns_construct(omega),
+            "implementing_operator": lambda: gns.implementing_operator(rep, delta),
+            "implementation_check": lambda: gns.implementation_check(rep, delta, s),
+            "flow_intertwining_residual": lambda: gns.flow_intertwining_residual(
+                rep, delta, s, 1.0
+            ),
+            "kernel_correspondence_distance": lambda: gns.kernel_correspondence_distance(
+                rep, delta, s
+            ),
+        })
     return {name: _best_of(fn) for name, fn in stages.items()}
 
 
