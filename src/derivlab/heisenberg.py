@@ -4,14 +4,18 @@ the trace obstruction, and the rigidity of near-commuting commutators.
 Momentum is discretized by central differences rather than spectrally:
 the commutator with a diagonal position matrix then reduces to an exact
 shift-average identity, which gives the residual checks a closed-form
-scheme-level oracle.  On the line the difference matrix is built directly
-in its skew-symmetric (Dirichlet) form, so i*C is Hermitian with no
-boundary correction and the identity holds on every row.
+scheme-level oracle.  One banded stencil, ``_difference``, carries the
+scheme: on the line it pads with zeros (Dirichlet), so the difference
+matrix is skew-symmetric, i*C is Hermitian with no boundary correction
+and the identity holds on every row; on the circle it wraps cyclically.
+Residuals apply the stencil to each vector in O(n); the dense n x n
+matrices of a pair are built only when a caller reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,14 +37,14 @@ RIGIDITY_TOL = 1e-8
 class DiscretizedPair:
     """A discretized momentum/position pair (A, B) with its test vectors.
 
+    A = i*C (central differences) and B = diag(grid) are dense n x n
+    matrices built on first read; residuals never read them.
     test_domain holds unit vectors playing the role of the dense subspace
     on which [A, B] k = i k is probed; test_params records the continuum
     parameters so the same functions can be resampled on finer grids.
     """
 
     n: int
-    A: np.ndarray = field(repr=False)
-    B: np.ndarray = field(repr=False)
     grid: np.ndarray = field(repr=False)
     test_domain: list = field(repr=False)
     scheme: str
@@ -48,26 +52,33 @@ class DiscretizedPair:
     test_params: tuple = ()
     half_width: float = 0.0
 
+    def _momentum(self, v) -> np.ndarray:
+        """A v = i C v by the stencil, along axis 0 of v."""
+        return 1j * _difference(v, self.h, self.scheme == PERIODIC_INTERVAL)
 
-def _central_difference(n: int, h: float, periodic: bool) -> np.ndarray:
-    """Skew-symmetric central-difference matrix: (Cv)_j = (v_{j+1} - v_{j-1}) / 2h
-    with zero (Dirichlet) padding on the line, cyclic wrap on the circle."""
-    c = np.zeros((n, n))
-    step = 1.0 / (2.0 * h)
-    np.fill_diagonal(c[:, 1:], step)
-    np.fill_diagonal(c[1:], -step)
+    @cached_property
+    def A(self) -> np.ndarray:
+        return self._momentum(np.eye(self.n))
+
+    @cached_property
+    def B(self) -> np.ndarray:
+        return np.diag(self.grid).astype(complex)
+
+
+def _difference(v, h: float, periodic: bool) -> np.ndarray:
+    """Central differences (v_{j+1} - v_{j-1}) / 2h along axis 0, with zero
+    (Dirichlet) padding on the line and a cyclic wrap on the circle."""
     if periodic:
-        c[0, -1], c[-1, 0] = -step, step
-    return c
+        up, down = np.roll(v, -1, axis=0), np.roll(v, 1, axis=0)
+    else:
+        up, down = np.zeros_like(v), np.zeros_like(v)
+        up[:-1], down[1:] = v[1:], v[:-1]
+    return (up - down) / (2.0 * h)
 
 
 def _pair(scheme: str, grid: np.ndarray, h: float, params, profiles, half_width=0.0):
-    # position diag(grid) as B, momentum i*C as A, unit test vectors
-    n = grid.size
     return DiscretizedPair(
-        n=n,
-        A=1j * _central_difference(n, h, periodic=scheme == PERIODIC_INTERVAL),
-        B=np.diag(grid).astype(complex),
+        n=grid.size,
         grid=grid,
         test_domain=[v / np.linalg.norm(v) for v in profiles],
         scheme=scheme,
@@ -159,12 +170,15 @@ def _refine(pair: DiscretizedPair, factor: int) -> DiscretizedPair:
 
 
 def commutation_residual(pair: DiscretizedPair, v) -> float:
-    """Relative residual ||[A, B] v - i v|| / ||v||."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
+    """Relative residual ||[A, B] v - i v|| / ||v||, in O(n): A(Bv) - B(Av)
+    by the stencil, with Bv = grid * v."""
+    v = np.asarray(v, dtype=complex)
+    if v.shape != (pair.n,):
+        raise ShapeMismatch(f"need a vector of length {pair.n}, got shape {v.shape}")
     norm = np.linalg.norm(v)
     if norm == 0:
         raise ValueError("residual of the zero vector is undefined")
-    image = pair.A @ (pair.B @ v) - pair.B @ (pair.A @ v)
+    image = pair._momentum(pair.grid * v) - pair.grid * pair._momentum(v)
     return float(np.linalg.norm(image - 1j * v) / norm)
 
 

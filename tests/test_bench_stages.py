@@ -39,4 +39,12 @@ def test_stage_timings_smoke(tmp_path, capsys):
         "flow_intertwining_residual",
         "kernel_correspondence_distance",
     ]
-    assert all(0 < s < 1 and math.isfinite(s) for s in seconds.values())
+    heisenberg = result["seconds"]["heisenberg"]
+    assert list(result["seconds"]) == ["4", "heisenberg"]
+    assert list(heisenberg) == [
+        "hcr_residual.line",
+        "hcr_residual.circle",
+        "heisenberg_grid_checks",
+    ]
+    for stage in (seconds, heisenberg):
+        assert all(0 < s < 1 and math.isfinite(s) for s in stage.values())

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+from derivlab import heisenberg
+from derivlab.cli import heisenberg_grid_checks
 from derivlab.errors import GridTooCoarse, ShapeMismatch
 from derivlab.heisenberg import (
+    RIGIDITY_TOL,
     SCHRODINGER_LINE,
+    RigidityReport,
     commutation_residual,
     hcr_residual,
     periodic_pair,
@@ -11,7 +15,7 @@ from derivlab.heisenberg import (
     schrodinger_pair,
     trace_obstruction,
 )
-from derivlab.numlin import frob
+from derivlab.numlin import frob, kron, map_kernels
 
 from conftest import random_hermitian
 
@@ -142,6 +146,37 @@ class TestHcrResidual:
         with pytest.raises(ValueError):
             commutation_residual(pair, np.zeros(32))
 
+    @pytest.mark.parametrize("shape", [(31,), (1,), (32, 1), (2, 32)])
+    def test_vector_of_another_shape_rejected(self, shape):
+        # the stencil would broadcast a length-1 vector instead of failing
+        with pytest.raises(ShapeMismatch):
+            commutation_residual(periodic_pair(32), np.ones(shape))
+
+    def test_residuals_read_no_dense_matrix(self, monkeypatch):
+        def refuse(pair):
+            raise AssertionError(f"dense matrix read at n={pair.n}")
+
+        for name in ("A", "B"):
+            monkeypatch.setattr(heisenberg.DiscretizedPair, name, property(refuse))
+        for pair in (schrodinger_pair(128, 10.0), periodic_pair(128)):
+            assert hcr_residual(pair, refinements=3).grid_sizes == (128, 256, 512)
+
+    def test_one_sided_difference_fails_convergence(self, monkeypatch):
+        # negative control: a forward difference is first order, so both
+        # convergence checks must leave the [1.7, 2.3] band
+        def forward(v, h, periodic):
+            up = np.roll(v, -1, axis=0)
+            if not periodic:
+                up[-1] = 0.0
+            return (up - v) / h
+
+        monkeypatch.setattr(heisenberg, "_difference", forward)
+        checks = {c["id"]: c for c in heisenberg_grid_checks()}
+        for name in ("line", "circle"):
+            check = checks[f"heisenberg/convergence/{name}"]
+            assert not check["pass"]
+            assert abs(check["details"]["mean_order"] - 1.0) <= 0.05
+
 
 class TestTraceObstruction:
     def test_equal_matrices(self):
@@ -192,3 +227,22 @@ class TestRigidity:
         assert report.kernel_dim == 4 + 4 + 4
         assert report.passed
         assert report.max_commutant_membership_residual <= 1e-9
+
+    def test_kleinecke_shirokov_control_fails(self):
+        # negative control: for the Jordan block N (not normal) and
+        # x = diag(0, ..., n-1), [N, x] = N commutes with N yet is not zero
+        n = 4
+        nil = np.diag(np.ones(n - 1), 1)
+        eye = np.eye(n)
+        ad = 1j * (kron(eye, nil) - kron(nil.T, eye))
+        comm_n, sq_kernel = map_kernels(ad, n, k_max=2)
+        assert (comm_n.dim, sq_kernel.dim) == (4, 7)
+        x = np.diag(np.arange(n, dtype=float))
+        y = nil @ x - x @ nil
+        assert np.array_equal(y, nil)
+        assert sq_kernel.membership_residual(x) <= 1e-14
+        assert comm_n.membership_residual(y) <= 1e-14
+        relative = frob(y) / (frob(nil) * frob(x))
+        report = RigidityReport(1, sq_kernel.dim, relative, comm_n.membership_residual(y))
+        assert not report.passed
+        assert relative / RIGIDITY_TOL >= 1e3

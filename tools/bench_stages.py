@@ -10,8 +10,12 @@ At n <= ``cli._BR_GNS_MAX_DIM`` it also times the GNS stages of
 ``br_gns_check`` on ``cli.equilibrium_instance(n, seed)``:
 ``gns_construct``, ``implementing_operator``, ``implementation_check``,
 ``flow_intertwining_residual`` at t = 1 and
-``kernel_correspondence_distance``.  Each figure is the fastest of up to
-three runs, stopping early once a stage has used one second.
+``kernel_correspondence_distance``.  Once per run, under the key
+``heisenberg``, it times the stages of the heisenberg suite that do not
+depend on n: ``hcr_residual`` on the 128-point line and circle pairs
+across the suite's grids, and ``cli.heisenberg_grid_checks``.  Each figure
+is the fastest of up to three runs, stopping early once a stage has used
+one second.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/bench_stages.py \
         [--dims 4,8,12,16,24,32] [--seed 8] [--out stages.json]
@@ -30,8 +34,14 @@ import time
 
 import numpy as np
 
-from derivlab import gns, numlin
-from derivlab.cli import _BR_GNS_MAX_DIM, _spectral_instances, equilibrium_instance
+from derivlab import gns, heisenberg, numlin
+from derivlab.cli import (
+    _BR_GNS_MAX_DIM,
+    HEISENBERG_GRIDS,
+    _spectral_instances,
+    equilibrium_instance,
+    heisenberg_grid_checks,
+)
 from derivlab.commutant import (
     algebra_commutant,
     hermitian_commutant,
@@ -94,6 +104,24 @@ def stage_times(n: int, seed: int = 8) -> dict:
     return {name: _best_of(fn) for name, fn in stages.items()}
 
 
+def heisenberg_times() -> dict:
+    """Seconds per heisenberg stage; none depends on n."""
+    line = heisenberg.schrodinger_pair(HEISENBERG_GRIDS[0], 10.0)
+    circle = heisenberg.periodic_pair(HEISENBERG_GRIDS[0])
+    levels = len(HEISENBERG_GRIDS)
+    stages = {
+        "hcr_residual.line": lambda: heisenberg.hcr_residual(line, levels),
+        "hcr_residual.circle": lambda: heisenberg.hcr_residual(circle, levels),
+        "heisenberg_grid_checks": heisenberg_grid_checks,
+    }
+    return {name: _best_of(fn) for name, fn in stages.items()}
+
+
+def _print_row(label: str, seconds: dict):
+    print(f"{label}: " + ", ".join(f"{k}={v:.2e}" for k, v in seconds.items()),
+          file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--dims", default=",".join(map(str, DIMS)))
@@ -114,9 +142,9 @@ def main(argv=None) -> int:
     }
     for n in (int(x) for x in args.dims.split(",")):
         result["seconds"][str(n)] = stage_times(n, args.seed)
-        print(f"n={n}: " + ", ".join(
-            f"{k}={v:.2e}" for k, v in result["seconds"][str(n)].items()
-        ), file=sys.stderr)
+        _print_row(f"n={n}", result["seconds"][str(n)])
+    result["seconds"]["heisenberg"] = heisenberg_times()
+    _print_row("heisenberg", result["seconds"]["heisenberg"])
     payload = json.dumps(result, indent=2)
     if args.out:
         with open(args.out, "w") as fh:
