@@ -94,18 +94,6 @@ def ad_apply(d, x) -> np.ndarray:
     return 1j * (d @ x - x @ d)
 
 
-def iterated_commutator(d, x, k: int) -> np.ndarray:
-    """k-fold nested commutator of x with iD, by repeated direct
-    commutation.  For diagonal integer D the entries are exactly
-    (i (d_r - d_c))^k x_rc, with no rounding on integer data."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    out = as_cmatrix(x)
-    for _ in range(k):
-        out = ad_apply(d, out)
-    return out
-
-
 def derivation_kernel(d, k: int = 1) -> OperatorSubspace:
     """Kernel of the k-th power of ad_iD, as an HS-orthonormal subspace.
 

@@ -49,10 +49,6 @@ class NotEquilibrium(DerivlabError):
     """State does not annihilate the derivation's range."""
 
 
-class NotDerivation(DerivlabError):
-    """Linear map fails the Leibniz or adjoint-compatibility check."""
-
-
 class GridTooCoarse(DerivlabError):
     """Grid cannot resolve any of the default test vectors."""
 

@@ -40,7 +40,6 @@ from .errors import (
 
 DEFAULT_RANK_TOL = 1e-10
 HERMITIAN_RTOL = 1e-12
-_SPANNING_RANK_TOL = 1e-12
 _DEFAULT_MAX_DIM = 64
 
 
@@ -348,16 +347,6 @@ class OperatorSubspace:
         return frob(np.asarray(x, dtype=np.complex128) - self.project(x))
 
     @classmethod
-    def from_spanning(cls, ambient_dim: int, mats):
-        """Orthonormalize an arbitrary spanning family (SVD-based, so
-        linearly dependent input is fine)."""
-        rows = np.array([vec(as_cmatrix(m)) for m in mats]).reshape(len(mats), ambient_dim**2)
-        _, s, vh = np.linalg.svd(rows, full_matrices=False)
-        # the rows of vh, unconjugated, span the rows vec(m)
-        rank = _numerical_rank(s, _SPANNING_RANK_TOL, 0.0)
-        return cls.from_vec_columns(ambient_dim, vh[:rank].T)
-
-    @classmethod
     def from_vec_columns(cls, ambient_dim: int, columns: np.ndarray):
         """Wrap orthonormal vec-coordinate columns (e.g. from nullspace)."""
         # column j unvecs to X_j[i, l] = columns[i + n l, j]
@@ -433,20 +422,3 @@ def write_matrix_text(path, m):
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-def read_matrix_text(path) -> np.ndarray:
-    with open(path) as fh:
-        tokens = fh.read().split()
-    if len(tokens) < 2:
-        raise ShapeMismatch("matrix file is missing its header")
-    rows, cols = int(tokens[0]), int(tokens[1])
-    body = tokens[2:]
-    if len(body) != 2 * rows * cols:
-        raise ShapeMismatch(
-            f"expected {2 * rows * cols} numbers for a {rows}x{cols} matrix, "
-            f"found {len(body)}"
-        )
-    flat = np.array(
-        [float(body[2 * k]) + 1j * float(body[2 * k + 1]) for k in range(rows * cols)]
-    )
-    return flat.reshape(rows, cols)

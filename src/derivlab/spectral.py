@@ -22,16 +22,13 @@ class SpectralResolution:
     """Clustered eigenvalues with orthogonal spectral projections.
 
     values[i] is the cluster representative (mean of the merged
-    eigenvalues), projections[i] the rank-multiplicities[i] orthogonal
-    projection onto the clustered eigenspace, and source_norm the
-    operator norm of the resolved matrix.
+    eigenvalues) and projections[i] the rank-multiplicities[i] orthogonal
+    projection onto the clustered eigenspace.
     """
 
     values: np.ndarray
     projections: np.ndarray = field(repr=False)
     multiplicities: np.ndarray
-    source_norm: float
-    cluster_tol: float
 
     @property
     def n_clusters(self) -> int:
@@ -76,8 +73,6 @@ def spectral_resolution(d, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spectral
         values=np.asarray(values),
         projections=np.stack(projections),
         multiplicities=np.asarray(multiplicities, dtype=int),
-        source_norm=op_norm,
-        cluster_tol=cluster_tol,
     )
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from derivlab.cli import generate
+from derivlab.errors import ShapeMismatch
 from derivlab.numlin import OperatorSubspace, hermitian_eig
 
 
@@ -24,6 +25,60 @@ def matrix_unit(n, r, c):
     return e
 
 
+def iterated_commutator(d, x, k):
+    """k-fold nested commutator of x with iD, by repeated direct
+    commutation i(Dx - xD).  For diagonal integer D the entries are
+    exactly (i (d_r - d_c))^k x_rc, with no rounding on integer data."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    d = np.asarray(d, dtype=complex)
+    out = np.asarray(x, dtype=complex)
+    for _ in range(k):
+        out = 1j * (d @ out - out @ d)
+    return out
+
+
+def expectation(omega, a):
+    """omega(a) = tr(rho a)."""
+    return complex(np.trace(omega.rho @ np.asarray(a, dtype=complex)))
+
+
+def embed(rep, a):
+    """GNS coordinates of the class of a, R vec(a) = vec(a (L*)^T) for the
+    stored factor L* of the representation, column-stacked."""
+    return (np.asarray(a, dtype=complex) @ rep.factor.T).reshape(-1, order="F")
+
+
+def from_spanning(ambient_dim, mats):
+    """HS-orthonormal basis of the span of a family of n x n matrices, by
+    an SVD of their vecs, so linearly dependent input is fine: a singular
+    value counts when it exceeds 1e-12 times the largest."""
+    n = ambient_dim
+    rows = np.array([np.asarray(m, dtype=complex).reshape(-1, order="F") for m in mats])
+    _, s, vh = np.linalg.svd(rows.reshape(len(mats), n * n), full_matrices=False)
+    rank = int(np.sum(s > 1e-12 * s[0])) if s.size else 0
+    # the rows of vh, unconjugated, span the rows vec(m); row v unvecs to
+    # X[i, j] = v[i + n j]
+    return OperatorSubspace(n, vh[:rank].reshape(-1, n, n).transpose(0, 2, 1))
+
+
+def read_matrix_text(path):
+    """Parse the text format of ``numlin.write_matrix_text``: an "n m"
+    header, then n*m lines "re im" in row-major order."""
+    with open(path) as fh:
+        tokens = fh.read().split()
+    if len(tokens) < 2:
+        raise ShapeMismatch("matrix file is missing its header")
+    rows, cols = int(tokens[0]), int(tokens[1])
+    values = np.array(tokens[2:], dtype=float)
+    if values.size != 2 * rows * cols:
+        raise ShapeMismatch(
+            f"expected {2 * rows * cols} numbers for a {rows}x{cols} matrix, "
+            f"found {values.size}"
+        )
+    return (values[0::2] + 1j * values[1::2]).reshape(rows, cols)
+
+
 def eigenbasis_kernel_oracle(d, k_unused=None, cluster_tol=1e-8):
     """Independent construction of ker ad_iD: in an eigenbasis of D the
     commutator scales the unit E_rc by (lambda_r - lambda_c), so the
@@ -41,7 +96,7 @@ def eigenbasis_kernel_oracle(d, k_unused=None, cluster_tol=1e-8):
         for c in range(n):
             if ids[r] == ids[c]:
                 mats.append(np.outer(u[:, r], u[:, c].conj()))
-    return OperatorSubspace.from_spanning(n, mats)
+    return from_spanning(n, mats)
 
 
 @pytest.fixture

@@ -23,17 +23,13 @@ from derivlab.cli import (
     kernel_stab_check,
     obstruction_check,
 )
-from derivlab.derivation import (
-    difference_quotient_check,
-    iterated_commutator,
-    pairing_derivative_check,
-)
+from derivlab.derivation import difference_quotient_check, pairing_derivative_check
 from derivlab.gns import flow_intertwining_residual, gns_construct, implementing_operator
 from derivlab.heisenberg import periodic_pair, rigidity_check, schrodinger_pair
 from derivlab.numlin import frob
 from derivlab.spectral import projection_commutation_check, spectral_resolution
 
-from conftest import random_hermitian, random_matrix
+from conftest import iterated_commutator, random_hermitian, random_matrix
 
 
 def _report(name, passed, detail):

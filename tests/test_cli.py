@@ -19,6 +19,8 @@ from derivlab.gns import state_from_density
 from derivlab.numlin import frob, is_hermitian
 from derivlab.spectral import spectral_resolution
 
+from conftest import read_matrix_text
+
 
 class TestGenerate:
     def test_determinism(self):
@@ -421,7 +423,7 @@ class TestMain:
         code = main(["gen", "--kind", "hermitian", "--n", "6", "--seed", "3",
                      "--out", str(out)])
         assert code == 0
-        m = numlin.read_matrix_text(out)
+        m = read_matrix_text(out)
         assert m.shape == (6, 6)
         assert is_hermitian(m)
         assert np.array_equal(m, generate("hermitian", 6, 3))
@@ -431,7 +433,7 @@ class TestMain:
         code = main(["gen", "--kind", "hermitian_with_multiplicity", "--n", "3",
                      "--seed", "2", "--multiplicities", "2,1", "--out", str(out)])
         assert code == 0
-        res = spectral_resolution(numlin.read_matrix_text(out))
+        res = spectral_resolution(read_matrix_text(out))
         assert tuple(res.multiplicities) == (2, 1)
 
     def test_gen_derivation_writes_hermitian_generator(self, tmp_path, monkeypatch):

@@ -29,6 +29,7 @@ from derivlab.spectral import spectral_resolution
 
 from conftest import (
     eigenbasis_kernel_oracle,
+    from_spanning,
     matrix_unit,
     random_hermitian,
     random_matrix,
@@ -144,7 +145,7 @@ class TestBicommutant:
         res = spectral_resolution(np.diag([0.0, 1.0, 2.0]))
         space = bicommutant(list(res.projections))
         # oracle: the span of the three projections is already an algebra
-        oracle = OperatorSubspace.from_spanning(3, list(res.projections))
+        oracle = from_spanning(3, list(res.projections))
         assert space.dim == 3
         assert subspace_distance(space, oracle) <= 1e-8
 
@@ -175,14 +176,14 @@ class TestSpectralVnAlgebra:
     def test_distinct_diagonal(self):
         res = spectral_resolution(np.diag([0.0, 1.0, 2.0]))
         space = spectral_vn_algebra(res)
-        oracle = OperatorSubspace.from_spanning(3, list(res.projections))
+        oracle = from_spanning(3, list(res.projections))
         assert space.dim == 3
         assert subspace_distance(space, oracle) <= 1e-8
 
     def test_with_multiplicity(self):
         res = spectral_resolution(np.diag([1.0, 1.0, 2.0]))
         space = spectral_vn_algebra(res)
-        oracle = OperatorSubspace.from_spanning(3, list(res.projections))
+        oracle = from_spanning(3, list(res.projections))
         assert space.dim == 2
         assert subspace_distance(space, oracle) <= 1e-8
 

@@ -10,7 +10,6 @@ from derivlab.derivation import (
     derivation_kernel,
     difference_quotient_check,
     flow,
-    iterated_commutator,
     kernel_stabilization_report,
     pairing_derivative_check,
     superoperator_stabilization_report,
@@ -32,6 +31,7 @@ from derivlab.spectral import spectral_resolution
 
 from conftest import (
     eigenbasis_kernel_oracle,
+    iterated_commutator,
     matrix_unit,
     random_hermitian,
     random_matrix,

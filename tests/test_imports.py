@@ -1,11 +1,14 @@
 """Every module-level import in the package, tests, demos and tools is used,
-and importing the package loads no scipy module.
+every public def of the package has a caller outside the tests, and
+importing the package loads no scipy module.
 
 No linter ships with the lab, so this parses each file with ``ast`` and
 fails on a name that a top-level import binds and the file never reads.
 ``__init__.py`` files are exempt: their imports are re-exports, and each
 re-export must instead be imported from the package root by a demo, a
-test or a perfbench file.
+test or a perfbench file.  A public function, class or method of the
+package that ``src/``, ``demos/`` and ``tools/`` never read by name is
+dead code or a test helper, and belongs in ``tests/`` if anywhere.
 """
 
 import ast
@@ -29,6 +32,14 @@ CALLERS = sorted(
 # perfbench's wrapper test reads derivlab.kron through a loop over
 # namespaces, which no import statement shows
 READ_BY_ATTRIBUTE = {"kron"}
+READERS = sorted(
+    p for d in ("src/derivlab", "demos", "tools") for p in (ROOT / d).glob("*.py")
+)
+# public defs that nothing outside the tests reads yet, each with its reason
+UNREAD_ALLOWED = {
+    "derivation.difference_quotient_check": "the flow suite of ROADMAP item 7 is to run it",
+    "derivation.pairing_derivative_check": "the flow suite of ROADMAP item 7 is to run it",
+}
 
 
 def unused_imports(source: str) -> list:
@@ -75,6 +86,78 @@ def test_every_root_reexport_has_a_caller():
     }
     imported = set().union(*(root_imports(p.read_text()) for p in CALLERS))
     assert sorted(exported - imported - READ_BY_ATTRIBUTE) == []
+
+
+def public_defs(module: str, source: str) -> dict:
+    """Qualified name -> bare name of each public top-level function and
+    class of a module and of each public method of those classes."""
+    defs = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            defs[f"{module}.{node.name}"] = node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    defs[f"{module}.{node.name}.{item.name}"] = item.name
+    return defs
+
+
+def names_read(source: str) -> set:
+    """Every name a file loads, bare or as an attribute."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return read
+
+
+def unread_defs(modules: dict, readers: list) -> list:
+    """Qualified names of the public defs in ``modules`` (name -> source)
+    whose bare name no source in ``readers`` reads.  Imports do not count
+    as reads, so a re-export alone keeps nothing alive."""
+    read = set().union(*map(names_read, readers))
+    defs = {}
+    for module, source in modules.items():
+        defs.update(public_defs(module, source))
+    return sorted(q for q, name in defs.items() if name not in read)
+
+
+def traced_targets() -> set:
+    """The ``module.qualname`` entries of perfbench's ``TARGETS``, read
+    from the file: the benchmark traces each by name, so a target that
+    nothing else reads still has to resolve."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    (targets,) = (
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)
+    )
+    return {f"{entry.elts[0].value}.{entry.elts[1].value}" for entry in targets.elts}
+
+
+def test_finds_an_unread_def():
+    module = (
+        "def used(): pass\n"
+        "def unused(): pass\n"
+        "def _private(): pass\n"
+        "class Kept:\n"
+        "    def method(self): pass\n"
+        "    def _helper(self): pass\n"
+    )
+    reader = "from m import unused\nused()\nKept().method()\n"
+    assert unread_defs({"m": module}, [reader]) == ["m.unused"]
+    assert unread_defs({"m": module}, ["used()\nKept\n"]) == ["m.Kept.method", "m.unused"]
+
+
+def test_every_public_def_has_a_caller_outside_the_tests():
+    modules = {p.stem: p.read_text() for p in (ROOT / "src" / "derivlab").glob("*.py")}
+    unread = unread_defs(modules, [p.read_text() for p in READERS])
+    assert sorted(set(unread) - traced_targets() - set(UNREAD_ALLOWED)) == []
+    # an allowance outlives its reason once the def gains a caller
+    assert sorted(set(UNREAD_ALLOWED) - set(unread)) == []
 
 
 @pytest.mark.parametrize("module", ["derivlab.cli", "derivlab"])

@@ -31,7 +31,13 @@ from derivlab.numlin import (
     vec,
 )
 
-from conftest import matrix_unit, random_hermitian, random_matrix
+from conftest import (
+    from_spanning,
+    matrix_unit,
+    random_hermitian,
+    random_matrix,
+    read_matrix_text,
+)
 
 
 class TestHermitianEig:
@@ -382,11 +388,11 @@ class TestOperatorSubspace:
             OperatorSubspace(2, bad)
 
     def test_from_spanning_dedupes(self):
-        s = OperatorSubspace.from_spanning(2, [np.eye(2), 2.0 * np.eye(2)])
+        s = from_spanning(2, [np.eye(2), 2.0 * np.eye(2)])
         assert s.dim == 1
 
     def test_projection(self):
-        s = OperatorSubspace.from_spanning(2, [matrix_unit(2, 0, 0)])
+        s = from_spanning(2, [matrix_unit(2, 0, 0)])
         x = np.array([[3.0, 1.0], [0.0, 2.0]])
         assert np.allclose(s.project(x), [[3.0, 0.0], [0.0, 0.0]])
         assert s.membership_residual(matrix_unit(2, 0, 0)) <= 1e-12
@@ -394,25 +400,25 @@ class TestOperatorSubspace:
 
 class TestSubspaceDistance:
     def test_self_distance(self):
-        s = OperatorSubspace.from_spanning(
+        s = from_spanning(
             3, [random_matrix(3, seed=i) for i in range(4)]
         )
         assert subspace_distance(s, s) <= 1e-12
 
     def test_orthogonal_lines(self):
-        s1 = OperatorSubspace.from_spanning(2, [matrix_unit(2, 0, 0)])
-        s2 = OperatorSubspace.from_spanning(2, [matrix_unit(2, 0, 1)])
+        s1 = from_spanning(2, [matrix_unit(2, 0, 0)])
+        s2 = from_spanning(2, [matrix_unit(2, 0, 1)])
         assert abs(subspace_distance(s1, s2) - np.sqrt(2)) <= 1e-12
 
     def test_reorthonormalized_copy(self):
         mats = [random_matrix(3, seed=i + 20) for i in range(3)]
-        s1 = OperatorSubspace.from_spanning(3, mats)
+        s1 = from_spanning(3, mats)
         rng = np.random.default_rng(0)
         mixing = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         mixed = [
             sum(mixing[i, j] * mats[j] for j in range(3)) for i in range(3)
         ]
-        s2 = OperatorSubspace.from_spanning(3, mixed)
+        s2 = from_spanning(3, mixed)
         assert subspace_distance(s1, s2) <= 1e-10
 
     @settings(max_examples=20, deadline=None)
@@ -425,7 +431,7 @@ class TestSubspaceDistance:
                 rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
                 for _ in range(2)
             ]
-            spaces.append(OperatorSubspace.from_spanning(2, mats))
+            spaces.append(from_spanning(2, mats))
         d01 = subspace_distance(spaces[0], spaces[1])
         d10 = subspace_distance(spaces[1], spaces[0])
         d02 = subspace_distance(spaces[0], spaces[2])
@@ -434,16 +440,16 @@ class TestSubspaceDistance:
         assert d02 <= d01 + d12 + 1e-10
 
     def test_containment(self):
-        big = OperatorSubspace.from_spanning(
+        big = from_spanning(
             2, [matrix_unit(2, 0, 0), matrix_unit(2, 0, 1)]
         )
-        small = OperatorSubspace.from_spanning(2, [matrix_unit(2, 0, 0)])
+        small = from_spanning(2, [matrix_unit(2, 0, 0)])
         assert containment_residual(small, big) <= 1e-12
         assert containment_residual(big, small) >= 0.5
 
     def test_empty_subspace(self):
         empty = OperatorSubspace(2, np.zeros((0, 2, 2)))
-        scalars = OperatorSubspace.from_spanning(2, [np.eye(2)])
+        scalars = from_spanning(2, [np.eye(2)])
         assert abs(subspace_distance(empty, scalars) - 1.0) <= 1e-15
         assert abs(subspace_distance(scalars, empty) - 1.0) <= 1e-15
         assert subspace_distance(empty, empty) == 0.0
@@ -454,8 +460,8 @@ class TestSubspaceDistance:
         assert abs(empty.membership_residual(x) - frob(x)) <= 1e-15
 
     def test_ambient_mismatch(self):
-        s2 = OperatorSubspace.from_spanning(2, [np.eye(2)])
-        s3 = OperatorSubspace.from_spanning(3, [np.eye(3)])
+        s2 = from_spanning(2, [np.eye(2)])
+        s3 = from_spanning(3, [np.eye(3)])
         with pytest.raises(AmbientMismatch):
             subspace_distance(s2, s3)
 
@@ -465,13 +471,13 @@ class TestSerialization:
         m = random_matrix(4, seed=33)
         path = tmp_path / "m.txt"
         numlin.write_matrix_text(path, m)
-        assert np.array_equal(numlin.read_matrix_text(path), m)
+        assert np.array_equal(read_matrix_text(path), m)
 
     def test_text_header_check(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("2 2\n1 0\n")
         with pytest.raises(ShapeMismatch):
-            numlin.read_matrix_text(path)
+            read_matrix_text(path)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):

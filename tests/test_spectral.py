@@ -4,6 +4,7 @@ import pytest
 from derivlab.errors import AmbiguousClustering, MissingValue
 from derivlab.numlin import frob
 from derivlab.spectral import (
+    DEFAULT_CLUSTER_TOL,
     borel_calculus,
     indicator_values,
     projection_commutation_check,
@@ -54,8 +55,8 @@ class TestSpectralResolution:
         for i, p in enumerate(res.projections):
             for q in res.projections[i + 1 :]:
                 assert frob(p @ q) <= 1e-10
-        scale = max(res.cluster_tol * res.n_clusters, 1e-9)
-        assert frob(d - res.reconstruct()) <= scale * max(1.0, res.source_norm)
+        scale = max(DEFAULT_CLUSTER_TOL * res.n_clusters, 1e-9)
+        assert frob(d - res.reconstruct()) <= scale * max(1.0, np.linalg.norm(d, 2))
         assert int(np.sum(res.multiplicities)) == n
 
 
