@@ -58,11 +58,11 @@ DEFAULT_TOLERANCES = {
 HEISENBERG_GRIDS = (128, 256, 512)
 # the largest n of br_gns; larger dims stay in the other suites and are
 # listed in meta.skipped.  Time, not memory, sets it.  Its GNS checks work
-# in chunks under gns._CHUNK_BYTES (one instance peaks at 74 MB RSS at
-# n=12, 92 MB at n=16), but the flow check's products grow as n^7: one
-# instance takes 0.1 s at n=12, 0.5 s at n=16, 2.2 s at n=20 and 7.4 s
-# at n=24 on one BLAS thread.  Raising it would also add the ids
-# br_gns/n=13..16 to a --dims 2..16 report.
+# in chunks under gns._CHUNK_BYTES (one instance peaks at 44 MB RSS at
+# n=12, 55 MB at n=16, 79 MB at n=20 and 121 MB at n=24), but the flow
+# check's products grow as n^7: one instance takes 0.09 s at n=12, 0.4 s
+# at n=16, 1.3 s at n=20 and 4.1 s at n=24 on one BLAS thread.  Raising
+# it would also add the ids br_gns/n=13..16 to a --dims 2..16 report.
 _BR_GNS_MAX_DIM = 12
 
 

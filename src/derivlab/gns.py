@@ -14,10 +14,13 @@ The GNS Gram matrix rho^T (x) I has Cholesky factor R = L* (x) I with
 L = chol(rho^T), so pi(a) = I (x) a in GNS coordinates; the checks use
 that closed form and the n x n factor L*, never an n^2 x n^2 factor.
 The implementation and flow checks visit the n^2 matrix units in chunks
-of rows r, each within a fixed byte budget (_CHUNK_BYTES), and keep a
-running max; the implementation residual is assembled from its three
-structural terms, O(n^5) entries in all, and the flow residual from one
-product per chunk.
+whose arrays fit half of one fixed byte budget (_CHUNK_BYTES).  A chunk
+groups whole rows r of units while one row fits; where one row of the
+flow check's product does not, its chunks are single rows cut along
+the output block index p, and the squared norms of a row's chunks are
+summed per unit before the max.  The implementation residual is
+assembled from its three structural terms, O(n^5) entries in all, and
+the flow residual from one product per chunk.
 """
 
 from __future__ import annotations
@@ -49,9 +52,11 @@ from .numlin import (
 
 FAITHFULNESS_TOL = 1e-10
 EQUILIBRIUM_TOL = 1e-9
-# byte budget of the implementation and flow checks, which gather the
-# matrix units in chunks of rows r and keep a running max
-_CHUNK_BYTES = 16 * 2**20
+# byte budget of the implementation and flow checks: the arrays of one
+# chunk of matrix units fill at most half of it, 1 MiB, so that a chunk
+# can stay in a 2 MiB per-core L2 cache; the other half is left for the
+# d x d operators
+_CHUNK_BYTES = 2 * 2**20
 
 
 @dataclass(frozen=True)
@@ -230,13 +235,22 @@ def _unit_blocks(matrix, n: int) -> np.ndarray:
     return matrix.reshape(n, n, n, n).transpose(3, 2, 1, 0)
 
 
-def _unit_chunks(n: int, row_bytes: int) -> list:
-    """Slices of the row index r of the matrix units E_rc, so that the
-    arrays of one chunk, row_bytes per row r, fill at most half of
-    _CHUNK_BYTES; the other half is left for the d x d operators the
-    checks hold besides."""
-    rows = max(1, _CHUNK_BYTES // (2 * row_bytes))
-    return [slice(r, min(r + rows, n)) for r in range(0, n, rows)]
+def _unit_chunks(n: int, block_bytes: int, blocks: int = 1) -> list:
+    """Chunks (rows, part) of the matrix units E_rc whose row r holds
+    ``blocks`` blocks of block_bytes each: slices of r and of the block
+    index.  Whole rows are grouped while they fill at most half of
+    _CHUNK_BYTES; a row over that is cut into runs of blocks that do,
+    down to one block."""
+    half = _CHUNK_BYTES // 2
+    rows = half // (blocks * block_bytes)
+    if rows:
+        return [(slice(r, min(r + rows, n)), slice(0, blocks)) for r in range(0, n, rows)]
+    run = max(1, half // block_bytes)
+    return [
+        (slice(r, r + 1), slice(b, min(b + run, blocks)))
+        for r in range(n)
+        for b in range(0, blocks, run)
+    ]
 
 
 def implementation_check(gns: GNSRepresentation, delta: Derivation, s) -> float:
@@ -273,7 +287,7 @@ def implementation_check(gns: GNSRepresentation, delta: Derivation, s) -> float:
         return mass.max()
 
     # a running max over chunks, each freed before the next is built
-    return float(np.sqrt(max(map(chunk_mass, _unit_chunks(n, 16 * n**4)))))
+    return float(np.sqrt(max(chunk_mass(rows) for rows, _ in _unit_chunks(n, 16 * n**4))))
 
 
 def flow_intertwining_residual(
@@ -288,18 +302,22 @@ def flow_intertwining_residual(
     u_inv = np.linalg.inv(u).reshape(n, n * d)
     flowed = _unit_blocks(expm(t * delta.map.matrix), n)
     # U (I (x) E_rc) U^-1 = sum_l U[:, r + nl] U^-1[c + nl, :], so the
-    # units of a chunk of rows r come from one product, held as
-    # diff[p, i, r, c, q, j]
-    columns = u.reshape(d, n, n)
-
-    def chunk_mass(rows):
-        k = rows.stop - rows.start
-        diff = columns[:, :, rows].swapaxes(1, 2).reshape(d * k, n) @ u_inv
-        diff = diff.reshape(n, n, k, n, n, n)
-        np.einsum("pircpj->pircj", diff)[...] -= flowed[rows].transpose(2, 0, 1, 3)
-        return _mass(diff, "pircqj->rc").max()
-
-    return float(np.sqrt(max(map(chunk_mass, _unit_chunks(n, 16 * n**5)))))
+    # units of a chunk come from one product, held as
+    # diff[p, i, r, c, q, j]; a chunk covers the blocks p of its slice
+    # and every q, and pi(alpha_t(E_rc)) sits on its blocks p = q
+    columns = u.reshape(n, n, n, n)
+    mass = np.zeros((n, n))
+    for rows, part in _unit_chunks(n, 16 * n**4, n):
+        lead = columns[part, :, :, rows].swapaxes(2, 3)
+        diff = (lead.reshape(-1, n) @ u_inv).reshape(lead.shape[:3] + (n, n, n))
+        np.einsum("pircpj->pircj", diff[:, :, :, :, part])[...] -= (
+            flowed[rows].transpose(2, 0, 1, 3)
+        )
+        # summed over (p, i) in turn, the order of one einsum over whole
+        # rows, so that cutting a row along p moves no bit of the result
+        partial = _mass(diff, "pircqj->pirc").reshape((-1,) + mass[rows].shape)
+        mass[rows] = np.add.reduce(np.concatenate([mass[rows][None], partial]))
+    return float(np.sqrt(mass.max()))
 
 
 def kernel_correspondence_distance(

@@ -1,7 +1,10 @@
 import importlib.util
 import json
 import math
+import tracemalloc
 from pathlib import Path
+
+import numpy as np
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_stages.py"
 
@@ -45,6 +48,24 @@ def test_stage_timings_smoke(tmp_path, capsys):
     ]
     for stage in (seconds, heisenberg):
         assert all(0 < s < 1 and math.isfinite(s) for s in stage.values())
+    # one traced call per stage, under the same keys as the timings
+    peaks = result["peak_mib"]
+    assert list(peaks) == ["4", "heisenberg"]
+    for key, stage in peaks.items():
+        assert list(stage) == list(result["seconds"][key])
+        assert all(0 < p < 64 and math.isfinite(p) for p in stage.values())
+
+
+def test_peak_mib_traces_one_call():
+    tool = _load()
+    calls = []
+
+    def allocate():
+        calls.append(np.ones(2**18))  # 2 MiB, kept alive past the call
+
+    assert 2 <= tool._peak_mib(allocate) < 2.5
+    assert len(calls) == 1
+    assert not tracemalloc.is_tracing()
 
 
 def test_best_of_stops_at_the_budget():

@@ -473,10 +473,12 @@ def operators_under_test(s, n):
 class TestChunkedChecks:
     @pytest.mark.parametrize("n", [7, 9, 12])
     def test_match_n6_oracle(self, n):
-        if n >= 9:
-            # one row r of the flow's product holds n^5 complex entries;
-            # from n = 9 on, the budget splits the units into chunks
-            assert len(gns._unit_chunks(n, 16 * n**5)) > 1
+        # one row r of the flow's product holds n blocks p of n^4 complex
+        # entries; from n = 7 on, the budget splits the units into chunks,
+        # and from n = 10 on it also cuts each row along p
+        chunks = gns._unit_chunks(n, 16 * n**4, n)
+        assert len(chunks) > 1
+        assert (chunks[0][1] != slice(0, n)) == (n >= 10)
         omega, delta = equilibrium_instance(n, 110 + n)
         rep = gns_construct(omega)
         s, _ = implementing_operator(rep, delta)
@@ -501,10 +503,12 @@ class TestChunkedChecks:
                 ) <= 1e-12, (name, t)
 
     def test_one_row_chunks_match_n6_oracle(self, monkeypatch):
-        # a one-byte budget makes every row r of units its own chunk
+        # a one-byte budget makes every row r of units its own chunk, and
+        # every block p of a row of the flow's product
         monkeypatch.setattr(gns, "_CHUNK_BYTES", 1)
         n = 5
         assert len(gns._unit_chunks(n, 16 * n**4)) == n
+        assert len(gns._unit_chunks(n, 16 * n**4, n)) == n * n
         omega, delta = equilibrium_instance(n, 120)
         rep = gns_construct(omega)
         s, _ = implementing_operator(rep, delta)
@@ -518,8 +522,59 @@ class TestChunkedChecks:
                 - n6_flow_intertwining_residual(n, delta, op, 0.5)
             ) <= 1e-12, name
 
+    def test_split_rows_match_n6_oracle(self, monkeypatch):
+        # half the budget holds two blocks p of a row of the flow's
+        # product, 16 n^4 bytes each, but not the row of n = 5 blocks
+        n = 5
+        monkeypatch.setattr(gns, "_CHUNK_BYTES", 4 * 16 * n**4)
+        chunks = gns._unit_chunks(n, 16 * n**4, n)
+        assert [part for rows, part in chunks if rows == slice(0, 1)] == [
+            slice(0, 2), slice(2, 4), slice(4, 5)
+        ]
+        omega, delta = equilibrium_instance(n, 125)
+        rep = gns_construct(omega)
+        s, _ = implementing_operator(rep, delta)
+        for name, op in operators_under_test(s, n).items():
+            for t in (-1.0, 0.5, 1.0):
+                assert abs(
+                    flow_intertwining_residual(rep, delta, op, t)
+                    - n6_flow_intertwining_residual(n, delta, op, t)
+                ) <= 1e-12, (name, t)
+
+    @pytest.mark.parametrize("n, budget", [(5, 4 * 16 * 5**4), (12, None)])
+    def test_chunk_arrays_fit_half_the_budget(self, monkeypatch, n, budget):
+        # the largest array of each chunk is the one _mass sums
+        if budget is not None:
+            monkeypatch.setattr(gns, "_CHUNK_BYTES", budget)
+        sizes = []
+        mass = gns._mass
+
+        def recorded(x, spec):
+            sizes.append(x.nbytes)
+            return mass(x, spec)
+
+        monkeypatch.setattr(gns, "_mass", recorded)
+        omega, delta = equilibrium_instance(n, 135)
+        rep = gns_construct(omega)
+        s, _ = implementing_operator(rep, delta)
+        implementation_check(rep, delta, s)
+        flow_intertwining_residual(rep, delta, s, 1.0)
+        assert sizes and max(sizes) <= gns._CHUNK_BYTES // 2
+
+    def test_chunks_fit_half_the_budget_while_one_block_does(self):
+        # one (r, p) block of 16 n^4 bytes fits half of 2 MiB up to n = 16
+        for n in range(2, 17):
+            for blocks in (1, n):
+                covered = set()
+                for rows, part in gns._unit_chunks(n, 16 * n**4, blocks):
+                    size = (rows.stop - rows.start) * (part.stop - part.start) * 16 * n**4
+                    assert size <= gns._CHUNK_BYTES // 2, (n, blocks)
+                    covered |= {(r, b) for r in range(n)[rows] for b in range(blocks)[part]}
+                assert len(covered) == n * blocks, (n, blocks)
+
     def test_footprint_at_n12(self):
-        # the n^6 arrays of the unchunked checks took about 50 MiB here
+        # the n^6 arrays of the unchunked checks took about 50 MiB here,
+        # and rows of whole units under a 16 MiB budget 9.4 MiB
         n = 12
         omega, delta = equilibrium_instance(n, 130)
         rep = gns_construct(omega)
@@ -534,7 +589,7 @@ class TestChunkedChecks:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 16 * 2**20
+            assert peak < 6 * 2**20
 
 
 class TestNegativeControls:

@@ -358,6 +358,15 @@ class TestKronVec:
         rhs = kron(b.T, a) @ vec(x)
         assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(1.0, np.linalg.norm(lhs))
 
+    def test_matches_np_kron(self):
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+        b = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
+        for x, y in ((a, b), (b, a), (a.real, b.real), (a, b.real)):
+            product = kron(x, y)
+            assert product.dtype == np.complex128
+            assert np.array_equal(product, np.kron(x, y))
+
     def test_budget(self, monkeypatch):
         monkeypatch.setenv("DERIVLAB_MAX_DIM", "2")
         with pytest.raises(DimensionOverflow):

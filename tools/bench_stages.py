@@ -15,7 +15,9 @@ At n <= ``cli._BR_GNS_MAX_DIM`` it also times the GNS stages of
 depend on n: ``hcr_residual`` on the 128-point line and circle pairs
 across the suite's grids, and ``cli.heisenberg_grid_checks``.  Each figure
 is the fastest of up to three runs, stopping early once a stage has used
-one second.
+one second.  Beside ``seconds``, ``peak_mib`` holds for each stage the
+tracemalloc peak of one further call, made apart from the timed ones so
+that tracing does not slow them.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/bench_stages.py \
         [--dims 4,8,12,16,24,32] [--seed 8] [--out stages.json]
@@ -31,6 +33,7 @@ import os
 import platform
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -66,8 +69,18 @@ def _best_of(fn, repeats: int = 3, budget_s: float = 1.0) -> float:
     return best
 
 
-def stage_times(n: int, seed: int = 8) -> dict:
-    """Seconds per stage at dimension n."""
+def _peak_mib(fn) -> float:
+    """Traced peak allocation of one call of fn, in MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def stages(n: int, seed: int = 8) -> dict:
+    """The stages at dimension n, as callables by name."""
     d = _spectral_instances(n, seed)[1][1]
     sop = ad_superoperator(d)
     frame = numlin.real_frame(sop.matrix, n)
@@ -75,7 +88,7 @@ def stage_times(n: int, seed: int = 8) -> dict:
     comm = hermitian_commutant(d)
     res = spectral_resolution(d)
     proj_comm = projection_commutant(res)
-    stages = {
+    table = {
         "superoperator_build": lambda: ad_superoperator(d),
         "frame_change": lambda: numlin.real_frame(sop.matrix, n),
         "kernel_tower": lambda: sop.kernel_tower(K_MAX),
@@ -90,7 +103,7 @@ def stage_times(n: int, seed: int = 8) -> dict:
         omega, delta = equilibrium_instance(n, seed)
         rep = gns.gns_construct(omega)
         s = gns.implementing_operator(rep, delta)[0]
-        stages.update({
+        table.update({
             "gns_construct": lambda: gns.gns_construct(omega),
             "implementing_operator": lambda: gns.implementing_operator(rep, delta),
             "implementation_check": lambda: gns.implementation_check(rep, delta, s),
@@ -101,20 +114,19 @@ def stage_times(n: int, seed: int = 8) -> dict:
                 rep, delta, s
             ),
         })
-    return {name: _best_of(fn) for name, fn in stages.items()}
+    return table
 
 
-def heisenberg_times() -> dict:
-    """Seconds per heisenberg stage; none depends on n."""
+def heisenberg_stages() -> dict:
+    """The heisenberg stages, as callables by name; none depends on n."""
     line = heisenberg.schrodinger_pair(HEISENBERG_GRIDS[0], 10.0)
     circle = heisenberg.periodic_pair(HEISENBERG_GRIDS[0])
     levels = len(HEISENBERG_GRIDS)
-    stages = {
+    return {
         "hcr_residual.line": lambda: heisenberg.hcr_residual(line, levels),
         "hcr_residual.circle": lambda: heisenberg.hcr_residual(circle, levels),
         "heisenberg_grid_checks": heisenberg_grid_checks,
     }
-    return {name: _best_of(fn) for name, fn in stages.items()}
 
 
 def _print_row(label: str, seconds: dict):
@@ -139,12 +151,19 @@ def main(argv=None) -> int:
         },
         "seed": args.seed,
         "seconds": {},
+        "peak_mib": {},
     }
-    for n in (int(x) for x in args.dims.split(",")):
-        result["seconds"][str(n)] = stage_times(n, args.seed)
-        _print_row(f"n={n}", result["seconds"][str(n)])
-    result["seconds"]["heisenberg"] = heisenberg_times()
-    _print_row("heisenberg", result["seconds"]["heisenberg"])
+
+    def tables():
+        # built lazily, so that the inputs of all the dims do not pile up
+        for n in (int(x) for x in args.dims.split(",")):
+            yield str(n), f"n={n}", stages(n, args.seed)
+        yield "heisenberg", "heisenberg", heisenberg_stages()
+
+    for key, label, table in tables():
+        result["seconds"][key] = {name: _best_of(fn) for name, fn in table.items()}
+        result["peak_mib"][key] = {name: _peak_mib(fn) for name, fn in table.items()}
+        _print_row(label, result["seconds"][key])
     payload = json.dumps(result, indent=2)
     if args.out:
         with open(args.out, "w") as fh:
