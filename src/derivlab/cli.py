@@ -58,11 +58,12 @@ DEFAULT_TOLERANCES = {
 HEISENBERG_GRIDS = (128, 256, 512)
 # the largest n of br_gns; larger dims stay in the other suites and are
 # listed in meta.skipped.  Time, not memory, sets it.  Its GNS checks work
-# in chunks under gns._CHUNK_BYTES (one instance peaks at 44 MB RSS at
-# n=12, 55 MB at n=16, 79 MB at n=20 and 121 MB at n=24), but the flow
-# check's products grow as n^7: one instance takes 0.09 s at n=12, 0.4 s
-# at n=16, 1.3 s at n=20 and 4.1 s at n=24 on one BLAS thread.  Raising
-# it would also add the ids br_gns/n=13..16 to a --dims 2..16 report.
+# in chunks under gns._CHUNK_BYTES (one instance peaks at 45 MB RSS at
+# n=12, 57 MB at n=16, 80 MB at n=20, 122 MB at n=24 and 297 MB at
+# n=32), and the flow check takes O(n^6) work: one instance takes 0.04 s
+# at n=12, 0.24 s at n=16, 0.55 s at n=20, 1.6 s at n=24 and 10 s at
+# n=32 on one BLAS thread.  Raising it would also add the ids
+# br_gns/n=13..16 to a --dims 2..16 report.
 _BR_GNS_MAX_DIM = 12
 
 
@@ -304,11 +305,12 @@ def br_gns_check(
     rep = gns_construct(omega)
     s, symmetry = implementing_operator(rep, delta)
     impl = implementation_check(rep, delta, s)
-    inter = max(flow_intertwining_residual(rep, delta, s, t) for t in (0.5, 1.0))
-    corr = kernel_correspondence_distance(rep, delta, s, tol["rank"])
+    inter = flow_intertwining_residual(rep, delta, s, 0.5, 1.0)
+    # one SVD of the map: ker(map) is the first level of the report's tower
     stab = abstract_kernel_stabilization(
         delta, n_max, rank_tol=tol["rank"], distance_tol=tol["subspace"]
     )
+    corr = kernel_correspondence_distance(rep, delta, s, tol["rank"], kernel=stab.kernel)
     residual = max(eq, symmetry, impl)
     passed = (
         residual <= tol["residual"]

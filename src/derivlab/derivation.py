@@ -107,7 +107,8 @@ def derivation_kernel(d, k: int = 1) -> OperatorSubspace:
 @dataclass(frozen=True)
 class KernelStabilizationReport:
     """Kernel dimensions and distances to the first kernel for the powers
-    k = 1..len(kernel_dims); it passes when every power does."""
+    k = 1..len(kernel_dims); it passes when every power does.  ``kernel``
+    holds that first kernel, ker(map)."""
 
     ambient_dim: int
     kernel_dims: tuple
@@ -117,6 +118,7 @@ class KernelStabilizationReport:
     distance_tol: float
     spectrum: tuple | None = None
     multiplicities: tuple | None = None
+    kernel: OperatorSubspace | None = field(default=None, repr=False, compare=False)
 
     @property
     def k_values(self) -> tuple:
@@ -175,6 +177,7 @@ def superoperator_stabilization_report(
         distance_tol=distance_tol,
         spectrum=spectrum,
         multiplicities=multiplicities,
+        kernel=base,
     )
 
 

@@ -15,12 +15,19 @@ L = chol(rho^T), so pi(a) = I (x) a in GNS coordinates; the checks use
 that closed form and the n x n factor L*, never an n^2 x n^2 factor.
 The implementation and flow checks visit the n^2 matrix units in chunks
 whose arrays fit half of one fixed byte budget (_CHUNK_BYTES).  A chunk
-groups whole rows r of units while one row fits; where one row of the
-flow check's product does not, its chunks are single rows cut along
-the output block index p, and the squared norms of a row's chunks are
-summed per unit before the max.  The implementation residual is
-assembled from its three structural terms, O(n^5) entries in all, and
-the flow residual from one product per chunk.
+groups whole rows r of units while one row fits; a row over that is cut
+along a block index (the column c of the unit for the implementation
+check, the column block q of the residual for the flow check) into runs
+that do, and the flow check sums the squared norms of a row's runs per
+unit before the max.  The implementation residual is assembled from its
+three structural terms, O(n^5) entries in all.  The flow residual of
+E_rc is split by column block q of U (I (x) E_rc) U^-1 = A_r B_c: its
+rows p != q have the norm of R_rq B_cq, with R_rq the triangular factor
+of a QR of A_r without the rows of block q, and its rows p = q are
+formed and subtracted.  That takes n^2 small QRs and about 2 n^6
+multiply-adds, and no Gram matrix, whose norm identity would lose every
+digit below sqrt(eps).  A doubling ladder of times t, 2t, ... takes the
+exponentials once, at t, and squares them.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from .derivation import (
 from .errors import NotDensity, NotEquilibrium, NotFaithful, ShapeMismatch
 from .numlin import (
     DEFAULT_RANK_TOL,
+    OperatorSubspace,
     as_cmatrix,
     expm,
     frob,
@@ -235,21 +243,21 @@ def _unit_blocks(matrix, n: int) -> np.ndarray:
     return matrix.reshape(n, n, n, n).transpose(3, 2, 1, 0)
 
 
-def _unit_chunks(n: int, block_bytes: int, blocks: int = 1) -> list:
-    """Chunks (rows, part) of the matrix units E_rc whose row r holds
-    ``blocks`` blocks of block_bytes each: slices of r and of the block
-    index.  Whole rows are grouped while they fill at most half of
-    _CHUNK_BYTES; a row over that is cut into runs of blocks that do,
-    down to one block."""
+def _unit_chunks(n: int, block_bytes: int) -> list:
+    """Chunks (rows, part) of the matrix units E_rc whose row r holds n
+    blocks of block_bytes each: slices of r and of the block index.
+    Whole rows are grouped while they fill at most half of _CHUNK_BYTES;
+    a row over that is cut into runs of blocks that do, down to one
+    block."""
     half = _CHUNK_BYTES // 2
-    rows = half // (blocks * block_bytes)
+    rows = half // (n * block_bytes)
     if rows:
-        return [(slice(r, min(r + rows, n)), slice(0, blocks)) for r in range(0, n, rows)]
+        return [(slice(r, min(r + rows, n)), slice(0, n)) for r in range(0, n, rows)]
     run = max(1, half // block_bytes)
     return [
-        (slice(r, r + 1), slice(b, min(b + run, blocks)))
+        (slice(r, r + 1), slice(b, min(b + run, n)))
         for r in range(n)
-        for b in range(0, blocks, run)
+        for b in range(0, n, run)
     ]
 
 
@@ -271,57 +279,92 @@ def implementation_check(gns: GNSRepresentation, delta: Derivation, s) -> float:
     off_block = s_mass.sum(axis=0)
     on_block = np.einsum("qcqj->cqj", s4)
     on_column = np.einsum("rcic->rci", derived)
+    on_row = np.einsum("pcqc->cqp", s4)
 
-    def chunk_mass(rows):
-        k = rows.stop - rows.start
+    def chunk_mass(rows, cols):
+        shape = (rows.stop - rows.start, cols.stop - cols.start, n, n, n)
         # j != c: block p = q of the column, T1 + T3, as col[r, c, q, i, j]
-        col = np.empty((k, n, n, n, n), dtype=np.complex128)
-        col[...] = -1j * derived[rows, :, None]
-        np.einsum("rcqrj->rcqj", col[:, :, :, rows])[...] += on_block
-        mass = _mass(col, "rcqij->rcqj") + off_block
+        col = np.empty(shape, dtype=np.complex128)
+        col[...] = -1j * derived[rows, cols, None]
+        np.einsum("rcqrj->rcqj", col[:, :, :, rows])[...] += on_block[cols]
+        mass = _mass(col, "rcqij->rcqj") + off_block[cols]
         # j = c: the dense column, as col[r, c, q, p, i]
         col[...] = -s4.transpose(3, 2, 0, 1)[rows, None]
-        np.einsum("rcqqi->rcqi", col)[...] -= 1j * on_column[rows, :, None]
-        np.einsum("rcqpr->rcqp", col[..., rows])[...] += np.einsum("pcqc->cqp", s4)
-        np.einsum("rcqc->rcq", mass)[...] = _mass(col, "rcqpi->rcq")
+        np.einsum("rcqqi->rcqi", col)[...] -= 1j * on_column[rows, cols, None]
+        np.einsum("rcqpr->rcqp", col[..., rows])[...] += on_row[cols]
+        np.einsum("rcqc->rcq", mass[..., cols])[...] = _mass(col, "rcqpi->rcq")
         return mass.max()
 
-    # a running max over chunks, each freed before the next is built
-    return float(np.sqrt(max(chunk_mass(rows) for rows, _ in _unit_chunks(n, 16 * n**4))))
+    # a running max over chunks, each freed before the next is built; a
+    # unit's column array takes 16 n^3 bytes
+    return float(np.sqrt(max(chunk_mass(*chunk) for chunk in _unit_chunks(n, 16 * n**3))))
+
+
+def _flow_mass(n: int, u, u_inv, propagator) -> float:
+    """Max over units E_rc of ||U (I (x) E_rc) U^-1 - I (x) F_rc||^2 with
+    F_rc the image of E_rc under the propagator.
+
+    U (I (x) E_rc) U^-1 = A_r B_c for the columns A_r = U[:, (l, r)] and
+    the rows B_c = U^-1[(l, c), :] over l, so column block q of the
+    residual is A_r B_cq with F_rc subtracted on its rows p = q.  Its rows
+    p != q have the norm of R_rq B_cq, where R_rq is the n x n triangular
+    factor of a QR of A_r without the rows of block q."""
+    # a[r, p, i, l] = U[pn + i, ln + r] and b[q, l, c n + j] = U^-1[ln + c, qn + j]
+    a = u.reshape(n, n, n, n).transpose(3, 0, 1, 2)
+    b = np.ascontiguousarray(u_inv.reshape(n, n, n, n).transpose(2, 0, 1, 3))
+    b = b.reshape(n, n, n * n)
+    flowed = _unit_blocks(propagator, n).transpose(0, 2, 1, 3)
+    # the blocks p != q of A_r, then block q
+    order = np.array([[p for p in range(n) if p != q] + [q] for q in range(n)])
+    units = np.arange(n)
+    mass = np.zeros((n, n))
+    # a chunk covers units rows x every c and the column blocks q of its
+    # part; diff[q, r, h, i, c, j] holds R_rq B_cq at h = 0 and
+    # A_rq B_cq - F_rc at h = 1, 32 n^3 bytes per (r, q)
+    for rows, part in _unit_chunks(n, 32 * n**3):
+        blocks = a[units[rows, None], order[part, None]]
+        k_q, k_r = blocks.shape[:2]
+        left = np.empty((k_q, k_r, 2, n, n), dtype=np.complex128)
+        left[:, :, 0] = np.linalg.qr(blocks[:, :, :-1].reshape(k_q, k_r, -1, n), mode="r")
+        left[:, :, 1] = blocks[:, :, -1]
+        diff = np.matmul(left.reshape(k_q, -1, n), b[part]).reshape(k_q, k_r, 2, n, n, n)
+        diff[:, :, 1] -= flowed[rows]
+        # summed over q in order, so that cutting a row along q moves no
+        # bit of the result
+        partial = _mass(diff, "qrhicj->qrc")
+        mass[rows] = np.add.reduce(np.concatenate([mass[rows][None], partial]))
+    return mass.max()
 
 
 def flow_intertwining_residual(
-    gns: GNSRepresentation, delta: Derivation, s, t: float
+    gns: GNSRepresentation, delta: Derivation, s, *times: float
 ) -> float:
-    """Max over matrix units a of
-    ||exp(iSt) pi(a) exp(-iSt) - pi(exp(t map)(a))||."""
-    n, d = gns.n, gns.hilbert_dim
-    u = expm(1j * t * as_cmatrix(s))
+    """Max over matrix units a and the given times t of
+    ||exp(iSt) pi(a) exp(-iSt) - pi(exp(t map)(a))||.
+
+    The times form a doubling ladder t, 2t, 4t, ...: the exponentials
+    are taken at the first time only and squared for each next one, as
+    exp(2X) = exp(X)^2."""
+    if not times or any(b != 2 * a for a, b in zip(times, times[1:])):
+        raise ValueError(f"times {times} are not a doubling ladder t, 2t, 4t, ...")
+    u = expm(1j * times[0] * as_cmatrix(s))
     # exp(X)^-1 = exp(-X) for every square X; one inverse is cheaper
     # than a second expm
-    u_inv = np.linalg.inv(u).reshape(n, n * d)
-    flowed = _unit_blocks(expm(t * delta.map.matrix), n)
-    # U (I (x) E_rc) U^-1 = sum_l U[:, r + nl] U^-1[c + nl, :], so the
-    # units of a chunk come from one product, held as
-    # diff[p, i, r, c, q, j]; a chunk covers the blocks p of its slice
-    # and every q, and pi(alpha_t(E_rc)) sits on its blocks p = q
-    columns = u.reshape(n, n, n, n)
-    mass = np.zeros((n, n))
-    for rows, part in _unit_chunks(n, 16 * n**4, n):
-        lead = columns[part, :, :, rows].swapaxes(2, 3)
-        diff = (lead.reshape(-1, n) @ u_inv).reshape(lead.shape[:3] + (n, n, n))
-        np.einsum("pircpj->pircj", diff[:, :, :, :, part])[...] -= (
-            flowed[rows].transpose(2, 0, 1, 3)
-        )
-        # summed over (p, i) in turn, the order of one einsum over whole
-        # rows, so that cutting a row along p moves no bit of the result
-        partial = _mass(diff, "pircqj->pirc").reshape((-1,) + mass[rows].shape)
-        mass[rows] = np.add.reduce(np.concatenate([mass[rows][None], partial]))
-    return float(np.sqrt(mass.max()))
+    u_inv = np.linalg.inv(u)
+    propagator = expm(times[0] * delta.map.matrix)
+    worst = _flow_mass(gns.n, u, u_inv, propagator)
+    for _ in times[1:]:
+        u, u_inv, propagator = u @ u, u_inv @ u_inv, propagator @ propagator
+        worst = max(worst, _flow_mass(gns.n, u, u_inv, propagator))
+    return float(np.sqrt(worst))
 
 
 def kernel_correspondence_distance(
-    gns: GNSRepresentation, delta: Derivation, s, rank_tol: float = DEFAULT_RANK_TOL
+    gns: GNSRepresentation,
+    delta: Derivation,
+    s,
+    rank_tol: float = DEFAULT_RANK_TOL,
+    kernel: OperatorSubspace | None = None,
 ) -> float:
     """Distance between the kernel of [iS, .] restricted to the range of
     pi and the image under pi of ker(map).
@@ -332,11 +375,15 @@ def kernel_correspondence_distance(
     partial trace T[p, r] = sum_j S[p + nj, r + nj].  a -> I (x) a /
     sqrt(n) is an isometry from M_n onto that range, so both kernels are
     compared in M_n, with unchanged projector distance; the first kernel
-    is ``commutant([T / n])``.
+    is ``commutant([T / n])``.  A caller that holds ker(map) at rank_tol
+    already, as the first level of the map's kernel tower, passes it as
+    ``kernel`` and saves factoring the map again.
     """
     n = gns.n
     partial = np.einsum("jpjr->pr", as_cmatrix(s).reshape(n, n, n, n))
-    return subspace_distance(commutant([partial / n], rank_tol), delta.map.kernel(rank_tol))
+    if kernel is None:
+        kernel = delta.map.kernel(rank_tol)
+    return subspace_distance(commutant([partial / n], rank_tol), kernel)
 
 
 def abstract_kernel_stabilization(

@@ -78,3 +78,20 @@ def test_best_of_stops_at_the_budget():
     calls.clear()
     best_of(lambda: calls.append(1), repeats=5, budget_s=1e9)
     assert len(calls) == 5
+
+
+def test_gns_stages_above_the_br_gns_limit():
+    from derivlab import gns
+    from derivlab.cli import _BR_GNS_MAX_DIM, equilibrium_instance
+
+    tool = _load()
+    n = _BR_GNS_MAX_DIM + 1
+    table = tool.stages(n)
+    assert {"implementation_check", "flow_intertwining_residual"} <= set(table)
+    # the flow stage runs the ladder of br_gns_check
+    omega, delta = equilibrium_instance(n, 8)
+    rep = gns.gns_construct(omega)
+    s = gns.implementing_operator(rep, delta)[0]
+    assert table["flow_intertwining_residual"]() == gns.flow_intertwining_residual(
+        rep, delta, s, 0.5, 1.0
+    )

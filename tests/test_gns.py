@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from derivlab import gns
-from derivlab.cli import equilibrium_instance
+from derivlab import gns, numlin
+from derivlab.cli import br_gns_check, equilibrium_instance
 from derivlab.derivation import Superoperator
 from derivlab.errors import (
     NotDensity,
@@ -470,45 +470,74 @@ def operators_under_test(s, n):
     }
 
 
+# bytes per n^3 of the largest array of one (r, c) unit of the
+# implementation check and of one (r, q) block of the flow check; a row of
+# units holds n of them
+IMPLEMENTATION_BLOCK = 16
+FLOW_BLOCK = 32
+
+
+def oracle_cases(n, seed):
+    """(name, GNS representation, derivation, operator) for every operator
+    of ``operators_under_test`` and for a map that is no derivation.  For
+    a true derivation every column j != c of the implementation residual
+    is bounded by a column j = c, so only such a map lets the off-block
+    mass of the columns j != c set the max; the checks read only the map,
+    so the generator stays as it is."""
+    omega, delta = equilibrium_instance(n, seed)
+    rep = gns_construct(omega)
+    s, _ = implementing_operator(rep, delta)
+    ops = operators_under_test(s, n)
+    noisy = replace(
+        delta,
+        map=Superoperator(n, delta.map.matrix + 1e-2 * random_matrix(n * n, seed=n)),
+    )
+    cases = [(name, rep, delta, op) for name, op in ops.items()]
+    return cases + [("not a derivation", rep, noisy, ops["dense"])]
+
+
 class TestChunkedChecks:
     @pytest.mark.parametrize("n", [7, 9, 12])
-    def test_match_n6_oracle(self, n):
-        # one row r of the flow's product holds n blocks p of n^4 complex
-        # entries; from n = 7 on, the budget splits the units into chunks,
-        # and from n = 10 on it also cuts each row along p
-        chunks = gns._unit_chunks(n, 16 * n**4, n)
-        assert len(chunks) > 1
-        assert (chunks[0][1] != slice(0, n)) == (n >= 10)
-        omega, delta = equilibrium_instance(n, 110 + n)
-        rep = gns_construct(omega)
-        s, _ = implementing_operator(rep, delta)
-        # for a true derivation every column j != c of the implementation
-        # residual is bounded by a column j = c, so only a map that is no
-        # derivation lets the off-block mass of the columns j != c set the
-        # max; the checks read only the map, so the generator stays as it is
-        noisy = replace(
-            delta,
-            map=Superoperator(n, delta.map.matrix + 1e-2 * random_matrix(n * n, seed=n)),
-        )
-        ops = operators_under_test(s, n)
-        cases = [(name, delta, op) for name, op in ops.items()]
-        for name, d, op in cases + [("not a derivation", noisy, ops["dense"])]:
-            assert abs(
-                implementation_check(rep, d, op) - n6_implementation_check(n, d, op)
-            ) <= 1e-12, name
-            for t in (-1.0, 0.5, 1.0):
+    def test_match_n6_oracle(self, monkeypatch, n):
+        # one row r of units holds n blocks of n^3 entries per check; at
+        # the default budget the flow check groups its rows into chunks
+        # from n = 9 on, with one row per chunk at n = 12, and cuts no
+        # row; the one-byte budget makes every block its own chunk, and
+        # the split budget holds two flow blocks and four implementation
+        # blocks of a row
+        default = gns._CHUNK_BYTES
+        chunks = gns._unit_chunks(n, FLOW_BLOCK * n**3)
+        assert (len(chunks) > 1) == (n >= 9)
+        assert all(part == slice(0, n) for _, part in chunks)
+        budgets = {"default": default, "one block": 1, "split": 4 * FLOW_BLOCK * n**3}
+        for name, rep, d, op in oracle_cases(n, 110 + n):
+            implemented = n6_implementation_check(n, d, op)
+            flowed = {t: n6_flow_intertwining_residual(n, d, op, t) for t in (-1.0, 0.5, 1.0)}
+            for budget, size in budgets.items():
+                monkeypatch.setattr(gns, "_CHUNK_BYTES", size)
+                assert abs(implementation_check(rep, d, op) - implemented) <= 1e-12, (
+                    name, budget
+                )
+                for t, expected in flowed.items():
+                    assert abs(
+                        flow_intertwining_residual(rep, d, op, t) - expected
+                    ) <= 1e-12, (name, budget, t)
+                # the ladder squares the exponentials of t = 0.5 for t = 1
                 assert abs(
-                    flow_intertwining_residual(rep, d, op, t)
-                    - n6_flow_intertwining_residual(n, d, op, t)
-                ) <= 1e-12, (name, t)
+                    flow_intertwining_residual(rep, d, op, 0.5, 1.0)
+                    - max(flowed[0.5], flowed[1.0])
+                ) <= 1e-12, (name, budget)
+            for times in [(), (0.5, 1.5), (1.0, 0.5), (0.5, 1.0, 3.0), (-1.0, 2.0)]:
+                with pytest.raises(ValueError):
+                    flow_intertwining_residual(rep, d, op, *times)
 
     def test_one_row_chunks_match_n6_oracle(self, monkeypatch):
-        # a one-byte budget makes every row r of units its own chunk, and
-        # every block p of a row of the flow's product
+        # a one-byte budget makes every unit (r, c) of the implementation
+        # check its own chunk, and every block (r, q) of the flow check
         monkeypatch.setattr(gns, "_CHUNK_BYTES", 1)
         n = 5
-        assert len(gns._unit_chunks(n, 16 * n**4)) == n
-        assert len(gns._unit_chunks(n, 16 * n**4, n)) == n * n
+        for block in (IMPLEMENTATION_BLOCK, FLOW_BLOCK):
+            assert len(gns._unit_chunks(n, block * n**3)) == n * n
         omega, delta = equilibrium_instance(n, 120)
         rep = gns_construct(omega)
         s, _ = implementing_operator(rep, delta)
@@ -523,11 +552,11 @@ class TestChunkedChecks:
             ) <= 1e-12, name
 
     def test_split_rows_match_n6_oracle(self, monkeypatch):
-        # half the budget holds two blocks p of a row of the flow's
-        # product, 16 n^4 bytes each, but not the row of n = 5 blocks
+        # half the budget holds two blocks q of a row of the flow check,
+        # 32 n^3 bytes each, but not the row of n = 5 blocks
         n = 5
-        monkeypatch.setattr(gns, "_CHUNK_BYTES", 4 * 16 * n**4)
-        chunks = gns._unit_chunks(n, 16 * n**4, n)
+        monkeypatch.setattr(gns, "_CHUNK_BYTES", 4 * FLOW_BLOCK * n**3)
+        chunks = gns._unit_chunks(n, FLOW_BLOCK * n**3)
         assert [part for rows, part in chunks if rows == slice(0, 1)] == [
             slice(0, 2), slice(2, 4), slice(4, 5)
         ]
@@ -540,6 +569,25 @@ class TestChunkedChecks:
                     flow_intertwining_residual(rep, delta, op, t)
                     - n6_flow_intertwining_residual(n, delta, op, t)
                 ) <= 1e-12, (name, t)
+            # cutting a row along q moves no bit of the result
+            monkeypatch.setattr(gns, "_CHUNK_BYTES", 2 * 2**20)
+            whole = flow_intertwining_residual(rep, delta, op, 0.5, 1.0)
+            monkeypatch.setattr(gns, "_CHUNK_BYTES", 4 * FLOW_BLOCK * n**3)
+            assert flow_intertwining_residual(rep, delta, op, 0.5, 1.0) == whole, name
+
+    def test_split_implementation_rows_match_n6_oracle(self, monkeypatch):
+        # half the budget holds two units c of a row of the
+        # implementation check, 16 n^3 bytes each, but not the row of n = 5
+        n = 5
+        monkeypatch.setattr(gns, "_CHUNK_BYTES", 4 * IMPLEMENTATION_BLOCK * n**3)
+        chunks = gns._unit_chunks(n, IMPLEMENTATION_BLOCK * n**3)
+        assert [part for rows, part in chunks if rows == slice(0, 1)] == [
+            slice(0, 2), slice(2, 4), slice(4, 5)
+        ]
+        for name, rep, d, op in oracle_cases(n, 128):
+            assert abs(
+                implementation_check(rep, d, op) - n6_implementation_check(n, d, op)
+            ) <= 1e-12, name
 
     @pytest.mark.parametrize("n, budget", [(5, 4 * 16 * 5**4), (12, None)])
     def test_chunk_arrays_fit_half_the_budget(self, monkeypatch, n, budget):
@@ -562,15 +610,16 @@ class TestChunkedChecks:
         assert sizes and max(sizes) <= gns._CHUNK_BYTES // 2
 
     def test_chunks_fit_half_the_budget_while_one_block_does(self):
-        # one (r, p) block of 16 n^4 bytes fits half of 2 MiB up to n = 16
-        for n in range(2, 17):
-            for blocks in (1, n):
+        # one block of either check, at most 32 n^3 bytes, fits half of
+        # 2 MiB up to n = 32
+        for n in range(2, 33):
+            for block in (IMPLEMENTATION_BLOCK * n**3, FLOW_BLOCK * n**3):
                 covered = set()
-                for rows, part in gns._unit_chunks(n, 16 * n**4, blocks):
-                    size = (rows.stop - rows.start) * (part.stop - part.start) * 16 * n**4
-                    assert size <= gns._CHUNK_BYTES // 2, (n, blocks)
-                    covered |= {(r, b) for r in range(n)[rows] for b in range(blocks)[part]}
-                assert len(covered) == n * blocks, (n, blocks)
+                for rows, part in gns._unit_chunks(n, block):
+                    size = (rows.stop - rows.start) * (part.stop - part.start) * block
+                    assert size <= gns._CHUNK_BYTES // 2, (n, block)
+                    covered |= {(r, b) for r in range(n)[rows] for b in range(n)[part]}
+                assert len(covered) == n * n, (n, block)
 
     def test_footprint_at_n12(self):
         # the n^6 arrays of the unchunked checks took about 50 MiB here,
@@ -590,6 +639,34 @@ class TestChunkedChecks:
             finally:
                 tracemalloc.stop()
             assert peak < 6 * 2**20
+
+
+class TestOneFactorizationPerInstance:
+    def test_br_gns_check_factors_the_map_once(self, monkeypatch):
+        # two SVDs per instance: the kernel tower of the map, whose first
+        # level is ker(map), and the commutant of T / n
+        omega, delta = equilibrium_instance(6, 140)
+        calls = []
+        split = numlin._svd_split
+
+        def counted(m, *args):
+            calls.append(np.shape(m))
+            return split(m, *args)
+
+        monkeypatch.setattr(numlin, "_svd_split", counted)
+        assert br_gns_check("br_gns/n=6/i=0", omega, delta, 5)["pass"]
+        assert len(calls) == 2
+
+    def test_tower_kernel_is_the_map_kernel(self):
+        omega, delta = equilibrium_instance(5, 145)
+        rep = gns_construct(omega)
+        s, _ = implementing_operator(rep, delta)
+        report = abstract_kernel_stabilization(delta, 5)
+        assert report.kernel.dim == report.kernel_dims[0]
+        assert np.array_equal(report.kernel.basis, delta.map.kernel().basis)
+        assert kernel_correspondence_distance(
+            rep, delta, s, kernel=report.kernel
+        ) == kernel_correspondence_distance(rep, delta, s)
 
 
 class TestNegativeControls:
