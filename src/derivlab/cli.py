@@ -57,13 +57,13 @@ DEFAULT_TOLERANCES = {
 # the matrix-algebra dimension range on purpose
 HEISENBERG_GRIDS = (128, 256, 512)
 # the largest n of br_gns; larger dims stay in the other suites and are
-# listed in meta.skipped.  Time, not memory, sets it.  Its GNS checks work
-# in chunks under gns._CHUNK_BYTES (one instance peaks at 45 MB RSS at
-# n=12, 57 MB at n=16, 80 MB at n=20, 122 MB at n=24 and 297 MB at
-# n=32), and the flow check takes O(n^6) work: one instance takes 0.04 s
-# at n=12, 0.24 s at n=16, 0.55 s at n=20, 1.6 s at n=24 and 10 s at
-# n=32 on one BLAS thread.  Raising it would also add the ids
-# br_gns/n=13..16 to a --dims 2..16 report.
+# listed in meta.skipped.  Time, not memory, sets it.  Its flow check
+# works in chunks under gns._CHUNK_BYTES (one instance peaks at 44 MB RSS
+# at n=12, 55 MB at n=16, 79 MB at n=20, 121 MB at n=24 and 297 MB at
+# n=32) and takes O(n^6) work, the implementation check O(n^4): one
+# instance takes 0.05 s at n=12, 0.22 s at n=16, 0.66 s at n=20, 1.8 s at
+# n=24 and 9.5 s at n=32 on one BLAS thread.  Raising it would also add
+# the ids br_gns/n=13..16 to a --dims 2..16 report.
 _BR_GNS_MAX_DIM = 12
 
 

@@ -13,14 +13,14 @@ pi(delta(a)) = [iS, pi(a)].
 The GNS Gram matrix rho^T (x) I has Cholesky factor R = L* (x) I with
 L = chol(rho^T), so pi(a) = I (x) a in GNS coordinates; the checks use
 that closed form and the n x n factor L*, never an n^2 x n^2 factor.
-The implementation and flow checks visit the n^2 matrix units in chunks
-whose arrays fit half of one fixed byte budget (_CHUNK_BYTES).  A chunk
-groups whole rows r of units while one row fits; a row over that is cut
-along a block index (the column c of the unit for the implementation
-check, the column block q of the residual for the flow check) into runs
-that do, and the flow check sums the squared norms of a row's runs per
-unit before the max.  The implementation residual is assembled from its
-three structural terms, O(n^5) entries in all.  The flow residual of
+The implementation residual is a max of column norms, each summed from
+masked sums of squares of entries of S and of the map's unit images and
+from squares of residual entries formed explicitly: O(n^4) work, and no
+array larger than S.  The flow check visits the n^2 matrix units in
+chunks whose arrays fit half of one fixed byte budget (_CHUNK_BYTES): a
+chunk groups whole rows r of units while one row fits, and cuts a row
+over that along the column block q of the residual, summing the squared
+norms of a row's runs per unit before the max.  The flow residual of
 E_rc is split by column block q of U (I (x) E_rc) U^-1 = A_r B_c: its
 rows p != q have the norm of R_rq B_cq, with R_rq the triangular factor
 of a QR of A_r without the rows of block q, and its rows p = q are
@@ -60,10 +60,9 @@ from .numlin import (
 
 FAITHFULNESS_TOL = 1e-10
 EQUILIBRIUM_TOL = 1e-9
-# byte budget of the implementation and flow checks: the arrays of one
-# chunk of matrix units fill at most half of it, 1 MiB, so that a chunk
-# can stay in a 2 MiB per-core L2 cache; the other half is left for the
-# d x d operators
+# byte budget of the flow check: the arrays of one chunk of matrix units
+# fill at most half of it, 1 MiB, so that a chunk can stay in a 2 MiB
+# per-core L2 cache; the other half is left for the d x d operators
 _CHUNK_BYTES = 2 * 2**20
 
 
@@ -231,7 +230,7 @@ def implementing_operator(
 def _mass(x, spec: str) -> np.ndarray:
     """Squared Euclidean norms over the axes of x that the einsum spec
     "axes->kept" drops.  Summed through a float view of x, so no
-    temporary of its size is made."""
+    temporary of its size is made; the view needs x C-contiguous."""
     axes, kept = spec.split("->")
     parts = x.view(np.float64).reshape(x.shape + (2,))
     return np.einsum(f"{axes}z,{axes}z->{kept}", parts, parts)
@@ -243,17 +242,16 @@ def _unit_blocks(matrix, n: int) -> np.ndarray:
     return matrix.reshape(n, n, n, n).transpose(3, 2, 1, 0)
 
 
-def _unit_chunks(n: int, block_bytes: int) -> list:
-    """Chunks (rows, part) of the matrix units E_rc whose row r holds n
-    blocks of block_bytes each: slices of r and of the block index.
+def _unit_chunks(n: int) -> list:
+    """Chunks (rows, part) of the matrix units E_rc for the flow check:
+    slices of r and of the column block q, 32 n^3 bytes per (r, q).
     Whole rows are grouped while they fill at most half of _CHUNK_BYTES;
-    a row over that is cut into runs of blocks that do, down to one
-    block."""
+    a row over that is cut into runs of blocks that do, down to one."""
     half = _CHUNK_BYTES // 2
-    rows = half // (n * block_bytes)
+    rows = half // (32 * n**4)
     if rows:
         return [(slice(r, min(r + rows, n)), slice(0, n)) for r in range(0, n, rows)]
-    run = max(1, half // block_bytes)
+    run = max(1, half // (32 * n**3))
     return [
         (slice(r, r + 1), slice(b, min(b + run, n)))
         for r in range(n)
@@ -269,35 +267,42 @@ def implementation_check(gns: GNSRepresentation, delta: Derivation, s) -> float:
     derived = _unit_blocks(delta.map.matrix, n)
     # -i (pi(delta(a)) - [iS, pi(a)]) has the same column norms; for
     # a = E_rc, its column q n + j holds at row p n + i the terms
-    # T1 = -i delta(a)[i, j] if p = q, T2 = -S[pn + i, qn + r] if j = c,
-    # and T3 = S[pn + c, qn + j] if i = r.  For j != c the rows p != q
-    # hold T3 alone, whose mass does not depend on r; it is summed with
-    # the blocks p = q masked, since subtracting them from the total
-    # would cancel
+    # -i delta(a)[i, j] if p = q, -S[pn + i, qn + r] if j = c, and
+    # S[pn + c, qn + j] if i = r.  Each squared norm adds masked sums of
+    # squares, off[i, q, j] of |S[pn + i, qn + j]|^2 over p != q, i != j
+    # and below[r, c, j] of |delta(a)[i, j]|^2 over i != r, to squares of
+    # entries formed explicitly, so nothing is subtracted from a total
     s_mass = s4.real**2 + s4.imag**2
-    np.einsum("pcpj->cpj", s_mass)[...] = 0.0
-    off_block = s_mass.sum(axis=0)
-    on_block = np.einsum("qcqj->cqj", s4)
-    on_column = np.einsum("rcic->rci", derived)
-    on_row = np.einsum("pcqc->cqp", s4)
-
-    def chunk_mass(rows, cols):
-        shape = (rows.stop - rows.start, cols.stop - cols.start, n, n, n)
-        # j != c: block p = q of the column, T1 + T3, as col[r, c, q, i, j]
-        col = np.empty(shape, dtype=np.complex128)
-        col[...] = -1j * derived[rows, cols, None]
-        np.einsum("rcqrj->rcqj", col[:, :, :, rows])[...] += on_block[cols]
-        mass = _mass(col, "rcqij->rcqj") + off_block[cols]
-        # j = c: the dense column, as col[r, c, q, p, i]
-        col[...] = -s4.transpose(3, 2, 0, 1)[rows, None]
-        np.einsum("rcqqi->rcqi", col)[...] -= 1j * on_column[rows, cols, None]
-        np.einsum("rcqpr->rcqp", col[..., rows])[...] += on_row[cols]
-        np.einsum("rcqc->rcq", mass[..., cols])[...] = _mass(col, "rcqpi->rcq")
-        return mass.max()
-
-    # a running max over chunks, each freed before the next is built; a
-    # unit's column array takes 16 n^3 bytes
-    return float(np.sqrt(max(chunk_mass(*chunk) for chunk in _unit_chunks(n, 16 * n**3))))
+    np.einsum("pipj->pij", s_mass)[...] = 0.0
+    np.einsum("piqi->piq", s_mass)[...] = 0.0
+    off = s_mass.sum(axis=0)
+    d_mass = derived.real**2 + derived.imag**2
+    np.einsum("rcrj->rcj", d_mass)[...] = 0.0
+    below = d_mass.sum(axis=2)
+    del s_mass, d_mass
+    # j = c: the rows p != q hold -S[pn + i, qn + r] for i != r and
+    # split[p, q, r, c] = S[pn + c, qn + c] - S[pn + r, qn + r] at i = r;
+    # the block p = q is block[r, c, q, i]
+    diagonal = np.einsum("pkqk->pqk", s4)
+    split = np.subtract(diagonal[:, :, None, :], diagonal[:, :, :, None], order="C")
+    np.einsum("pprc->prc", split)[...] = 0.0
+    unit_mass = off.sum(axis=0).T[:, None] + _mass(split, "pqrc->rcq")
+    del split
+    block = np.subtract(-1j * np.einsum("rcic->rci", derived)[:, :, None],
+                        np.einsum("qiqr->rqi", s4)[:, None], order="C")
+    np.einsum("rcqr->rcq", block)[...] += np.einsum("qcqc->cq", s4)
+    unit_mass += _mass(block, "rcqi->rcq")
+    del block
+    # j != c: the rows p != q hold S[pn + c, qn + j] alone; the block
+    # p = q holds -i delta(a)[i, j] for i != r and on_row[r, c, q, j] at i = r
+    on_row = np.add(-1j * np.einsum("rcrj->rcj", derived)[:, :, None],
+                    np.einsum("qcqj->cqj", s4), order="C")
+    mass = _mass(on_row, "rcqj->rcqj")
+    del on_row
+    mass += below[:, :, None]
+    mass += off
+    np.einsum("rcqc->rcq", mass)[...] = unit_mass
+    return float(np.sqrt(mass.max()))
 
 
 def _flow_mass(n: int, u, u_inv, propagator) -> float:
@@ -321,7 +326,7 @@ def _flow_mass(n: int, u, u_inv, propagator) -> float:
     # a chunk covers units rows x every c and the column blocks q of its
     # part; diff[q, r, h, i, c, j] holds R_rq B_cq at h = 0 and
     # A_rq B_cq - F_rc at h = 1, 32 n^3 bytes per (r, q)
-    for rows, part in _unit_chunks(n, 32 * n**3):
+    for rows, part in _unit_chunks(n):
         blocks = a[units[rows, None], order[part, None]]
         k_q, k_r = blocks.shape[:2]
         left = np.empty((k_q, k_r, 2, n, n), dtype=np.complex128)

@@ -339,15 +339,9 @@ class OperatorSubspace:
         """Basis as rows of a (dim, n^2) array in vec coordinates."""
         return self.basis.transpose(0, 2, 1).reshape(self.dim, self.ambient_dim**2)
 
-    def project(self, x) -> np.ndarray:
-        """Orthogonal projection of a matrix onto the subspace."""
-        v = vec(x)
-        coeffs = self.vectors().conj() @ v
-        return unvec(self.vectors().T @ coeffs, self.ambient_dim)
-
     def membership_residual(self, x) -> float:
-        """||x - P(x)|| — zero iff x lies in the subspace."""
-        return frob(np.asarray(x, dtype=np.complex128) - self.project(x))
+        """||x - P(x)|| for the projection P onto the subspace: zero iff x lies in it."""
+        return float(np.sqrt(_offspace_mass(vec(x)[None], self.vectors())))
 
     @classmethod
     def from_vec_columns(cls, ambient_dim: int, columns: np.ndarray):

@@ -1,12 +1,17 @@
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_stages.py"
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "bench_stages.py"
+SRC = ROOT / "src"
 
 
 def _load():
@@ -16,12 +21,20 @@ def _load():
     return module
 
 
-def test_stage_timings_smoke(tmp_path, capsys):
-    tool = _load()
+def test_stage_timings_smoke(tmp_path):
+    # as the tool's docstring runs it: a fresh interpreter on one BLAS
+    # thread, so that the timings below see neither this process's warm
+    # caches nor a second OpenBLAS thread
     out = tmp_path / "stages.json"
-    assert tool.main(["--dims", "4", "--out", str(out)]) == 0
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, str(TOOL), "--dims", "4", "--out", str(out)],
+        env=env, capture_output=True, text=True, check=True,
+    )
     result = json.loads(out.read_text())
-    assert json.loads(capsys.readouterr().out) == result
+    assert json.loads(run.stdout) == result
+    assert result["env"]["openblas_threads"] == "1"
     seconds = result["seconds"]["4"]
     assert list(seconds) == [
         "superoperator_build",

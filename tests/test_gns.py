@@ -470,10 +470,8 @@ def operators_under_test(s, n):
     }
 
 
-# bytes per n^3 of the largest array of one (r, c) unit of the
-# implementation check and of one (r, q) block of the flow check; a row of
-# units holds n of them
-IMPLEMENTATION_BLOCK = 16
+# bytes per n^3 of the largest array of one (r, q) block of the flow
+# check; a row of units holds n of them
 FLOW_BLOCK = 32
 
 
@@ -499,25 +497,24 @@ def oracle_cases(n, seed):
 class TestChunkedChecks:
     @pytest.mark.parametrize("n", [7, 9, 12])
     def test_match_n6_oracle(self, monkeypatch, n):
-        # one row r of units holds n blocks of n^3 entries per check; at
-        # the default budget the flow check groups its rows into chunks
-        # from n = 9 on, with one row per chunk at n = 12, and cuts no
-        # row; the one-byte budget makes every block its own chunk, and
-        # the split budget holds two flow blocks and four implementation
-        # blocks of a row
+        # one row r of units holds n flow blocks of n^3 entries; at the
+        # default budget the flow check groups its rows into chunks from
+        # n = 9 on, with one row per chunk at n = 12, and cuts no row; the
+        # one-byte budget makes every block its own chunk, and the split
+        # budget holds two blocks of a row.  The implementation check
+        # works in one piece
         default = gns._CHUNK_BYTES
-        chunks = gns._unit_chunks(n, FLOW_BLOCK * n**3)
+        chunks = gns._unit_chunks(n)
         assert (len(chunks) > 1) == (n >= 9)
         assert all(part == slice(0, n) for _, part in chunks)
         budgets = {"default": default, "one block": 1, "split": 4 * FLOW_BLOCK * n**3}
         for name, rep, d, op in oracle_cases(n, 110 + n):
-            implemented = n6_implementation_check(n, d, op)
+            assert abs(
+                implementation_check(rep, d, op) - n6_implementation_check(n, d, op)
+            ) <= 1e-12, name
             flowed = {t: n6_flow_intertwining_residual(n, d, op, t) for t in (-1.0, 0.5, 1.0)}
             for budget, size in budgets.items():
                 monkeypatch.setattr(gns, "_CHUNK_BYTES", size)
-                assert abs(implementation_check(rep, d, op) - implemented) <= 1e-12, (
-                    name, budget
-                )
                 for t, expected in flowed.items():
                     assert abs(
                         flow_intertwining_residual(rep, d, op, t) - expected
@@ -532,20 +529,15 @@ class TestChunkedChecks:
                     flow_intertwining_residual(rep, d, op, *times)
 
     def test_one_row_chunks_match_n6_oracle(self, monkeypatch):
-        # a one-byte budget makes every unit (r, c) of the implementation
-        # check its own chunk, and every block (r, q) of the flow check
+        # a one-byte budget makes every block (r, q) of the flow check its
+        # own chunk
         monkeypatch.setattr(gns, "_CHUNK_BYTES", 1)
         n = 5
-        for block in (IMPLEMENTATION_BLOCK, FLOW_BLOCK):
-            assert len(gns._unit_chunks(n, block * n**3)) == n * n
+        assert len(gns._unit_chunks(n)) == n * n
         omega, delta = equilibrium_instance(n, 120)
         rep = gns_construct(omega)
         s, _ = implementing_operator(rep, delta)
         for name, op in operators_under_test(s, n).items():
-            assert abs(
-                implementation_check(rep, delta, op)
-                - n6_implementation_check(n, delta, op)
-            ) <= 1e-12, name
             assert abs(
                 flow_intertwining_residual(rep, delta, op, 0.5)
                 - n6_flow_intertwining_residual(n, delta, op, 0.5)
@@ -556,7 +548,7 @@ class TestChunkedChecks:
         # 32 n^3 bytes each, but not the row of n = 5 blocks
         n = 5
         monkeypatch.setattr(gns, "_CHUNK_BYTES", 4 * FLOW_BLOCK * n**3)
-        chunks = gns._unit_chunks(n, FLOW_BLOCK * n**3)
+        chunks = gns._unit_chunks(n)
         assert [part for rows, part in chunks if rows == slice(0, 1)] == [
             slice(0, 2), slice(2, 4), slice(4, 5)
         ]
@@ -575,20 +567,6 @@ class TestChunkedChecks:
             monkeypatch.setattr(gns, "_CHUNK_BYTES", 4 * FLOW_BLOCK * n**3)
             assert flow_intertwining_residual(rep, delta, op, 0.5, 1.0) == whole, name
 
-    def test_split_implementation_rows_match_n6_oracle(self, monkeypatch):
-        # half the budget holds two units c of a row of the
-        # implementation check, 16 n^3 bytes each, but not the row of n = 5
-        n = 5
-        monkeypatch.setattr(gns, "_CHUNK_BYTES", 4 * IMPLEMENTATION_BLOCK * n**3)
-        chunks = gns._unit_chunks(n, IMPLEMENTATION_BLOCK * n**3)
-        assert [part for rows, part in chunks if rows == slice(0, 1)] == [
-            slice(0, 2), slice(2, 4), slice(4, 5)
-        ]
-        for name, rep, d, op in oracle_cases(n, 128):
-            assert abs(
-                implementation_check(rep, d, op) - n6_implementation_check(n, d, op)
-            ) <= 1e-12, name
-
     @pytest.mark.parametrize("n, budget", [(5, 4 * 16 * 5**4), (12, None)])
     def test_chunk_arrays_fit_half_the_budget(self, monkeypatch, n, budget):
         # the largest array of each chunk is the one _mass sums
@@ -605,21 +583,19 @@ class TestChunkedChecks:
         omega, delta = equilibrium_instance(n, 135)
         rep = gns_construct(omega)
         s, _ = implementing_operator(rep, delta)
-        implementation_check(rep, delta, s)
         flow_intertwining_residual(rep, delta, s, 1.0)
         assert sizes and max(sizes) <= gns._CHUNK_BYTES // 2
 
     def test_chunks_fit_half_the_budget_while_one_block_does(self):
-        # one block of either check, at most 32 n^3 bytes, fits half of
-        # 2 MiB up to n = 32
+        # one flow block, 32 n^3 bytes, fits half of 2 MiB up to n = 32
         for n in range(2, 33):
-            for block in (IMPLEMENTATION_BLOCK * n**3, FLOW_BLOCK * n**3):
-                covered = set()
-                for rows, part in gns._unit_chunks(n, block):
-                    size = (rows.stop - rows.start) * (part.stop - part.start) * block
-                    assert size <= gns._CHUNK_BYTES // 2, (n, block)
-                    covered |= {(r, b) for r in range(n)[rows] for b in range(n)[part]}
-                assert len(covered) == n * n, (n, block)
+            block = FLOW_BLOCK * n**3
+            covered = set()
+            for rows, part in gns._unit_chunks(n):
+                size = (rows.stop - rows.start) * (part.stop - part.start) * block
+                assert size <= gns._CHUNK_BYTES // 2, n
+                covered |= {(r, b) for r in range(n)[rows] for b in range(n)[part]}
+            assert len(covered) == n * n, n
 
     def test_footprint_at_n12(self):
         # the n^6 arrays of the unchunked checks took about 50 MiB here,
@@ -639,6 +615,24 @@ class TestChunkedChecks:
             finally:
                 tracemalloc.stop()
             assert peak < 6 * 2**20
+
+
+class TestImplementationFootprint:
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_peak_within_three_copies_of_s(self, n):
+        # every array of the check has at most n^4 entries, as S has;
+        # arrays of n^5 entries, one per column of every unit, would pass
+        # 3 s.nbytes at n = 12
+        omega, delta = equilibrium_instance(n, 160 + n)
+        rep = gns_construct(omega)
+        s, _ = implementing_operator(rep, delta)
+        tracemalloc.start()
+        try:
+            implementation_check(rep, delta, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * s.nbytes
 
 
 class TestOneFactorizationPerInstance:

@@ -29,7 +29,6 @@ With another checkout's ``src`` on PYTHONPATH it times that code.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import platform
@@ -113,13 +112,8 @@ def stages(n: int, seed: int = 8) -> dict:
 
 
 def _flow_ladder(rep, delta, s) -> float:
-    """The flow check at t = 0.5 and 1, as ``br_gns_check`` calls it.  A
-    checkout whose ``flow_intertwining_residual`` takes one time, not a
-    doubling ladder of times, gets one call per time."""
-    params = inspect.signature(gns.flow_intertwining_residual).parameters.values()
-    if any(p.kind is p.VAR_POSITIONAL for p in params):
-        return gns.flow_intertwining_residual(rep, delta, s, 0.5, 1.0)
-    return max(gns.flow_intertwining_residual(rep, delta, s, t) for t in (0.5, 1.0))
+    """The flow check at t = 0.5 and 1, as ``br_gns_check`` calls it."""
+    return gns.flow_intertwining_residual(rep, delta, s, 0.5, 1.0)
 
 
 def heisenberg_stages() -> dict:
