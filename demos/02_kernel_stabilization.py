@@ -10,8 +10,8 @@ derivation as an n^2 x n^2 superoperator, computes ker(ad^k) for k up to
 
 import json
 
-from derivlab import ad_superoperator, kernel_stabilization_report
-from derivlab.cli import generate
+from derivlab import ad_superoperator
+from derivlab.cli import generate, kernel_stab_check
 
 # a Hermitian matrix with eigenvalue multiplicities (3, 2, 1, 1):
 # the kernel of ad must then have dimension 9 + 4 + 1 + 1 = 15
@@ -22,15 +22,15 @@ print("superoperator shape:", sop.matrix.shape)
 print("eigenvalues of ad are i(lambda_r - lambda_c); largest magnitude:",
       round(sop.norm(), 6))
 
-report = kernel_stabilization_report(d, n_max=6)
+# the check `derivlab run --suite kernel_stab` makes, with its verdict
+check = kernel_stab_check("kernel_stab/demo", d, n_max=6)
+details = check["details"]
 print("\n k | dim ker ad^k | distance to ker ad")
-for k, dim, dist in zip(report.k_values, report.kernel_dims, report.distances):
+for k, (dim, dist) in enumerate(zip(details["kernel_dims"], details["distances"]), start=1):
     print(f" {k} | {dim:12d} | {dist:.3e}")
-print("\nexpected dimension sum m_i^2 =",
-      sum(m**2 for m in report.multiplicities))
-print("stabilization verdict:", "PASS" if report.passed else "FAIL")
+print("\nexpected dimension sum m_i^2 =", details["expected_dim"])
+print("stabilization verdict:", "PASS" if check["pass"] else "FAIL")
 
-# the report serializes to a JSON envelope with its tolerances attached
-print("\nJSON envelope:")
-print(json.dumps({k: v for k, v in report.to_json_dict().items() if k != "spectrum"},
-                 indent=2))
+# the record the check writes into a run report
+print("\nreport record:")
+print(json.dumps(check, indent=2))

@@ -12,12 +12,11 @@ from derivlab import (
     bicommutant,
     commutant,
     derivation_kernel,
-    kernel_commutant_check,
     spectral_resolution,
     spectral_vn_algebra,
     subspace_distance,
 )
-from derivlab.cli import generate
+from derivlab.cli import commutant_identity_check, generate
 
 d = generate("hermitian_with_multiplicity", 6, seed=11, multiplicities=[2, 2, 1, 1])
 res = spectral_resolution(d)
@@ -36,10 +35,11 @@ print("\ndistance(ker, {D}')   =", subspace_distance(kernel, comm))
 print("distance(ker, P_D')   =", subspace_distance(kernel, proj_comm))
 print("distance({D}', P_D')  =", subspace_distance(comm, proj_comm))
 
-# the generated algebra P_D'' is abelian and sits inside the kernel
-report = kernel_commutant_check(d)
-print("\ncontainment residual of P_D'' in ker ad:", report.algebra_containment)
-print("overall verdict:", "PASS" if report.passed else "FAIL")
+# the generated algebra P_D'' is abelian and sits inside the kernel; the
+# check `derivlab run --suite commutant_identity` makes gives the verdict
+check = commutant_identity_check("commutant_identity/demo", d)
+print("\ncontainment residual of P_D'' in ker ad:", check["details"]["algebra_containment"])
+print("overall verdict:", "PASS" if check["pass"] else "FAIL")
 
 # bicommutants stabilize: S'' '' = S''
 twice = bicommutant([d])

@@ -11,7 +11,6 @@ flow intertwining, and kernel stabilization transported through pi.
 import numpy as np
 
 from derivlab import (
-    abstract_kernel_stabilization,
     analytic_norm_series,
     equilibrium_check,
     gns_construct,
@@ -20,6 +19,7 @@ from derivlab import (
     inner_derivation,
     state_from_density,
 )
+from derivlab.cli import br_gns_check
 from derivlab.gns import flow_intertwining_residual, kernel_correspondence_distance
 from derivlab.numlin import frob
 
@@ -54,9 +54,10 @@ for t in (0.5, 1.0):
 print("\nkernel correspondence distance:",
       kernel_correspondence_distance(rep, delta, s))
 
-report = abstract_kernel_stabilization(delta, n_max=5)
-print("kernel dims through power 5:", report.kernel_dims,
-      "->", "PASS" if report.passed else "FAIL")
+# the check `derivlab run --suite br_gns` makes gives the verdict on all of it
+check = br_gns_check("br_gns/demo", omega, delta, n_max=5)
+print("kernel dims through power 5:", tuple(check["details"]["kernel_dims"]))
+print("br_gns verdict:", "PASS" if check["pass"] else "FAIL")
 
 # every matrix is an analytic vector: the norm series converges
 x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))

@@ -15,11 +15,10 @@ import numpy as np
 from derivlab import (
     hcr_residual,
     periodic_pair,
-    rigidity_check,
     schrodinger_pair,
     trace_obstruction,
 )
-from derivlab.cli import generate
+from derivlab.cli import generate, heisenberg_rigidity_check
 from derivlab.heisenberg import commutation_residual
 
 line = schrodinger_pair(128, half_width=10.0)
@@ -54,9 +53,11 @@ for name, (a, b) in {
     print(f"\n{name}: |tr[A,B]| = {tr_abs:.2e}, "
           f"||[A,B] - iI||_F = {gap:.3f} >= sqrt(n) = {bound:.3f}")
 
-# rigidity: sampling x with ad^2(x) = 0 forces [D, x] = 0
+# rigidity: sampling x with ad^2(x) = 0 forces [D, x] = 0; the check
+# `derivlab run --suite heisenberg` makes gives the verdict
 d = generate("hermitian_with_multiplicity", 8, seed=9, multiplicities=[2, 2, 2, 1, 1])
-rig = rigidity_check(d, trials=50)
-print(f"\nrigidity over {rig.trials} samples from the {rig.kernel_dim}-dim "
-      f"ker(ad^2): max ||[D,x]|| / (||D|| ||x||) = {rig.max_relative_commutator:.2e}")
-print("verdict:", "PASS" if rig.passed else "FAIL")
+rig = heisenberg_rigidity_check("heisenberg/rigidity/demo", d, seed=0)
+print(f"\nrigidity over {rig['details']['trials']} samples from the "
+      f"{rig['details']['kernel_dim']}-dim ker(ad^2): "
+      f"max ||[D,x]|| / (||D|| ||x||) = {rig['residual']:.2e}")
+print("verdict:", "PASS" if rig["pass"] else "FAIL")

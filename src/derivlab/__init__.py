@@ -16,16 +16,13 @@ __version__ = "0.1.0"
 from .commutant import (
     bicommutant,
     commutant,
-    kernel_commutant_check,
     spectral_vn_algebra,
 )
 from .derivation import (
     ad_superoperator,
     derivation_kernel,
-    kernel_stabilization_report,
 )
 from .gns import (
-    abstract_kernel_stabilization,
     analytic_norm_series,
     equilibrium_check,
     gns_construct,
@@ -37,7 +34,6 @@ from .gns import (
 from .heisenberg import (
     hcr_residual,
     periodic_pair,
-    rigidity_check,
     schrodinger_pair,
     trace_obstruction,
 )

@@ -24,8 +24,8 @@ import numpy as np
 from . import __version__
 from . import heisenberg as heis_mod
 from . import numlin
-from .commutant import DEFAULT_CONTAINMENT_TOL, kernel_commutant_check
-from .derivation import DEFAULT_DISTANCE_TOL, kernel_stabilization_report
+from .commutant import kernel_commutant_check
+from .derivation import kernel_stabilization_report
 from .errors import BadMultiplicities, ConfigInvalid, DerivlabError
 from .gns import (
     EQUILIBRIUM_TOL,
@@ -45,6 +45,9 @@ from .spectral import DEFAULT_CLUSTER_TOL
 
 FORMATS = ("json", "csv")
 
+DEFAULT_DISTANCE_TOL = 1e-8
+DEFAULT_CONTAINMENT_TOL = 1e-8
+RIGIDITY_TOL = 1e-8
 DEFAULT_TOLERANCES = {
     "rank": numlin.DEFAULT_RANK_TOL,
     "subspace": DEFAULT_DISTANCE_TOL,
@@ -229,20 +232,24 @@ def _spectral_instances(n: int, seed: int) -> list:
     ]
 
 
+def _stabilized(stab, expected: int, tol) -> bool:
+    """The stabilization rule: every power's kernel has the expected
+    dimension and lies within the subspace tolerance of ker(map)."""
+    return all(dim == expected for dim in stab.kernel_dims) and all(
+        dist <= tol["subspace"] for dist in stab.distances
+    )
+
+
 def kernel_stab_check(check_id: str, d, n_max: int, tol=DEFAULT_TOLERANCES) -> dict:
     """ker ad_iD^k = ker ad_iD for k <= n_max, of dimension sum m_i^2."""
     report = kernel_stabilization_report(
-        d,
-        n_max,
-        rank_tol=tol["rank"],
-        distance_tol=tol["subspace"],
-        cluster_tol=tol["cluster"],
+        d, n_max, rank_tol=tol["rank"], cluster_tol=tol["cluster"]
     )
     expected = int(sum(m**2 for m in report.multiplicities))
     return _check(
         check_id,
         "kernel stabilization of the commutator derivation",
-        report.passed and report.kernel_dims[0] == expected,
+        _stabilized(report, expected, tol),
         max(report.distances),
         tol["subspace"],
         {
@@ -264,28 +271,30 @@ def _suite_kernel_stab(config: ExperimentConfig) -> list:
 
 def commutant_identity_check(check_id: str, d, tol=DEFAULT_TOLERANCES) -> dict:
     """ker ad_iD = {D}' = {P_i}' and P_D'' inside them, at the worst residual."""
-    report = kernel_commutant_check(
-        d,
-        rank_tol=tol["rank"],
-        distance_tol=tol["subspace"],
-        containment_tol=tol["containment"],
-        cluster_tol=tol["cluster"],
-    )
-    worst = max(
+    report = kernel_commutant_check(d, rank_tol=tol["rank"], cluster_tol=tol["cluster"])
+    distances = (
         report.distance_kernel_commutant,
         report.distance_kernel_projection,
         report.distance_commutant_projection,
-        report.algebra_containment,
-        report.projection_defect,
     )
+    # the projection commutant needs orthogonal, complete projections
+    defects = (report.algebra_containment, report.projection_defect)
+    passed = (
+        all(x <= tol["subspace"] for x in distances)
+        and all(x <= tol["containment"] for x in defects)
+        and report.kernel_dim == report.commutant_dim == report.projection_commutant_dim
+    )
+    details = report.to_json_dict()
+    details["pass"] = passed
+    details["tolerances"] = {k: tol[k] for k in ("rank", "subspace", "containment")}
     return _check(
         check_id,
         "kernel of the derivation equals the commutant of the "
         "generator and of its spectral projections",
-        report.passed,
-        worst,
+        passed,
+        max(*distances, *defects),
         tol["subspace"],
-        report.to_json_dict(),
+        details,
     )
 
 
@@ -307,16 +316,14 @@ def br_gns_check(
     impl = implementation_check(rep, delta, s)
     inter = flow_intertwining_residual(rep, delta, s, 0.5, 1.0)
     # one SVD of the map: ker(map) is the first level of the report's tower
-    stab = abstract_kernel_stabilization(
-        delta, n_max, rank_tol=tol["rank"], distance_tol=tol["subspace"]
-    )
+    stab = abstract_kernel_stabilization(delta, n_max, rank_tol=tol["rank"])
     corr = kernel_correspondence_distance(rep, delta, s, tol["rank"], kernel=stab.kernel)
     residual = max(eq, symmetry, impl)
     passed = (
         residual <= tol["residual"]
         and inter <= tol["subspace"]
         and corr <= tol["subspace"]
-        and stab.passed
+        and _stabilized(stab, stab.kernel_dims[0], tol)
     )
     return _check(
         check_id,
@@ -410,9 +417,9 @@ def heisenberg_rigidity_check(check_id: str, d, seed: int, tol=DEFAULT_TOLERANCE
     return _check(
         check_id,
         "a commutator with D that commutes with D must vanish",
-        rig.passed,
+        rig.max_relative_commutator <= RIGIDITY_TOL,
         rig.max_relative_commutator,
-        heis_mod.RIGIDITY_TOL,
+        RIGIDITY_TOL,
         {"kernel_dim": rig.kernel_dim, "trials": rig.trials},
     )
 

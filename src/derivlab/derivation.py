@@ -15,13 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .commutant import commutation_matrix
 from .errors import ZeroT
 from .numlin import (
     DEFAULT_RANK_TOL,
     OperatorSubspace,
     as_cmatrix,
     frob,
-    kron,
     map_kernels,
     require_hermitian,
     subspace_distance,
@@ -30,7 +30,6 @@ from .numlin import (
 )
 from .spectral import DEFAULT_CLUSTER_TOL, SpectralResolution, spectral_resolution, unitary_group
 
-DEFAULT_DISTANCE_TOL = 1e-8
 # geometric grid exposing first-order convergence without over/underflow
 DEFAULT_T_GRID = tuple(1e-2 * 2.0**-j for j in range(7))
 
@@ -77,14 +76,12 @@ class Superoperator:
 def ad_superoperator(d) -> Superoperator:
     """The superoperator of x -> i(Dx - xD) for Hermitian D.
 
-    Under column stacking its matrix is i(I (x) D - D^T (x) I); the
-    spectrum is {i(lambda_r - lambda_c)} over eigenvalue pairs of D.
+    Under column stacking its matrix is i(I (x) D - D^T (x) I), i times
+    ``commutant.commutation_matrix``; the spectrum is
+    {i(lambda_r - lambda_c)} over eigenvalue pairs of D.
     """
     d = require_hermitian(d)
-    n = d.shape[0]
-    eye = np.eye(n)
-    mat = 1j * (kron(eye, d) - kron(d.T, eye))
-    return Superoperator(n, mat)
+    return Superoperator(d.shape[0], 1j * commutation_matrix(d))
 
 
 def ad_apply(d, x) -> np.ndarray:
@@ -107,75 +104,37 @@ def derivation_kernel(d, k: int = 1) -> OperatorSubspace:
 @dataclass(frozen=True)
 class KernelStabilizationReport:
     """Kernel dimensions and distances to the first kernel for the powers
-    k = 1..len(kernel_dims); it passes when every power does.  ``kernel``
-    holds that first kernel, ker(map)."""
+    k = 1..len(kernel_dims): measurements only, the pass rule lives in
+    the check functions of ``cli``.  ``kernel`` holds that first kernel,
+    ker(map)."""
 
-    ambient_dim: int
     kernel_dims: tuple
     distances: tuple
-    per_k_pass: tuple
-    rank_tol: float
-    distance_tol: float
-    spectrum: tuple | None = None
     multiplicities: tuple | None = None
     kernel: OperatorSubspace | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def k_values(self) -> tuple:
-        return tuple(range(1, len(self.kernel_dims) + 1))
-
-    @property
-    def passed(self) -> bool:
-        return all(self.per_k_pass)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.ambient_dim,
-            "spectrum": list(self.spectrum) if self.spectrum is not None else None,
-            "multiplicities": (
-                list(self.multiplicities) if self.multiplicities is not None else None
-            ),
-            "k_values": list(self.k_values),
-            "kernel_dims": list(self.kernel_dims),
-            "distances": list(self.distances),
-            "per_k_pass": list(self.per_k_pass),
-            "pass": self.passed,
-            "tolerances": {"rank": self.rank_tol, "subspace": self.distance_tol},
-        }
 
 
 def superoperator_stabilization_report(
     sop: Superoperator,
     n_max: int,
     rank_tol: float = DEFAULT_RANK_TOL,
-    distance_tol: float = DEFAULT_DISTANCE_TOL,
-    spectrum=None,
     multiplicities=None,
 ) -> KernelStabilizationReport:
-    """Check ker(map^k) = ker(map) for k = 1..n_max.
+    """Dimensions of ker(map^k) and their distances to ker(map) for
+    k = 1..n_max.
 
     Every kernel comes from one SVD of the map (``kernel_tower``), which
     contains ker(map) by construction, so a distance measures growth of
-    the kernel only.  Failures are report content, never exceptions: each
-    k gets a flag requiring equal dimension and subspace distance <=
-    distance_tol.
+    the kernel only.  A growing kernel is report content, never an
+    exception; the report carries no verdict.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     kernels = sop.kernel_tower(n_max, rank_tol)
     base = kernels[0]
-    dims = tuple(k.dim for k in kernels)
-    dists = tuple(subspace_distance(k, base) for k in kernels)
     return KernelStabilizationReport(
-        ambient_dim=sop.ambient_dim,
-        kernel_dims=dims,
-        distances=dists,
-        per_k_pass=tuple(
-            dim == base.dim and dist <= distance_tol for dim, dist in zip(dims, dists)
-        ),
-        rank_tol=rank_tol,
-        distance_tol=distance_tol,
-        spectrum=spectrum,
+        kernel_dims=tuple(k.dim for k in kernels),
+        distances=tuple(subspace_distance(k, base) for k in kernels),
         multiplicities=multiplicities,
         kernel=base,
     )
@@ -185,17 +144,15 @@ def kernel_stabilization_report(
     d,
     n_max: int,
     rank_tol: float = DEFAULT_RANK_TOL,
-    distance_tol: float = DEFAULT_DISTANCE_TOL,
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> KernelStabilizationReport:
-    """Kernel stabilization of ad_iD: dims and distances for k <= n_max."""
+    """Kernel stabilization of ad_iD: dims and distances for k <= n_max,
+    and the eigenvalue multiplicities of D."""
     res = spectral_resolution(d, cluster_tol)
     return superoperator_stabilization_report(
         ad_superoperator(d),
         n_max,
         rank_tol=rank_tol,
-        distance_tol=distance_tol,
-        spectrum=tuple(float(v) for v in res.values),
         multiplicities=tuple(int(m) for m in res.multiplicities),
     )
 

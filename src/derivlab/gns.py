@@ -38,7 +38,6 @@ import numpy as np
 
 from .commutant import commutant
 from .derivation import (
-    DEFAULT_DISTANCE_TOL,
     Superoperator,
     ad_superoperator,
     superoperator_stabilization_report,
@@ -395,13 +394,12 @@ def abstract_kernel_stabilization(
     delta: Derivation,
     n_max: int,
     rank_tol: float = DEFAULT_RANK_TOL,
-    distance_tol: float = DEFAULT_DISTANCE_TOL,
 ):
     """Kernel stabilization report of the map a derivation holds:
     ``superoperator_stabilization_report`` of delta.map.  It reads neither
-    the generator nor its spectral resolution, so the report's spectrum
-    and multiplicities stay unset; perfbench traces it by this name."""
-    return superoperator_stabilization_report(delta.map, n_max, rank_tol, distance_tol)
+    the generator nor its spectral resolution, so the report's
+    multiplicities stay unset; perfbench traces it by this name."""
+    return superoperator_stabilization_report(delta.map, n_max, rank_tol)
 
 
 def analytic_norm_series(delta: Derivation, a, t: float, k_max: int) -> np.ndarray:

@@ -30,7 +30,6 @@ PERIODIC_INTERVAL = "periodic_interval"
 # puts its tail below 1e-8 at the 5 outermost grid sites
 _GAUSS_CLEARANCE = 6.2
 _MIN_SITES_PER_SIGMA = 4.0
-RIGIDITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -254,11 +253,6 @@ class RigidityReport:
     trials: int
     kernel_dim: int
     max_relative_commutator: float
-    max_commutant_membership_residual: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_relative_commutator <= RIGIDITY_TOL
 
 
 def rigidity_check(
@@ -267,39 +261,26 @@ def rigidity_check(
     rank_tol: float = DEFAULT_RANK_TOL,
     seed: int = 0,
 ) -> RigidityReport:
-    """Sample x from ker(ad_iD^2) and verify ||[D, x]|| <= RIGIDITY_TOL ||D|| ||x||.
-
-    Also confirms the membership route: [D, x] projects onto the
-    commutant {D}' with no loss (it lies there by construction), and is
-    then forced to be zero.  Both subspaces come from one kernel tower of
-    ad_iD: {D}' = ker ad_iD and the samples' ker ad_iD^2.
+    """Sample x from ker(ad_iD^2) and measure the largest
+    ||[D, x]|| / (||D|| ||x||), which rigidity forces to zero.  The samples
+    come from the second level of one kernel tower of ad_iD.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     d = require_hermitian(d)
-    comm_d, sq_kernel = ad_superoperator(d).kernel_tower(2, rank_tol)
+    sq_kernel = ad_superoperator(d).kernel_tower(2, rank_tol)[1]
     rng = np.random.default_rng(seed)
 
     d_norm = frob(d)
     worst_rel = 0.0
-    worst_membership = 0.0
     for _ in range(trials):
         coeffs = rng.standard_normal(sq_kernel.dim) + 1j * rng.standard_normal(
             sq_kernel.dim
         )
         x = np.tensordot(coeffs, sq_kernel.basis, axes=1)
-        y = d @ x - x @ d
         scale = d_norm * frob(x)
-        worst_rel = max(worst_rel, frob(y) / scale if scale > 0 else 0.0)
-        # [D, x] commutes with D, so projecting onto {D}' must recover it
-        worst_membership = max(
-            worst_membership,
-            comm_d.membership_residual(y) / scale if scale > 0 else 0.0,
-        )
+        worst_rel = max(worst_rel, frob(d @ x - x @ d) / scale if scale > 0 else 0.0)
 
     return RigidityReport(
-        trials=trials,
-        kernel_dim=sq_kernel.dim,
-        max_relative_commutator=worst_rel,
-        max_commutant_membership_residual=worst_membership,
+        trials=trials, kernel_dim=sq_kernel.dim, max_relative_commutator=worst_rel
     )

@@ -339,10 +339,6 @@ class OperatorSubspace:
         """Basis as rows of a (dim, n^2) array in vec coordinates."""
         return self.basis.transpose(0, 2, 1).reshape(self.dim, self.ambient_dim**2)
 
-    def membership_residual(self, x) -> float:
-        """||x - P(x)|| for the projection P onto the subspace: zero iff x lies in it."""
-        return float(np.sqrt(_offspace_mass(vec(x)[None], self.vectors())))
-
     @classmethod
     def from_vec_columns(cls, ambient_dim: int, columns: np.ndarray):
         """Wrap orthonormal vec-coordinate columns (e.g. from nullspace)."""

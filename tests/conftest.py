@@ -62,6 +62,14 @@ def from_spanning(ambient_dim, mats):
     return OperatorSubspace(n, vh[:rank].reshape(-1, n, n).transpose(0, 2, 1))
 
 
+def membership_residual(space, x):
+    """||x - P(x)|| for the orthogonal projection P onto an
+    OperatorSubspace, from its orthonormal vec rows: zero iff x lies in it."""
+    v = np.asarray(x, dtype=complex).reshape(-1, order="F")
+    rows = space.vectors()
+    return float(np.linalg.norm(v - rows.T @ (rows.conj() @ v)))
+
+
 def read_matrix_text(path):
     """Parse the text format of ``numlin.write_matrix_text``: an "n m"
     header, then n*m lines "re im" in row-major order."""

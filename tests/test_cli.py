@@ -11,6 +11,7 @@ from derivlab.cli import (
     ExperimentConfig,
     equilibrium_instance,
     generate,
+    kernel_stab_check,
     main,
     run,
 )
@@ -292,6 +293,19 @@ class TestRun:
                 assert key in check
 
 
+class TestCheckFunctions:
+    def test_kernel_stab_fails_when_clusters_merge(self):
+        # cluster=10 merges the five simple eigenvalues into one cluster, so
+        # the check expects dim 25 against a stable 5-dim kernel: every
+        # power agrees with ker ad_iD, and only the expected dim catches it
+        tol = {**DEFAULT_TOLERANCES, "cluster": 10.0}
+        check = kernel_stab_check("kernel_stab/n=5/simple", generate("hermitian", 5, 7), 5, tol)
+        assert check["details"]["kernel_dims"] == [5] * 5
+        assert check["details"]["expected_dim"] == 25
+        assert max(check["details"]["distances"]) <= tol["subspace"]
+        assert check["pass"] is False
+
+
 class TestMain:
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         out = tmp_path / "never.json"
@@ -441,7 +455,7 @@ class TestMain:
         def refuse(*args):
             raise AssertionError("gen built a superoperator")
 
-        for module in ("numlin", "derivation", "commutant", "gns"):
+        for module in ("numlin", "commutant", "gns"):
             monkeypatch.setattr(importlib.import_module(f"derivlab.{module}"), "kron", refuse)
         paths = {kind: tmp_path / f"{kind}.txt" for kind in ("derivation", "hermitian")}
         for kind, path in paths.items():

@@ -4,7 +4,12 @@ import importlib
 import numpy as np
 import pytest
 
-from derivlab.cli import _spectral_instances
+from derivlab.cli import (
+    DEFAULT_CONTAINMENT_TOL,
+    DEFAULT_DISTANCE_TOL,
+    _spectral_instances,
+    commutant_identity_check,
+)
 from derivlab.commutant import (
     bicommutant,
     commutant,
@@ -31,6 +36,7 @@ from conftest import (
     eigenbasis_kernel_oracle,
     from_spanning,
     matrix_unit,
+    membership_residual,
     random_hermitian,
     random_matrix,
 )
@@ -72,11 +78,11 @@ class TestCommutant:
         space = commutant([x, z])
         assert space.dim == 1
         assert space.dim == brute_force_commutant_dim([x, z])
-        assert space.membership_residual(np.eye(2) / np.sqrt(2)) <= 1e-10
+        assert membership_residual(space, np.eye(2) / np.sqrt(2)) <= 1e-10
 
     def test_contains_identity(self):
         space = commutant([random_hermitian(4, seed=1)])
-        assert space.membership_residual(np.eye(4) / 2.0) <= 1e-9
+        assert membership_residual(space, np.eye(4) / 2.0) <= 1e-9
 
     def test_matches_brute_force_on_random_generators(self):
         gens = [random_matrix(3, seed=2), random_hermitian(3, seed=3)]
@@ -139,7 +145,7 @@ class TestBicommutant:
     def test_identity_generates_scalars(self):
         space = bicommutant([np.eye(3)])
         assert space.dim == 1
-        assert space.membership_residual(np.eye(3) / np.sqrt(3)) <= 1e-10
+        assert membership_residual(space, np.eye(3) / np.sqrt(3)) <= 1e-10
 
     def test_projections_of_distinct_diagonal(self):
         res = spectral_resolution(np.diag([0.0, 1.0, 2.0]))
@@ -159,7 +165,7 @@ class TestBicommutant:
         gens = [random_hermitian(3, seed=5), random_matrix(3, seed=6)]
         space = bicommutant(gens)
         for g in gens:
-            assert space.membership_residual(g) <= 1e-9 * max(1.0, frob(g))
+            assert membership_residual(space, g) <= 1e-9 * max(1.0, frob(g))
 
     def test_idempotent(self):
         gens = [random_hermitian(4, seed=7)]
@@ -192,11 +198,11 @@ class TestSpectralVnAlgebra:
 
         d = generate("hermitian_with_multiplicity", 5, 9, multiplicities=[2, 2, 1])
         space = spectral_vn_algebra(spectral_resolution(d))
-        assert space.membership_residual(np.eye(5) / np.sqrt(5)) <= 1e-9
+        assert membership_residual(space, np.eye(5) / np.sqrt(5)) <= 1e-9
         for a in space.basis:
-            assert space.membership_residual(a.conj().T) <= 1e-9
+            assert membership_residual(space, a.conj().T) <= 1e-9
             for b in space.basis:
-                assert space.membership_residual(a @ b) <= 1e-9
+                assert membership_residual(space, a @ b) <= 1e-9
 
 
 class TestOrderReversalAndStability:
@@ -217,29 +223,32 @@ class TestOrderReversalAndStability:
 
 class TestKernelCommutantCheck:
     def test_distinct_diagonal(self):
-        report = kernel_commutant_check(np.diag([0.0, 1.0, 2.0]))
+        d = np.diag([0.0, 1.0, 2.0])
+        report = kernel_commutant_check(d)
         assert (
             report.kernel_dim
             == report.commutant_dim
             == report.projection_commutant_dim
             == 3
         )
-        assert report.passed
+        assert commutant_identity_check("commutant_identity/diag", d)["pass"]
 
     def test_identity(self):
         report = kernel_commutant_check(np.eye(3))
         assert report.kernel_dim == report.commutant_dim == 9
         assert report.algebra_dim == 1
         assert report.algebra_containment <= 1e-8
-        assert report.passed
+        assert commutant_identity_check("commutant_identity/eye", np.eye(3))["pass"]
 
     def test_random_simple_spectrum(self, gapped_hermitian):
-        report = kernel_commutant_check(gapped_hermitian(7, 15))
+        d = gapped_hermitian(7, 15)
+        report = kernel_commutant_check(d)
         assert report.kernel_dim == 7  # oracle: simple spectrum => diagonals
-        assert report.passed
+        assert commutant_identity_check("commutant_identity/simple", d)["pass"]
 
     def test_json_identity_field(self):
-        data = kernel_commutant_check(np.eye(2)).to_json_dict()
+        # the check adds its verdict and tolerances to the report's fields
+        data = commutant_identity_check("commutant_identity/eye", np.eye(2))["details"]
         assert data["identity"] == "ker=MD_prime"
         assert data["pass"] is True
         assert set(data["tolerances"]) == {"rank", "subspace", "containment"}
@@ -298,12 +307,14 @@ class TestSingleGeneratorRoutes:
         # the package rebinds the name "commutant" to the function
         module = importlib.import_module("derivlab.commutant")
         monkeypatch.setattr(module, "spectral_resolution", lossy)
-        report = kernel_commutant_check(_spectral_instances(4, 3)[0][1])
-        assert report.passed is False
-        assert report.projection_defect >= 1e3 * report.containment_tol
+        d = _spectral_instances(4, 3)[0][1]
+        check = commutant_identity_check("commutant_identity/lossy", d)
+        report = check["details"]
+        assert check["pass"] is False
+        assert report["projection_defect"] >= 1e3 * DEFAULT_CONTAINMENT_TOL
         # the one generator gives the lost block weight 0, one more distinct
         # value, so its commutant is still {D}': only the defect sees the loss
-        assert report.distance_kernel_projection <= report.distance_tol
+        assert report["distances"]["kernel_vs_projection_commutant"] <= DEFAULT_DISTANCE_TOL
 
     @pytest.mark.parametrize("n", [4, 6, 9])
     @pytest.mark.parametrize("kind", [0, 1], ids=["simple", "multiplicity"])
@@ -326,11 +337,14 @@ class TestSingleGeneratorRoutes:
         monkeypatch.setattr(module, "spectral_resolution", merging)
         d = _spectral_instances(n, 3)[kind][1]
         m0, m1 = spectral_resolution(d).multiplicities[:2]
-        report = kernel_commutant_check(d)
-        assert report.passed is False
-        assert report.distance_kernel_projection >= 1e3 * report.distance_tol
+        check = commutant_identity_check("commutant_identity/merged", d)
+        report = check["details"]
+        assert check["pass"] is False
+        distance = report["distances"]["kernel_vs_projection_commutant"]
+        assert distance >= 1e3 * DEFAULT_DISTANCE_TOL
         # {P}' gains the two off-diagonal blocks between the merged eigenspaces
-        assert report.projection_commutant_dim - report.kernel_dim == 2 * m0 * m1
+        dims = report["dims"]
+        assert dims["projection_commutant"] - dims["kernel"] == 2 * m0 * m1
         # the merged family is still orthogonal and complete: only the
         # distances see the merge
-        assert report.projection_defect <= report.containment_tol
+        assert report["projection_defect"] <= DEFAULT_CONTAINMENT_TOL

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from derivlab.cli import _spectral_instances
+from derivlab.cli import DEFAULT_DISTANCE_TOL, _spectral_instances, kernel_stab_check
 from derivlab.derivation import (
     DEFAULT_T_GRID,
     Superoperator,
@@ -33,6 +33,7 @@ from conftest import (
     eigenbasis_kernel_oracle,
     iterated_commutator,
     matrix_unit,
+    membership_residual,
     random_hermitian,
     random_matrix,
 )
@@ -117,7 +118,7 @@ class TestDerivationKernel:
 
     def test_contains_identity(self):
         kernel = derivation_kernel(random_hermitian(5, seed=41))
-        assert kernel.membership_residual(np.eye(5)) <= 1e-9
+        assert membership_residual(kernel, np.eye(5)) <= 1e-9
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_matches_eigenbasis_oracle(self, k, gapped_hermitian):
@@ -131,7 +132,7 @@ class TestKernelStabilization:
         report = kernel_stabilization_report(np.diag([0.0, 1.0, 2.0]), 4)
         assert report.kernel_dims == (3, 3, 3, 3)
         assert max(report.distances) <= 1e-8
-        assert report.passed
+        assert kernel_stab_check("kernel_stab/diag", np.diag([0.0, 1.0, 2.0]), 4)["pass"]
 
     def test_identity(self):
         report = kernel_stabilization_report(np.eye(3), 3)
@@ -148,22 +149,13 @@ class TestKernelStabilization:
         # oracle: ker ad^k is spanned by eigen-units with equal eigenvalues,
         # independent of k, so dim = sum of squared multiplicities
         assert report.kernel_dims == (10, 10, 10, 10, 10)
-        assert report.passed
+        assert kernel_stab_check("kernel_stab/double", d, 5)["pass"]
 
     def test_invertible_map_has_empty_kernels(self):
         # failures are report content, so an empty kernel must not raise
         report = superoperator_stabilization_report(Superoperator(2, 2 * np.eye(4)), 3)
         assert report.kernel_dims == (0, 0, 0)
         assert report.distances == (0.0, 0.0, 0.0)
-        assert report.passed
-
-    def test_json_envelope(self):
-        report = kernel_stabilization_report(np.diag([0.0, 1.0, 2.0]), 3)
-        data = report.to_json_dict()
-        for key in ("n", "spectrum", "multiplicities", "kernel_dims", "distances", "pass", "tolerances"):
-            assert key in data
-        assert data["pass"] is True
-        assert data["tolerances"]["subspace"] == report.distance_tol
 
 
 def _power_route_kernel(sop, k, rank_tol=1e-10):
@@ -180,16 +172,16 @@ class TestKernelTower:
     def test_jordan_control_fails(self):
         # negative control: x -> Nx - xN for the 4x4 Jordan block N is not
         # normal, its kernels grow with the power, and the report must
-        # say so with a wide margin
+        # say so with a wide margin.  kernel_stab_check takes Hermitian D
+        # only, so the distances are held against its bound directly
         nil = np.diag(np.ones(3), 1)
         eye = np.eye(4)
         sop = Superoperator(4, kron(eye, nil) - kron(nil.T, eye))
         report = superoperator_stabilization_report(sop, 5)
         assert report.kernel_dims == (4, 7, 10, 12, 14)
-        assert report.k_values == (1, 2, 3, 4, 5)
-        assert report.passed is all(report.per_k_pass) is False
-        assert report.per_k_pass == (True, False, False, False, False)
-        assert min(report.distances[1:]) / report.distance_tol >= 1e3
+        within = [dist <= DEFAULT_DISTANCE_TOL for dist in report.distances]
+        assert within == [True, False, False, False, False]
+        assert min(report.distances[1:]) / DEFAULT_DISTANCE_TOL >= 1e3
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_matches_power_route_and_eigenbasis_oracle(self, n):
@@ -277,11 +269,11 @@ class TestDerivationAlgebra:
 
     def test_kernel_is_unital_star_algebra(self, gapped_hermitian):
         kernel = derivation_kernel(gapped_hermitian(5, 77))
-        assert kernel.membership_residual(np.eye(5)) <= 1e-9
+        assert membership_residual(kernel, np.eye(5)) <= 1e-9
         for a in kernel.basis[:3]:
-            assert kernel.membership_residual(a.conj().T) <= 1e-9
+            assert membership_residual(kernel, a.conj().T) <= 1e-9
             for b in kernel.basis[:3]:
-                assert kernel.membership_residual(a @ b) <= 1e-9
+                assert membership_residual(kernel, a @ b) <= 1e-9
 
     def test_kernel_dim_is_sum_of_squared_multiplicities(self, gapped_hermitian):
         from derivlab.cli import generate

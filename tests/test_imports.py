@@ -160,6 +160,61 @@ def test_every_public_def_has_a_caller_outside_the_tests():
     assert sorted(set(UNREAD_ALLOWED) - set(unread)) == []
 
 
+# classes that still carry a verdict of their own, each with its reason
+VERDICT_ALLOWED = {
+    "derivation.DifferenceQuotientReport": "ROADMAP item 7 gives it a check function",
+}
+
+
+def verdict_fields(module: str, source: str) -> list:
+    """``module.Class.name`` for each ``passed``, ``per_k_pass`` or
+    ``*_tol`` a class of the module defines, as a field, an attribute or a
+    method (a property included)."""
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                names = [item.target.id]
+            elif isinstance(item, ast.Assign):
+                names = [t.id for t in item.targets if isinstance(t, ast.Name)]
+            elif isinstance(item, ast.FunctionDef):
+                names = [item.name]
+            else:
+                continue
+            found += [
+                f"{module}.{node.name}.{name}"
+                for name in names
+                if name in ("passed", "per_k_pass") or name.endswith("_tol")
+            ]
+    return found
+
+
+def test_finds_a_verdict_field():
+    source = (
+        "class R:\n"
+        "    passed: bool\n"
+        "    rank_tol: float = 1e-10\n"
+        "    distances: tuple\n"
+        "    @property\n"
+        "    def per_k_pass(self): pass\n"
+        "def passed(): pass\n"
+    )
+    assert verdict_fields("m", source) == ["m.R.passed", "m.R.rank_tol", "m.R.per_k_pass"]
+
+
+def test_reports_carry_no_verdict():
+    # pass rules and their tolerances live in the check functions of cli.py
+    found = set()
+    for p in (ROOT / "src" / "derivlab").glob("*.py"):
+        classes = verdict_fields(p.stem, p.read_text())
+        found |= {c.rpartition(".")[0] for c in classes}
+    assert sorted(found - set(VERDICT_ALLOWED)) == []
+    # an allowance outlives its reason once the class drops its verdict
+    assert sorted(set(VERDICT_ALLOWED) - found) == []
+
+
 @pytest.mark.parametrize("module", ["derivlab.cli", "derivlab"])
 def test_import_loads_no_scipy(module):
     # scipy is a test-only oracle; at run time the lab needs numpy alone

@@ -34,6 +34,7 @@ from derivlab.numlin import (
 from conftest import (
     from_spanning,
     matrix_unit,
+    membership_residual,
     random_hermitian,
     random_matrix,
     read_matrix_text,
@@ -404,8 +405,8 @@ class TestOperatorSubspace:
         s = from_spanning(2, [matrix_unit(2, 0, 0)])
         x = np.array([[3.0, 1.0], [0.0, 2.0]])
         # x - P(x) = [[0, 1], [0, 2]]
-        assert abs(s.membership_residual(x) - np.sqrt(5)) <= 1e-15
-        assert s.membership_residual(matrix_unit(2, 0, 0)) <= 1e-12
+        assert abs(membership_residual(s, x) - np.sqrt(5)) <= 1e-15
+        assert membership_residual(s, matrix_unit(2, 0, 0)) <= 1e-12
 
 
 class TestSubspaceDistance:
@@ -467,7 +468,7 @@ class TestSubspaceDistance:
         assert abs(containment_residual(scalars, empty) - 1.0) <= 1e-15
         x = random_matrix(2, seed=5)
         # P(x) = 0, so the whole of x is off the subspace
-        assert abs(empty.membership_residual(x) - frob(x)) <= 1e-15
+        assert abs(membership_residual(empty, x) - frob(x)) <= 1e-15
 
     def test_ambient_mismatch(self):
         s2 = from_spanning(2, [np.eye(2)])
