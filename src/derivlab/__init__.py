@@ -28,7 +28,6 @@ from .gns import (
     gns_construct,
     implementation_check,
     implementing_operator,
-    inner_derivation,
     state_from_density,
 )
 from .heisenberg import (

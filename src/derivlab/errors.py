@@ -46,7 +46,8 @@ class NotFaithful(DerivlabError):
 
 
 class NotEquilibrium(DerivlabError):
-    """State does not annihilate the derivation's range."""
+    """State and derivation act on different M_n, so the equilibrium
+    condition omega o delta = 0 cannot be posed."""
 
 
 class GridTooCoarse(DerivlabError):

@@ -3,8 +3,8 @@ derivation under an equilibrium state.
 
 Conventions.  A state is omega(a) = tr(rho a) for a density matrix rho.
 The GNS inner product <a, b> = omega(b* a) is linear in the first slot.
-Every derivation of M_n is inner, so each is held with its Hermitian
-generator g as delta(x) = [i g, x].  The implementing operator S is
+Every derivation of M_n is inner, so each is held as its superoperator,
+ad_ig of a Hermitian g, delta(x) = [i g, x].  The implementing operator S is
 defined on the dense (here: full) domain pi(M_n) f by
 S pi(a) f = -i pi(delta(a)) f, which makes S Hermitian exactly when
 omega is an equilibrium state, and gives the implementation identity
@@ -37,11 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .commutant import commutant
-from .derivation import (
-    Superoperator,
-    ad_superoperator,
-    superoperator_stabilization_report,
-)
+from .derivation import Superoperator, superoperator_stabilization_report
 from .errors import NotDensity, NotEquilibrium, NotFaithful, ShapeMismatch
 from .numlin import (
     DEFAULT_RANK_TOL,
@@ -52,13 +48,11 @@ from .numlin import (
     hermitian_eig,
     is_hermitian,
     kron,
-    require_hermitian,
     subspace_distance,
     vec,
 )
 
 FAITHFULNESS_TOL = 1e-10
-EQUILIBRIUM_TOL = 1e-9
 # byte budget of the flow check: the arrays of one chunk of matrix units
 # fill at most half of it, 1 MiB, so that a chunk can stay in a 2 MiB
 # per-core L2 cache; the other half is left for the d x d operators
@@ -102,39 +96,22 @@ def state_from_density(rho) -> State:
     return State(rho=rho, min_eigenvalue=float(w.min()))
 
 
-@dataclass(frozen=True)
-class Derivation:
-    """An inner derivation x -> [i g, x] of M_n: its Hermitian generator g
-    and the superoperator ad_ig.  Every derivation of M_n is inner, so
-    the generator is always present."""
-
-    map: Superoperator
-    generator: np.ndarray = field(repr=False)
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.map.ambient_dim
+def _require_pairing(n: int, delta: Superoperator):
+    if n != delta.ambient_dim:
+        raise NotEquilibrium(
+            f"state on M_{n} cannot pair with a derivation of M_{delta.ambient_dim}"
+        )
 
 
-def inner_derivation(a) -> Derivation:
-    """The derivation x -> [i a, x] of a Hermitian generator a."""
-    a = require_hermitian(a)
-    return Derivation(map=ad_superoperator(a), generator=a)
-
-
-def equilibrium_check(omega: State, delta: Derivation) -> float:
+def equilibrium_check(omega: State, delta: Superoperator) -> float:
     """Max of |omega(delta(b))| over the n^2 matrix units b.
 
-    This residual is the largest entry of i[rho, generator]; it vanishes
-    iff the state commutes with the generator.
+    For delta = ad_ig this residual is the largest entry of i[rho, g]; it
+    vanishes iff the state commutes with the generator.
     """
-    if omega.n != delta.ambient_dim:
-        raise NotEquilibrium(
-            f"state on M_{omega.n} cannot pair with a derivation of "
-            f"M_{delta.ambient_dim}"
-        )
+    _require_pairing(omega.n, delta)
     # tr(rho delta(E_rc)) for all units rc in one matrix-vector product
-    weights = vec(omega.rho.T) @ delta.map.matrix
+    weights = vec(omega.rho.T) @ delta.matrix
     return float(np.max(np.abs(weights)))
 
 
@@ -150,13 +127,12 @@ class GNSRepresentation:
     identity.
     """
 
-    state: State
     factor: np.ndarray = field(repr=False)
     factor_inv: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
-        return self.state.n
+        return self.factor.shape[0]
 
     @property
     def hilbert_dim(self) -> int:
@@ -200,28 +176,24 @@ def gns_construct(omega: State) -> GNSRepresentation:
     factor = lower.conj().T
     # LU of an upper-triangular matrix does not pivot, so the inverse
     # stays exactly upper triangular
-    return GNSRepresentation(state=omega, factor=factor, factor_inv=np.linalg.inv(factor))
+    return GNSRepresentation(factor=factor, factor_inv=np.linalg.inv(factor))
 
 
 def implementing_operator(
-    gns: GNSRepresentation, delta: Derivation
+    gns: GNSRepresentation, delta: Superoperator
 ) -> tuple[np.ndarray, float]:
     """The operator S with S pi(a) f = -i pi(delta(a)) f, plus its
     symmetry defect ||S - S*||.
 
     S = -i R M R^-1 for the map matrix M of any derivation; with R =
     L* (x) I the factors act on the column index of the vec coordinates
-    only.  Requires an equilibrium state (residual <= 1e-9); under that
-    hypothesis S is Hermitian up to roundoff and satisfies
-    pi(delta(a)) = [iS, pi(a)].
+    only.  S satisfies pi(delta(a)) = [iS, pi(a)] under every faithful
+    state, and is Hermitian exactly when omega is an equilibrium state;
+    the symmetry defect measures how far it is from that.
     """
-    residual = equilibrium_check(gns.state, delta)
-    if residual > EQUILIBRIUM_TOL:
-        raise NotEquilibrium(
-            f"equilibrium residual {residual:.3e} exceeds {EQUILIBRIUM_TOL:.1e}"
-        )
+    _require_pairing(gns.n, delta)
     n, d = gns.n, gns.hilbert_dim
-    left = (gns.factor @ delta.map.matrix.reshape(n, -1)).reshape(d, n, n)
+    left = (gns.factor @ delta.matrix.reshape(n, -1)).reshape(d, n, n)
     s = -1j * np.matmul(gns.factor_inv.T, left).reshape(d, d)
     return s, frob(s - s.conj().T)
 
@@ -258,12 +230,12 @@ def _unit_chunks(n: int) -> list:
     ]
 
 
-def implementation_check(gns: GNSRepresentation, delta: Derivation, s) -> float:
+def implementation_check(delta: Superoperator, s) -> float:
     """Max over matrix units a and basis vectors h of
     ||pi(delta(a)) h - [iS, pi(a)] h||."""
-    n = gns.n
+    n = delta.ambient_dim
     s4 = as_cmatrix(s).reshape(n, n, n, n)
-    derived = _unit_blocks(delta.map.matrix, n)
+    derived = _unit_blocks(delta.matrix, n)
     # -i (pi(delta(a)) - [iS, pi(a)]) has the same column norms; for
     # a = E_rc, its column q n + j holds at row p n + i the terms
     # -i delta(a)[i, j] if p = q, -S[pn + i, qn + r] if j = c, and
@@ -340,9 +312,7 @@ def _flow_mass(n: int, u, u_inv, propagator) -> float:
     return mass.max()
 
 
-def flow_intertwining_residual(
-    gns: GNSRepresentation, delta: Derivation, s, *times: float
-) -> float:
+def flow_intertwining_residual(delta: Superoperator, s, *times: float) -> float:
     """Max over matrix units a and the given times t of
     ||exp(iSt) pi(a) exp(-iSt) - pi(exp(t map)(a))||.
 
@@ -355,17 +325,17 @@ def flow_intertwining_residual(
     # exp(X)^-1 = exp(-X) for every square X; one inverse is cheaper
     # than a second expm
     u_inv = np.linalg.inv(u)
-    propagator = expm(times[0] * delta.map.matrix)
-    worst = _flow_mass(gns.n, u, u_inv, propagator)
+    propagator = expm(times[0] * delta.matrix)
+    n = delta.ambient_dim
+    worst = _flow_mass(n, u, u_inv, propagator)
     for _ in times[1:]:
         u, u_inv, propagator = u @ u, u_inv @ u_inv, propagator @ propagator
-        worst = max(worst, _flow_mass(gns.n, u, u_inv, propagator))
+        worst = max(worst, _flow_mass(n, u, u_inv, propagator))
     return float(np.sqrt(worst))
 
 
 def kernel_correspondence_distance(
-    gns: GNSRepresentation,
-    delta: Derivation,
+    delta: Superoperator,
     s,
     rank_tol: float = DEFAULT_RANK_TOL,
     kernel: OperatorSubspace | None = None,
@@ -383,26 +353,26 @@ def kernel_correspondence_distance(
     already, as the first level of the map's kernel tower, passes it as
     ``kernel`` and saves factoring the map again.
     """
-    n = gns.n
+    n = delta.ambient_dim
     partial = np.einsum("jpjr->pr", as_cmatrix(s).reshape(n, n, n, n))
     if kernel is None:
-        kernel = delta.map.kernel(rank_tol)
+        kernel = delta.kernel(rank_tol)
     return subspace_distance(commutant([partial / n], rank_tol), kernel)
 
 
 def abstract_kernel_stabilization(
-    delta: Derivation,
+    delta: Superoperator,
     n_max: int,
     rank_tol: float = DEFAULT_RANK_TOL,
 ):
-    """Kernel stabilization report of the map a derivation holds:
-    ``superoperator_stabilization_report`` of delta.map.  It reads neither
-    the generator nor its spectral resolution, so the report's
-    multiplicities stay unset; perfbench traces it by this name."""
-    return superoperator_stabilization_report(delta.map, n_max, rank_tol)
+    """Kernel stabilization report of the map:
+    ``superoperator_stabilization_report`` of delta.  It reads no
+    spectral resolution, so the report's multiplicities stay unset;
+    perfbench traces it by this name."""
+    return superoperator_stabilization_report(delta, n_max, rank_tol)
 
 
-def analytic_norm_series(delta: Derivation, a, t: float, k_max: int) -> np.ndarray:
+def analytic_norm_series(delta: Superoperator, a, t: float, k_max: int) -> np.ndarray:
     """Partial sums of sum_k t^k / k! ||delta^k(a)|| for k <= k_max.
 
     Bounded by ||a|| exp(t ||map||), so every matrix is an analytic
@@ -416,7 +386,7 @@ def analytic_norm_series(delta: Derivation, a, t: float, k_max: int) -> np.ndarr
     partial = [total]
     factorial = 1.0
     for k in range(1, k_max + 1):
-        term = delta.map.apply(term)
+        term = delta.apply(term)
         factorial *= k
         total += t**k / factorial * frob(term)
         partial.append(total)

@@ -24,7 +24,11 @@ from derivlab.cli import (
     kernel_stab_check,
     obstruction_check,
 )
-from derivlab.derivation import difference_quotient_check, pairing_derivative_check
+from derivlab.derivation import (
+    ad_superoperator,
+    difference_quotient_check,
+    pairing_derivative_check,
+)
 from derivlab.gns import flow_intertwining_residual, gns_construct, implementing_operator
 from derivlab.heisenberg import periodic_pair, rigidity_check, schrodinger_pair
 from derivlab.numlin import frob
@@ -166,13 +170,13 @@ def test_criterion_6_implementing_operator_pipeline():
     worst = {"residual": 0.0, "intertwine": 0.0, "correspondence": 0.0}
     for i in range(50):
         n = 2 + (i % 7)
-        omega, delta = equilibrium_instance(n, 700 + i)
-        check = br_gns_check(f"criterion_6/{i}", omega, delta, 5)
+        omega, g = equilibrium_instance(n, 700 + i)
+        check = br_gns_check(f"criterion_6/{i}", omega, g, 5)
         assert check["pass"], check
         # the CLI checks the flow at t = 0.5 and 1.0; run it backwards too
-        rep = gns_construct(omega)
-        s, _ = implementing_operator(rep, delta)
-        backwards = flow_intertwining_residual(rep, delta, s, -1.0)
+        delta = ad_superoperator(g)
+        s, _ = implementing_operator(gns_construct(omega), delta)
+        backwards = flow_intertwining_residual(delta, s, -1.0)
         assert backwards <= 1e-8
         worst["residual"] = max(worst["residual"], check["residual"])
         worst["intertwine"] = max(

@@ -93,18 +93,21 @@ def test_best_of_stops_at_the_budget():
     assert len(calls) == 5
 
 
-def test_gns_stages_above_the_br_gns_limit():
-    from derivlab import gns
-    from derivlab.cli import _BR_GNS_MAX_DIM, equilibrium_instance
+def test_gns_stages_above_the_br_gns_limit(monkeypatch):
+    from derivlab import cli, gns
+    from derivlab.derivation import ad_superoperator
 
+    # n = 33 would cost seconds per flow evaluation; a lowered limit
+    # keeps the dim just above it small
+    monkeypatch.setattr(cli, "_BR_GNS_MAX_DIM", 12)
     tool = _load()
-    n = _BR_GNS_MAX_DIM + 1
+    n = cli._BR_GNS_MAX_DIM + 1
     table = tool.stages(n)
     assert {"implementation_check", "flow_intertwining_residual"} <= set(table)
     # the flow stage runs the ladder of br_gns_check
-    omega, delta = equilibrium_instance(n, 8)
-    rep = gns.gns_construct(omega)
-    s = gns.implementing_operator(rep, delta)[0]
+    omega, g = cli.equilibrium_instance(n, 8)
+    delta = ad_superoperator(g)
+    s = gns.implementing_operator(gns.gns_construct(omega), delta)[0]
     assert table["flow_intertwining_residual"]() == gns.flow_intertwining_residual(
-        rep, delta, s, 0.5, 1.0
+        delta, s, 0.5, 1.0
     )

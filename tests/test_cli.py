@@ -55,8 +55,8 @@ class TestGenerate:
         assert omega.faithful
 
     def test_equilibrium_instance(self):
-        omega, delta = equilibrium_instance(4, 9)
-        comm = omega.rho @ delta.generator - delta.generator @ omega.rho
+        omega, g = equilibrium_instance(4, 9)
+        comm = omega.rho @ g - g @ omega.rho
         assert frob(comm) <= 1e-12
 
 
@@ -305,6 +305,21 @@ class TestCheckFunctions:
         assert max(check["details"]["distances"]) <= tol["subspace"]
         assert check["pass"] is False
 
+    def test_commutant_identity_reports_the_rule_nearest_its_bound(self, tmp_path):
+        # containment=1e-16 fails on defects of about 1e-15 while every
+        # distance clears 1e-8: the report names that defect and its bound
+        out = tmp_path / "report.json"
+        assert main(["run", "--suite", "commutant_identity", "--dims", "2..8",
+                     "--tol", "containment=1e-16", "--out", str(out)]) == 1
+        failed = [c for c in json.loads(out.read_text())["checks"] if not c["pass"]]
+        assert failed
+        for check in failed:
+            details = check["details"]
+            defect = max(details["algebra_containment"], details["projection_defect"])
+            assert max(details["distances"].values()) <= 1e-8
+            assert (check["residual"], check["tolerance"]) == (defect, 1e-16)
+            assert check["residual"] > check["tolerance"]
+
 
 class TestMain:
     def test_malformed_config_exits_2(self, tmp_path, capsys):
@@ -318,14 +333,14 @@ class TestMain:
 
     def test_br_gns_with_no_checkable_dim_exits_2(self, tmp_path):
         out = tmp_path / "never.json"
-        code = main(["run", "--suite", "br_gns", "--dims", "13,14", "--out", str(out)])
+        code = main(["run", "--suite", "br_gns", "--dims", "33,34", "--out", str(out)])
         assert code == 2
         assert not out.exists()
 
     @pytest.mark.parametrize(
         "suite, dims, ids, skipped",
         [
-            ("br_gns", "2,13", ["br_gns/n=2/i=0", "br_gns/n=2/i=1"], ["br_gns/n=13"]),
+            ("br_gns", "2,33", ["br_gns/n=2/i=0", "br_gns/n=2/i=1"], ["br_gns/n=33"]),
             (
                 "heisenberg",
                 "2,17",

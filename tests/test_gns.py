@@ -1,13 +1,17 @@
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from derivlab import gns, numlin
-from derivlab.cli import DEFAULT_DISTANCE_TOL, br_gns_check, equilibrium_instance
-from derivlab.derivation import Superoperator
+from derivlab.cli import (
+    DEFAULT_DISTANCE_TOL,
+    EQUILIBRIUM_TOL,
+    br_gns_check,
+    equilibrium_instance,
+)
+from derivlab.derivation import Superoperator, ad_superoperator
 from derivlab.errors import (
     NotDensity,
     NotEquilibrium,
@@ -15,7 +19,6 @@ from derivlab.errors import (
     NotHermitian,
 )
 from derivlab.gns import (
-    EQUILIBRIUM_TOL,
     abstract_kernel_stabilization,
     analytic_norm_series,
     equilibrium_check,
@@ -23,7 +26,6 @@ from derivlab.gns import (
     gns_construct,
     implementation_check,
     implementing_operator,
-    inner_derivation,
     kernel_correspondence_distance,
     state_from_density,
 )
@@ -76,61 +78,68 @@ class TestState:
 
 class TestDerivationConstruction:
     def test_zero_generator(self):
-        delta = inner_derivation(np.zeros((2, 2)))
-        assert frob(delta.map.matrix) == 0.0
+        delta = ad_superoperator(np.zeros((2, 2)))
+        assert frob(delta.matrix) == 0.0
 
     def test_scalar_commutator(self):
-        delta = inner_derivation(np.diag([0.0, 1.0]))
+        delta = ad_superoperator(np.diag([0.0, 1.0]))
         b = matrix_unit(2, 0, 1)
         # oracle: [i diag(0,1), E01] = i(0 - 1) E01
-        assert frob(delta.map.apply(b) - (-1j) * b) <= 1e-14
+        assert frob(delta.apply(b) - (-1j) * b) <= 1e-14
 
     def test_star_compatibility(self):
-        delta = inner_derivation(random_hermitian(4, seed=1))
+        delta = ad_superoperator(random_hermitian(4, seed=1))
         x = random_matrix(4, seed=2)
-        assert frob(delta.map.apply(x.conj().T) - delta.map.apply(x).conj().T) <= 1e-12
+        assert frob(delta.apply(x.conj().T) - delta.apply(x).conj().T) <= 1e-12
 
     def test_rejects_non_hermitian_generator(self):
         with pytest.raises(NotHermitian):
-            inner_derivation(matrix_unit(2, 0, 1))
+            ad_superoperator(matrix_unit(2, 0, 1))
 
     def test_inner_kind_and_ambient_dim(self):
-        a = random_hermitian(3, seed=3)
-        delta = inner_derivation(a)
-        assert np.array_equal(delta.generator, a)
+        delta = ad_superoperator(random_hermitian(3, seed=3))
         assert delta.ambient_dim == 3
 
 
 class TestEquilibrium:
     def test_tracial_state_always_equilibrium(self):
         omega = tracial_state(3)
-        delta = inner_derivation(random_hermitian(3, seed=6))
+        delta = ad_superoperator(random_hermitian(3, seed=6))
         assert equilibrium_check(omega, delta) <= 1e-12
 
     def test_commuting_diagonal_pair(self):
         omega = state_from_density(np.diag([0.7, 0.3]))
-        delta = inner_derivation(np.diag([0.0, 1.0]))
+        delta = ad_superoperator(np.diag([0.0, 1.0]))
         assert equilibrium_check(omega, delta) <= 1e-12
 
     def test_noncommuting_residual_value(self):
         omega = state_from_density(np.diag([0.7, 0.3]))
-        delta = inner_derivation(matrix_unit(2, 0, 1) + matrix_unit(2, 1, 0))
+        delta = ad_superoperator(matrix_unit(2, 0, 1) + matrix_unit(2, 1, 0))
         # oracle: max entry of i[rho, a] = 0.7 - 0.3 times the off-diagonal
         assert abs(equilibrium_check(omega, delta) - 0.4) <= 1e-12
 
     @pytest.mark.parametrize("seed", range(4))
     def test_residual_iff_state_commutes(self, seed):
-        omega, delta = equilibrium_instance(4, seed)
-        comm = omega.rho @ delta.generator - delta.generator @ omega.rho
+        omega, g = equilibrium_instance(4, seed)
+        delta = ad_superoperator(g)
+        comm = omega.rho @ g - g @ omega.rho
         assert equilibrium_check(omega, delta) <= 1e-10
         assert frob(comm) <= 1e-9
         # perturbed generator breaks both sides of the equivalence
-        bad = inner_derivation(
-            delta.generator + 0.5 * (matrix_unit(4, 0, 1) + matrix_unit(4, 1, 0))
-        )
-        bad_comm = omega.rho @ bad.generator - bad.generator @ omega.rho
+        bad_g = g + 0.5 * (matrix_unit(4, 0, 1) + matrix_unit(4, 1, 0))
+        bad = ad_superoperator(bad_g)
+        bad_comm = omega.rho @ bad_g - bad_g @ omega.rho
         assert equilibrium_check(omega, bad) > 1e-10
         assert frob(bad_comm) > 1e-9
+
+    def test_state_and_map_on_different_algebras(self):
+        # the GNS pipeline pairs the two only here and in implementing_operator
+        omega = tracial_state(3)
+        delta = ad_superoperator(np.diag([0.0, 1.0]))
+        with pytest.raises(NotEquilibrium):
+            equilibrium_check(omega, delta)
+        with pytest.raises(NotEquilibrium):
+            implementing_operator(gns_construct(omega), delta)
 
 
 class TestGNSConstruction:
@@ -215,13 +224,13 @@ class TestGNSConstruction:
 class TestImplementingOperator:
     def test_zero_derivation(self):
         rep = gns_construct(tracial_state(2))
-        s, symmetry = implementing_operator(rep, inner_derivation(np.zeros((2, 2))))
+        s, symmetry = implementing_operator(rep, ad_superoperator(np.zeros((2, 2))))
         assert frob(s) <= 1e-12
         assert symmetry <= 1e-12
 
     def test_tracial_spectrum(self):
         rep = gns_construct(tracial_state(2))
-        delta = inner_derivation(np.diag([0.0, 1.0]))
+        delta = ad_superoperator(np.diag([0.0, 1.0]))
         s, symmetry = implementing_operator(rep, delta)
         assert symmetry <= 1e-12
         # oracle: eigenvalue differences of the generator
@@ -230,55 +239,63 @@ class TestImplementingOperator:
     def test_tracial_spectrum_random_generator(self):
         a = random_hermitian(3, seed=15)
         rep = gns_construct(tracial_state(3))
-        s, _ = implementing_operator(rep, inner_derivation(a))
+        s, _ = implementing_operator(rep, ad_superoperator(a))
         w = np.linalg.eigvalsh(a)
         expected = sorted(float(wr - wc) for wr in w for wc in w)
         assert np.allclose(sorted(np.linalg.eigvalsh((s + s.conj().T) / 2)), expected)
 
     def test_requires_equilibrium(self):
+        # S is Hermitian only under an equilibrium state; br_gns_check
+        # FAILs the pair with every measurement instead of raising
         omega = state_from_density(np.diag([0.7, 0.3]))
-        delta = inner_derivation(matrix_unit(2, 0, 1) + matrix_unit(2, 1, 0))
-        rep = gns_construct(omega)
-        with pytest.raises(NotEquilibrium):
-            implementing_operator(rep, delta)
+        g = matrix_unit(2, 0, 1) + matrix_unit(2, 1, 0)
+        check = br_gns_check("br_gns/n=2/control", omega, g, 5)
+        comm = frob(omega.rho @ g - g @ omega.rho)
+        assert check["pass"] is False
+        assert check["details"]["equilibrium"] >= 1e3 * EQUILIBRIUM_TOL
+        assert check["details"]["symmetry"] >= 1e3 * EQUILIBRIUM_TOL
+        assert comm <= check["details"]["symmetry"] <= 100 * comm
 
     def test_implementation_identity(self):
         rep = gns_construct(tracial_state(2))
-        delta = inner_derivation(np.diag([0.0, 1.0]))
+        delta = ad_superoperator(np.diag([0.0, 1.0]))
         s, _ = implementing_operator(rep, delta)
-        assert implementation_check(rep, delta, s) <= 1e-10
+        assert implementation_check(delta, s) <= 1e-10
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_equilibrium_instances(self, seed):
-        omega, delta = equilibrium_instance(3, 20 + seed)
+        omega, g = equilibrium_instance(3, 20 + seed)
+        delta = ad_superoperator(g)
         rep = gns_construct(omega)
         s, symmetry = implementing_operator(rep, delta)
         assert symmetry <= 1e-9
-        assert implementation_check(rep, delta, s) <= 1e-9
+        assert implementation_check(delta, s) <= 1e-9
 
     def test_flow_intertwining(self):
-        omega, delta = equilibrium_instance(3, 30)
+        omega, g = equilibrium_instance(3, 30)
+        delta = ad_superoperator(g)
         rep = gns_construct(omega)
         s, _ = implementing_operator(rep, delta)
         for t in (-1.0, 0.25, 1.0):
-            assert flow_intertwining_residual(rep, delta, s, t) <= 1e-8
+            assert flow_intertwining_residual(delta, s, t) <= 1e-8
 
     def test_kernel_correspondence(self):
-        omega, delta = equilibrium_instance(4, 31)
+        omega, g = equilibrium_instance(4, 31)
+        delta = ad_superoperator(g)
         rep = gns_construct(omega)
         s, _ = implementing_operator(rep, delta)
-        assert kernel_correspondence_distance(rep, delta, s) <= 1e-8
+        assert kernel_correspondence_distance(delta, s) <= 1e-8
 
 
 class TestAbstractStabilization:
     def test_inner_distinct(self):
-        delta = inner_derivation(np.diag([0.0, 1.0, 2.0]))
+        delta = ad_superoperator(np.diag([0.0, 1.0, 2.0]))
         report = abstract_kernel_stabilization(delta, 4)
         assert report.kernel_dims == (3, 3, 3, 3)
         assert all(dist <= DEFAULT_DISTANCE_TOL for dist in report.distances)
 
     def test_zero_map(self):
-        delta = inner_derivation(np.zeros((3, 3)))
+        delta = ad_superoperator(np.zeros((3, 3)))
         report = abstract_kernel_stabilization(delta, 3)
         assert report.kernel_dims == (9, 9, 9)
 
@@ -286,20 +303,20 @@ class TestAbstractStabilization:
         from derivlab.cli import generate
 
         a = generate("hermitian_with_multiplicity", 4, 16, multiplicities=[2, 2])
-        report = abstract_kernel_stabilization(inner_derivation(a), 5)
+        report = abstract_kernel_stabilization(ad_superoperator(a), 5)
         assert report.kernel_dims == (8, 8, 8, 8, 8)
         assert all(dist <= DEFAULT_DISTANCE_TOL for dist in report.distances)
 
 
 class TestAnalyticSeries:
     def test_zero_derivation(self):
-        delta = inner_derivation(np.zeros((2, 2)))
+        delta = ad_superoperator(np.zeros((2, 2)))
         a = random_matrix(2, seed=17)
         sums = analytic_norm_series(delta, a, 1.0, 6)
         assert np.allclose(sums, frob(a))
 
     def test_unit_norm_chain_converges_to_e(self):
-        delta = inner_derivation(np.diag([0.0, 1.0]))
+        delta = ad_superoperator(np.diag([0.0, 1.0]))
         a = matrix_unit(2, 0, 1)
         sums = analytic_norm_series(delta, a, 1.0, 16)
         # oracle: ||delta^k(a)|| = 1 for every k, so the series is e
@@ -310,13 +327,14 @@ class TestAnalyticSeries:
         assert abs(sums[-1] - np.e) <= 1e-12
 
     def test_norm_bound(self):
-        omega, delta = equilibrium_instance(3, 18)
+        omega, g = equilibrium_instance(3, 18)
+        delta = ad_superoperator(g)
         a = random_matrix(3, seed=19)
         t = 0.7
         sums = analytic_norm_series(delta, a, t, 20)
         assert np.all(np.diff(sums) >= -1e-15)
         assert sums[0] >= frob(a) - 1e-12
-        assert sums[-1] <= frob(a) * np.exp(t * delta.map.norm()) + 1e-9
+        assert sums[-1] <= frob(a) * np.exp(t * delta.norm()) + 1e-9
 
 
 def units_one_by_one(n):
@@ -340,7 +358,7 @@ def oracle_implementation(pi, n, delta, s):
     worst = 0.0
     for unit in units_one_by_one(n):
         pa = pi(unit)
-        lhs = pi(delta.map.apply(unit))
+        lhs = pi(delta.apply(unit))
         rhs = 1j * (s @ pa - pa @ s)
         worst = max(worst, float(np.max(np.linalg.norm(lhs - rhs, axis=0))))
     return worst
@@ -349,7 +367,7 @@ def oracle_implementation(pi, n, delta, s):
 def oracle_intertwining(pi, n, delta, s, t):
     u = scipy.linalg.expm(1j * t * s)
     u_inv = scipy.linalg.expm(-1j * t * s)
-    propagated = scipy.linalg.expm(t * delta.map.matrix)
+    propagated = scipy.linalg.expm(t * delta.matrix)
     worst = 0.0
     for unit in units_one_by_one(n):
         lhs = u @ pi(unit) @ u_inv
@@ -368,7 +386,7 @@ def oracle_kernel_correspondence(pi, n, delta, s):
     _, sing, null = np.linalg.svd(restricted)
     rank = int(np.sum(sing > DEFAULT_RANK_TOL * max(sing[0], 1.0)))
     kernel = [sum(z * b for z, b in zip(row.conj(), basis)) for row in null[rank:]]
-    pushed = [pi(b) for b in delta.map.kernel(DEFAULT_RANK_TOL).basis]
+    pushed = [pi(b) for b in delta.kernel(DEFAULT_RANK_TOL).basis]
     return subspace_distance(
         from_spanning(d, kernel),
         from_spanning(d, pushed),
@@ -384,7 +402,8 @@ def perturbed(s, n, seed):
 class TestBatchedChecks:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_match_per_unit_oracle(self, n):
-        omega, delta = equilibrium_instance(n, 40 + n)
+        omega, g = equilibrium_instance(n, 40 + n)
+        delta = ad_superoperator(g)
         rep = gns_construct(omega)
         r, r_inv = dense_gram_factor(omega)
 
@@ -397,7 +416,7 @@ class TestBatchedChecks:
         assert np.max(np.abs(embed(rep, stack[1]) - r @ vec(stack[1]))) <= 1e-12
         assert np.max(np.abs(rep.cyclic_vector - r @ vec(np.eye(n)))) <= 1e-12
         s, symmetry = implementing_operator(rep, delta)
-        dense_s = -1j * (r @ delta.map.matrix @ r_inv)
+        dense_s = -1j * (r @ delta.matrix @ r_inv)
         assert np.max(np.abs(s - dense_s)) <= 1e-12
         assert abs(symmetry - frob(dense_s - dense_s.conj().T)) <= 1e-12
         # the perturbed operators make each residual O(1e-3), so
@@ -406,28 +425,29 @@ class TestBatchedChecks:
         skewed = s + 1e-3 * np.kron(np.eye(n), random_matrix(n, seed=80 + n))
         for op in (s, perturbed(s, n, 50 + n), skewed):
             assert abs(
-                implementation_check(rep, delta, op)
+                implementation_check(delta, op)
                 - oracle_implementation(pi, n, delta, op)
             ) <= 1e-12
             for t in (0.5, 1.0):
                 assert abs(
-                    flow_intertwining_residual(rep, delta, op, t)
+                    flow_intertwining_residual(delta, op, t)
                     - oracle_intertwining(pi, n, delta, op, t)
                 ) <= 1e-12
             assert abs(
-                kernel_correspondence_distance(rep, delta, op)
+                kernel_correspondence_distance(delta, op)
                 - oracle_kernel_correspondence(pi, n, delta, op)
             ) <= 1e-12
 
     @pytest.mark.parametrize("n", [3, 6, 9])
     def test_detects_perturbed_operator(self, n):
-        omega, delta = equilibrium_instance(n, 60 + n)
+        omega, g = equilibrium_instance(n, 60 + n)
+        delta = ad_superoperator(g)
         rep = gns_construct(omega)
         s, _ = implementing_operator(rep, delta)
         bad = perturbed(s, n, 70 + n)
-        assert implementation_check(rep, delta, bad) > 1e-6
-        assert flow_intertwining_residual(rep, delta, bad, 1.0) > 1e-6
-        assert kernel_correspondence_distance(rep, delta, bad) > 1e-6
+        assert implementation_check(delta, bad) > 1e-6
+        assert flow_intertwining_residual(delta, bad, 1.0) > 1e-6
+        assert kernel_correspondence_distance(delta, bad) > 1e-6
 
 
 def n6_implementation_check(n, delta, s):
@@ -435,7 +455,7 @@ def n6_implementation_check(n, delta, s):
     every column of every unit, res[r, c, p, i, q, j]."""
     s4 = s.reshape(n, n, n, n)
     res = np.zeros((n,) * 6, dtype=np.complex128)
-    derived = delta.map.matrix.reshape(n, n, n, n).transpose(3, 2, 1, 0)
+    derived = delta.matrix.reshape(n, n, n, n).transpose(3, 2, 1, 0)
     np.einsum("rcpipj->rcpij", res)[...] = -1j * derived[:, :, None]
     np.einsum("rcpiqc->rcpiq", res)[...] -= s4.transpose(3, 0, 1, 2)[:, None]
     np.einsum("rcprqj->rcpqj", res)[...] += s4.transpose(1, 0, 2, 3)[None]
@@ -448,7 +468,7 @@ def n6_flow_intertwining_residual(n, delta, s, t):
     d = n * n
     u = scipy.linalg.expm(1j * t * s)
     u_inv = scipy.linalg.expm(-1j * t * s)
-    propagated = scipy.linalg.expm(t * delta.map.matrix)
+    propagated = scipy.linalg.expm(t * delta.matrix)
     columns = u.reshape(d, n, n).swapaxes(1, 2).reshape(d * n, n)
     diff = (columns @ u_inv.reshape(n, n * d)).reshape((n,) * 6)
     flowed = propagated.reshape(n, n, n, n).transpose(3, 2, 1, 0)
@@ -476,22 +496,18 @@ FLOW_BLOCK = 32
 
 
 def oracle_cases(n, seed):
-    """(name, GNS representation, derivation, operator) for every operator
-    of ``operators_under_test`` and for a map that is no derivation.  For
-    a true derivation every column j != c of the implementation residual
+    """(name, map, operator) for every operator of
+    ``operators_under_test`` and for a map that is no derivation.  For a
+    true derivation every column j != c of the implementation residual
     is bounded by a column j = c, so only such a map lets the off-block
-    mass of the columns j != c set the max; the checks read only the map,
-    so the generator stays as it is."""
-    omega, delta = equilibrium_instance(n, seed)
-    rep = gns_construct(omega)
-    s, _ = implementing_operator(rep, delta)
+    mass of the columns j != c set the max."""
+    omega, g = equilibrium_instance(n, seed)
+    delta = ad_superoperator(g)
+    s, _ = implementing_operator(gns_construct(omega), delta)
     ops = operators_under_test(s, n)
-    noisy = replace(
-        delta,
-        map=Superoperator(n, delta.map.matrix + 1e-2 * random_matrix(n * n, seed=n)),
-    )
-    cases = [(name, rep, delta, op) for name, op in ops.items()]
-    return cases + [("not a derivation", rep, noisy, ops["dense"])]
+    noisy = Superoperator(n, delta.matrix + 1e-2 * random_matrix(n * n, seed=n))
+    cases = [(name, delta, op) for name, op in ops.items()]
+    return cases + [("not a derivation", noisy, ops["dense"])]
 
 
 class TestChunkedChecks:
@@ -508,25 +524,25 @@ class TestChunkedChecks:
         assert (len(chunks) > 1) == (n >= 9)
         assert all(part == slice(0, n) for _, part in chunks)
         budgets = {"default": default, "one block": 1, "split": 4 * FLOW_BLOCK * n**3}
-        for name, rep, d, op in oracle_cases(n, 110 + n):
+        for name, d, op in oracle_cases(n, 110 + n):
             assert abs(
-                implementation_check(rep, d, op) - n6_implementation_check(n, d, op)
+                implementation_check(d, op) - n6_implementation_check(n, d, op)
             ) <= 1e-12, name
             flowed = {t: n6_flow_intertwining_residual(n, d, op, t) for t in (-1.0, 0.5, 1.0)}
             for budget, size in budgets.items():
                 monkeypatch.setattr(gns, "_CHUNK_BYTES", size)
                 for t, expected in flowed.items():
                     assert abs(
-                        flow_intertwining_residual(rep, d, op, t) - expected
+                        flow_intertwining_residual(d, op, t) - expected
                     ) <= 1e-12, (name, budget, t)
                 # the ladder squares the exponentials of t = 0.5 for t = 1
                 assert abs(
-                    flow_intertwining_residual(rep, d, op, 0.5, 1.0)
+                    flow_intertwining_residual(d, op, 0.5, 1.0)
                     - max(flowed[0.5], flowed[1.0])
                 ) <= 1e-12, (name, budget)
             for times in [(), (0.5, 1.5), (1.0, 0.5), (0.5, 1.0, 3.0), (-1.0, 2.0)]:
                 with pytest.raises(ValueError):
-                    flow_intertwining_residual(rep, d, op, *times)
+                    flow_intertwining_residual(d, op, *times)
 
     def test_one_row_chunks_match_n6_oracle(self, monkeypatch):
         # a one-byte budget makes every block (r, q) of the flow check its
@@ -534,12 +550,13 @@ class TestChunkedChecks:
         monkeypatch.setattr(gns, "_CHUNK_BYTES", 1)
         n = 5
         assert len(gns._unit_chunks(n)) == n * n
-        omega, delta = equilibrium_instance(n, 120)
+        omega, g = equilibrium_instance(n, 120)
+        delta = ad_superoperator(g)
         rep = gns_construct(omega)
         s, _ = implementing_operator(rep, delta)
         for name, op in operators_under_test(s, n).items():
             assert abs(
-                flow_intertwining_residual(rep, delta, op, 0.5)
+                flow_intertwining_residual(delta, op, 0.5)
                 - n6_flow_intertwining_residual(n, delta, op, 0.5)
             ) <= 1e-12, name
 
@@ -552,20 +569,21 @@ class TestChunkedChecks:
         assert [part for rows, part in chunks if rows == slice(0, 1)] == [
             slice(0, 2), slice(2, 4), slice(4, 5)
         ]
-        omega, delta = equilibrium_instance(n, 125)
+        omega, g = equilibrium_instance(n, 125)
+        delta = ad_superoperator(g)
         rep = gns_construct(omega)
         s, _ = implementing_operator(rep, delta)
         for name, op in operators_under_test(s, n).items():
             for t in (-1.0, 0.5, 1.0):
                 assert abs(
-                    flow_intertwining_residual(rep, delta, op, t)
+                    flow_intertwining_residual(delta, op, t)
                     - n6_flow_intertwining_residual(n, delta, op, t)
                 ) <= 1e-12, (name, t)
             # cutting a row along q moves no bit of the result
             monkeypatch.setattr(gns, "_CHUNK_BYTES", 2 * 2**20)
-            whole = flow_intertwining_residual(rep, delta, op, 0.5, 1.0)
+            whole = flow_intertwining_residual(delta, op, 0.5, 1.0)
             monkeypatch.setattr(gns, "_CHUNK_BYTES", 4 * FLOW_BLOCK * n**3)
-            assert flow_intertwining_residual(rep, delta, op, 0.5, 1.0) == whole, name
+            assert flow_intertwining_residual(delta, op, 0.5, 1.0) == whole, name
 
     @pytest.mark.parametrize("n, budget", [(5, 4 * 16 * 5**4), (12, None)])
     def test_chunk_arrays_fit_half_the_budget(self, monkeypatch, n, budget):
@@ -580,10 +598,11 @@ class TestChunkedChecks:
             return mass(x, spec)
 
         monkeypatch.setattr(gns, "_mass", recorded)
-        omega, delta = equilibrium_instance(n, 135)
+        omega, g = equilibrium_instance(n, 135)
+        delta = ad_superoperator(g)
         rep = gns_construct(omega)
         s, _ = implementing_operator(rep, delta)
-        flow_intertwining_residual(rep, delta, s, 1.0)
+        flow_intertwining_residual(delta, s, 1.0)
         assert sizes and max(sizes) <= gns._CHUNK_BYTES // 2
 
     def test_chunks_fit_half_the_budget_while_one_block_does(self):
@@ -601,12 +620,13 @@ class TestChunkedChecks:
         # the n^6 arrays of the unchunked checks took about 50 MiB here,
         # and rows of whole units under a 16 MiB budget 9.4 MiB
         n = 12
-        omega, delta = equilibrium_instance(n, 130)
+        omega, g = equilibrium_instance(n, 130)
+        delta = ad_superoperator(g)
         rep = gns_construct(omega)
         s, _ = implementing_operator(rep, delta)
         for check in (
-            lambda: implementation_check(rep, delta, s),
-            lambda: flow_intertwining_residual(rep, delta, s, 1.0),
+            lambda: implementation_check(delta, s),
+            lambda: flow_intertwining_residual(delta, s, 1.0),
         ):
             tracemalloc.start()
             try:
@@ -623,12 +643,13 @@ class TestImplementationFootprint:
         # every array of the check has at most n^4 entries, as S has;
         # arrays of n^5 entries, one per column of every unit, would pass
         # 3 s.nbytes at n = 12
-        omega, delta = equilibrium_instance(n, 160 + n)
+        omega, g = equilibrium_instance(n, 160 + n)
+        delta = ad_superoperator(g)
         rep = gns_construct(omega)
         s, _ = implementing_operator(rep, delta)
         tracemalloc.start()
         try:
-            implementation_check(rep, delta, s)
+            implementation_check(delta, s)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -639,7 +660,7 @@ class TestOneFactorizationPerInstance:
     def test_br_gns_check_factors_the_map_once(self, monkeypatch):
         # two SVDs per instance: the kernel tower of the map, whose first
         # level is ker(map), and the commutant of T / n
-        omega, delta = equilibrium_instance(6, 140)
+        omega, g = equilibrium_instance(6, 140)
         calls = []
         split = numlin._svd_split
 
@@ -648,19 +669,20 @@ class TestOneFactorizationPerInstance:
             return split(m, *args)
 
         monkeypatch.setattr(numlin, "_svd_split", counted)
-        assert br_gns_check("br_gns/n=6/i=0", omega, delta, 5)["pass"]
+        assert br_gns_check("br_gns/n=6/i=0", omega, g, 5)["pass"]
         assert len(calls) == 2
 
     def test_tower_kernel_is_the_map_kernel(self):
-        omega, delta = equilibrium_instance(5, 145)
+        omega, g = equilibrium_instance(5, 145)
+        delta = ad_superoperator(g)
         rep = gns_construct(omega)
         s, _ = implementing_operator(rep, delta)
         report = abstract_kernel_stabilization(delta, 5)
         assert report.kernel.dim == report.kernel_dims[0]
-        assert np.array_equal(report.kernel.basis, delta.map.kernel().basis)
+        assert np.array_equal(report.kernel.basis, delta.kernel().basis)
         assert kernel_correspondence_distance(
-            rep, delta, s, kernel=report.kernel
-        ) == kernel_correspondence_distance(rep, delta, s)
+            delta, s, kernel=report.kernel
+        ) == kernel_correspondence_distance(delta, s)
 
 
 class TestNegativeControls:
@@ -668,12 +690,15 @@ class TestNegativeControls:
     def test_rotated_state_is_not_equilibrium(self, n):
         # exp(i eps X) rho exp(-i eps X) with eps = 1e-3 leaves
         # ||[rho, g]|| about 1e-3, far above the equilibrium tolerance
-        omega, delta = equilibrium_instance(n, 140 + n)
+        omega, g = equilibrium_instance(n, 140 + n)
         v = scipy.linalg.expm(1e-3j * random_hermitian(n, seed=150 + n))
         rho = v @ omega.rho @ v.conj().T
         rotated = state_from_density((rho + rho.conj().T) / 2)
-        comm = rotated.rho @ delta.generator - delta.generator @ rotated.rho
-        assert 1e-5 <= frob(comm) <= 1e-2
-        assert equilibrium_check(rotated, delta) >= 1e3 * EQUILIBRIUM_TOL
-        with pytest.raises(NotEquilibrium):
-            implementing_operator(gns_construct(rotated), delta)
+        comm = frob(rotated.rho @ g - g @ rotated.rho)
+        assert 1e-5 <= comm <= 1e-2
+        # the check FAILs the pair through both equilibrium measurements
+        check = br_gns_check(f"br_gns/n={n}/rotated", rotated, g, 5)
+        assert check["pass"] is False
+        assert check["details"]["equilibrium"] >= 1e3 * EQUILIBRIUM_TOL
+        assert check["details"]["symmetry"] >= 1e3 * EQUILIBRIUM_TOL
+        assert comm <= check["details"]["symmetry"] <= 100 * comm
