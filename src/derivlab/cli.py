@@ -12,7 +12,9 @@ tolerances instead of hostage to random-matrix near-degeneracies.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
+import functools
 import io
 import json
 import sys
@@ -377,7 +379,10 @@ def obstruction_check(check_id: str, a, b) -> dict:
 
 
 def heisenberg_grid_checks() -> list:
-    """The five heisenberg checks that do not depend on dims."""
+    """The five heisenberg checks that depend on no dim, seed or
+    tolerance, measured afresh on every call, so that a control which
+    patches the stencil sees its own result.  ``_suite_heisenberg`` keeps
+    one set per process."""
     base_line = heis_mod.schrodinger_pair(HEISENBERG_GRIDS[0], 10.0)
     line = heis_mod.hcr_residual(base_line, refinements=len(HEISENBERG_GRIDS))
     base_circle = heis_mod.periodic_pair(HEISENBERG_GRIDS[0])
@@ -427,8 +432,19 @@ def heisenberg_rigidity_check(check_id: str, d, seed: int, tol=DEFAULT_TOLERANCE
     )
 
 
+@functools.cache
+def _grid_records() -> list:
+    return heisenberg_grid_checks()
+
+
 def _suite_heisenberg(config: ExperimentConfig) -> list:
-    checks = heisenberg_grid_checks()
+    """The grid records, then an obstruction and a rigidity check per dim.
+
+    The grid records read nothing of the config, so they are measured on
+    the first call in a process; each run gets deep copies, and no run's
+    report can alter another's.  Should they ever read a config field,
+    that field belongs in the cache key."""
+    checks = copy.deepcopy(_grid_records())
     for n in config.dims:
         checks.append(
             obstruction_check(

@@ -83,9 +83,14 @@ def hermitian_commutant(h, rank_tol: float = DEFAULT_RANK_TOL) -> OperatorSubspa
     shares neither the algorithm nor the frame code with them lets
     ``kernel_commutant_check`` catch a fault in either."""
     h = require_hermitian(h)
-    w, v = np.linalg.eigh(commutation_matrix(h))
+    return _eigh_commutant(commutation_matrix(h), h.shape[0], rank_tol)
+
+
+def _eigh_commutant(c: np.ndarray, n: int, rank_tol: float) -> OperatorSubspace:
+    # {H}' from the commutation matrix c of H, as ``hermitian_commutant``
+    w, v = np.linalg.eigh(c)
     cut = rank_tol * max(float(np.max(np.abs(w))), 1.0)
-    return OperatorSubspace.from_vec_columns(h.shape[0], v[:, np.abs(w) <= cut])
+    return OperatorSubspace.from_vec_columns(n, v[:, np.abs(w) <= cut])
 
 
 def projection_defect(projections) -> float:
@@ -192,11 +197,16 @@ def kernel_commutant_check(
     be orthogonal and complete, so their defect is reported too) — and
     how far the algebra generated by the projections sits outside the
     kernel.  One projection commutant serves the distances and the
-    algebra."""
+    algebra, and one commutation matrix C of D serves the first two
+    routes: ``hermitian_commutant``'s eigh reads C, then C becomes the
+    matrix iC of ad_iD in place, so no second n^2 x n^2 array is built."""
     d = as_cmatrix(d)
     res = spectral_resolution(d, cluster_tol)
-    kernel = map_kernels(1j * commutation_matrix(d), d.shape[0], rank_tol=rank_tol)[0]
-    comm = hermitian_commutant(d, rank_tol)
+    c = commutation_matrix(d)
+    comm = _eigh_commutant(c, d.shape[0], rank_tol)
+    c *= 1j
+    kernel = map_kernels(c, d.shape[0], rank_tol=rank_tol)[0]
+    del c  # freed before the projection routes build their stacks
     proj_comm = projection_commutant(res, rank_tol)
     algebra = algebra_commutant(proj_comm, rank_tol)
     return KernelCommutantReport(

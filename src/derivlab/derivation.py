@@ -125,16 +125,22 @@ def superoperator_stabilization_report(
 
     Every kernel comes from one SVD of the map (``kernel_tower``), which
     contains ker(map) by construction, so a distance measures growth of
-    the kernel only.  A growing kernel is report content, never an
+    the kernel only.  Levels that repeat one subspace are one object
+    (``map_kernels``), measured once: a normal map takes one distance, of
+    ker(map) to itself.  A growing kernel is report content, never an
     exception; the report carries no verdict.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     kernels = sop.kernel_tower(n_max, rank_tol)
     base = kernels[0]
+    distance = {}  # by id of the level
+    for k in kernels:
+        if id(k) not in distance:
+            distance[id(k)] = subspace_distance(k, base)
     return KernelStabilizationReport(
         kernel_dims=tuple(k.dim for k in kernels),
-        distances=tuple(subspace_distance(k, base) for k in kernels),
+        distances=tuple(distance[id(k)] for k in kernels),
         multiplicities=multiplicities,
         kernel=base,
     )

@@ -157,8 +157,11 @@ def kernel_tower(
 
     For a normal M the range is orthogonal to the kernel, every sine is 1
     and the tower is ker M repeated: a level that adds nothing to ker M is
-    the array of ker M itself.  A nilpotent part makes it grow.  A float64
-    M gives real bases.
+    the array of ker M itself.  Each level is a function of the one
+    before, so once ker M extends to nothing, ker M is the fixed point:
+    the remaining levels are that array, and a normal M costs at most
+    two SVDs at any k_max.  A nilpotent part makes the tower grow.  A
+    float64 M gives real bases.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -169,13 +172,16 @@ def kernel_tower(
     if s_r.size == 0 or v_0.shape[1] == 0:  # M = 0 or M invertible: nothing grows
         return [v_0] * k_max
     tower = [v_0]
-    for _ in range(k_max - 1):
+    while len(tower) < k_max:
         q = tower[-1]
         cosines = q.conj().T @ u_r
         w = np.linalg.svd(cosines, full_matrices=False)[2].conj().T
         sines = np.linalg.norm(u_r @ w - q @ (cosines @ w), axis=0)
         joined = w[:, sines <= rank_tol]
         if joined.shape[1] == 0:
+            if q is v_0:  # the fixed point
+                tower += [v_0] * (k_max - len(tower))
+                break
             tower.append(v_0)
             continue
         grown = np.linalg.qr(joined / s_r[:, None])[0]
@@ -200,7 +206,9 @@ def _frame_side(g: np.ndarray, ends: tuple, axis: int, phase: complex) -> np.nda
     # in place on rows (or columns) gathered in frame order: the diagonal
     # run stays, (upper, lower) -> ((upper + lower), phase (upper - lower))
     # / sqrt 2; one temporary of the pair size
-    _, upper, lower = np.split(g, ends, axis=axis)
+    d, u = ends
+    side = g.swapaxes(1, axis)  # a view with the frame axis after the blocks
+    upper, lower = side[:, d:u], side[:, u:]
     difference = upper - lower
     upper += lower
     upper *= _SQRT_HALF

@@ -40,6 +40,7 @@ def test_stage_timings_smoke(tmp_path):
         "superoperator_build",
         "frame_change",
         "kernel_tower",
+        "stabilization_report",
         "nullspace",
         "subspace_distance",
         "commutant_check.kernel",

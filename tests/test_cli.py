@@ -9,8 +9,10 @@ from derivlab import numlin
 from derivlab.cli import (
     DEFAULT_TOLERANCES,
     ExperimentConfig,
+    _suite_heisenberg,
     equilibrium_instance,
     generate,
+    heisenberg_grid_checks,
     kernel_stab_check,
     main,
     run,
@@ -293,6 +295,15 @@ class TestRun:
                 assert key in check
 
 
+def _containers(data) -> set:
+    """ids of every dict and list inside data, data included."""
+    if isinstance(data, dict):
+        return {id(data)}.union(*map(_containers, data.values()))
+    if isinstance(data, list):
+        return {id(data)}.union(*map(_containers, data))
+    return set()
+
+
 class TestCheckFunctions:
     def test_kernel_stab_fails_when_clusters_merge(self):
         # cluster=10 merges the five simple eigenvalues into one cluster, so
@@ -304,6 +315,18 @@ class TestCheckFunctions:
         assert check["details"]["expected_dim"] == 25
         assert max(check["details"]["distances"]) <= tol["subspace"]
         assert check["pass"] is False
+
+    def test_heisenberg_runs_share_no_record(self):
+        # the grid records are measured once per process; each run gets
+        # copies, so altering one report leaves the next one as it was
+        config = ExperimentConfig(suite="heisenberg", dims=(2, 3))
+        first, second = _suite_heisenberg(config), _suite_heisenberg(config)
+        assert first == second
+        assert first[:5] == heisenberg_grid_checks()
+        assert not _containers(first) & _containers(second)
+        first[0]["details"]["orders"].append(0.0)
+        first[1]["pass"] = None
+        assert _suite_heisenberg(config) == second
 
     def test_commutant_identity_reports_the_rule_nearest_its_bound(self, tmp_path):
         # containment=1e-16 fails on defects of about 1e-15 while every

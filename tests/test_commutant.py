@@ -20,6 +20,7 @@ from derivlab.commutant import (
     projection_defect,
     spectral_vn_algebra,
 )
+from derivlab.derivation import ad_superoperator
 from derivlab.errors import NotHermitian, ShapeMismatch
 from derivlab.numlin import (
     OperatorSubspace,
@@ -245,6 +246,24 @@ class TestKernelCommutantCheck:
         report = kernel_commutant_check(d)
         assert report.kernel_dim == 7  # oracle: simple spectrum => diagonals
         assert commutant_identity_check("commutant_identity/simple", d)["pass"]
+
+    def test_one_commutation_matrix_serves_kernel_and_commutant(self, monkeypatch):
+        # C(D) is built once for the SVD and the eigh route, and both
+        # measure as the standalone routes do, bit for bit
+        d = _spectral_instances(5, 3)[1][1]
+        kernel, comm = ad_superoperator(d).kernel(), hermitian_commutant(d)
+        module = importlib.import_module("derivlab.commutant")
+        built = []
+
+        def recorded(g):
+            built.append(g)
+            return commutation_matrix(g)
+
+        monkeypatch.setattr(module, "commutation_matrix", recorded)
+        report = kernel_commutant_check(d)
+        assert sum(np.array_equal(g, d) for g in built) == 1
+        assert (report.kernel_dim, report.commutant_dim) == (kernel.dim, comm.dim)
+        assert report.distance_kernel_commutant == subspace_distance(kernel, comm)
 
     def test_json_identity_field(self):
         # the check adds its verdict and tolerances to the report's fields

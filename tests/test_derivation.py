@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,25 @@ class TestKernelStabilization:
         # independent of k, so dim = sum of squared multiplicities
         assert report.kernel_dims == (10, 10, 10, 10, 10)
         assert kernel_stab_check("kernel_stab/double", d, 5)["pass"]
+
+    def test_normal_map_measures_one_distance(self, monkeypatch, gapped_hermitian):
+        # the tower repeats ker(map) as one object, so one distance serves
+        # every level, equal bit for bit to measuring each level apart
+        sop = ad_superoperator(gapped_hermitian(5, 43))
+        tower = sop.kernel_tower(8)
+        apart = tuple(subspace_distance(k, tower[0]) for k in tower)
+        module = importlib.import_module("derivlab.derivation")
+        calls = []
+
+        def counted(s1, s2):
+            calls.append((s1, s2))
+            return subspace_distance(s1, s2)
+
+        monkeypatch.setattr(module, "subspace_distance", counted)
+        report = superoperator_stabilization_report(sop, 8)
+        assert len(calls) == 1
+        assert report.distances == apart
+        assert report.kernel_dims == (5,) * 8
 
     def test_invertible_map_has_empty_kernels(self):
         # failures are report content, so an empty kernel must not raise

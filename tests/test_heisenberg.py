@@ -1,8 +1,16 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from derivlab import heisenberg
-from derivlab.cli import RIGIDITY_TOL, heisenberg_grid_checks
+from derivlab.cli import (
+    RIGIDITY_TOL,
+    ExperimentConfig,
+    _suite_heisenberg,
+    heisenberg_grid_checks,
+    heisenberg_rigidity_check,
+)
 from derivlab.errors import GridTooCoarse, ShapeMismatch
 from derivlab.heisenberg import (
     SCHRODINGER_LINE,
@@ -118,6 +126,23 @@ class TestPeriodicPair:
             assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
 
 
+def _assert_one_sided_difference_fails(monkeypatch):
+    # negative control: a forward difference is first order, so both
+    # convergence checks must leave the [1.7, 2.3] band
+    def forward(v, h, periodic):
+        up = np.roll(v, -1, axis=0)
+        if not periodic:
+            up[-1] = 0.0
+        return (up - v) / h
+
+    monkeypatch.setattr(heisenberg, "_difference", forward)
+    checks = {c["id"]: c for c in heisenberg_grid_checks()}
+    for name in ("line", "circle"):
+        check = checks[f"heisenberg/convergence/{name}"]
+        assert not check["pass"]
+        assert abs(check["details"]["mean_order"] - 1.0) <= 0.05
+
+
 class TestHcrResidual:
     def test_line_convergence(self):
         report = hcr_residual(schrodinger_pair(128, 10.0), refinements=3)
@@ -160,20 +185,13 @@ class TestHcrResidual:
             assert hcr_residual(pair, refinements=3).grid_sizes == (128, 256, 512)
 
     def test_one_sided_difference_fails_convergence(self, monkeypatch):
-        # negative control: a forward difference is first order, so both
-        # convergence checks must leave the [1.7, 2.3] band
-        def forward(v, h, periodic):
-            up = np.roll(v, -1, axis=0)
-            if not periodic:
-                up[-1] = 0.0
-            return (up - v) / h
+        _assert_one_sided_difference_fails(monkeypatch)
 
-        monkeypatch.setattr(heisenberg, "_difference", forward)
-        checks = {c["id"]: c for c in heisenberg_grid_checks()}
-        for name in ("line", "circle"):
-            check = checks[f"heisenberg/convergence/{name}"]
-            assert not check["pass"]
-            assert abs(check["details"]["mean_order"] - 1.0) <= 0.05
+    def test_one_sided_difference_fails_after_a_suite_run(self, monkeypatch):
+        # the suite keeps its grid records for the process, but
+        # heisenberg_grid_checks measures afresh on every call
+        assert all(c["pass"] for c in _suite_heisenberg(ExperimentConfig(dims=(2,))))
+        _assert_one_sided_difference_fails(monkeypatch)
 
 
 class TestTraceObstruction:
@@ -223,6 +241,20 @@ class TestRigidity:
         report = rigidity_check(d, trials=50)
         assert report.kernel_dim == 4 + 4 + 4
         assert report.max_relative_commutator <= RIGIDITY_TOL
+
+    def test_nan_sample_fails(self, monkeypatch):
+        # one NaN entry in the sampled basis makes every sample NaN; the
+        # maximum must stay NaN, which no bound passes
+        d = np.diag([0.0, 1.0, 1.0])
+        levels = heisenberg.ad_superoperator(d).kernel_tower(2)
+        basis = levels[1].basis.copy()
+        basis[0, 0, 0] = np.nan
+        tower = [levels[0], SimpleNamespace(dim=levels[1].dim, basis=basis)]
+        sop = SimpleNamespace(kernel_tower=lambda k_max, rank_tol: tower)
+        monkeypatch.setattr(heisenberg, "ad_superoperator", lambda d: sop)
+        assert np.isnan(rigidity_check(d, trials=20).max_relative_commutator)
+        check = heisenberg_rigidity_check("heisenberg/rigidity/nan", d, seed=0)
+        assert check["pass"] is False
 
     def test_kleinecke_shirokov_control_fails(self):
         # negative control: for the Jordan block N (not normal) and

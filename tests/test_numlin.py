@@ -114,6 +114,11 @@ def _projector_gap(q1, q2):
     return frob(q1 @ q1.conj().T - q2 @ q2.conj().T)
 
 
+def _normal_with_kernel_dim_3():
+    u = np.linalg.qr(random_matrix(6, seed=5))[0]
+    return u @ np.diag([0, 0, 1, 2j, -3, 0]) @ u.conj().T
+
+
 class TestKernelTower:
     def test_jordan_block_grows_one_per_power(self):
         # oracle: N e_j = e_{j-1}, so ker N^k = span(e_0, ..., e_{k-1})
@@ -158,6 +163,33 @@ class TestKernelTower:
             assert _projector_gap(q, oracle) <= 1e-12
         m[1, 1] = 0.0
         assert [q.shape[1] for q in kernel_tower(m, 3)] == [1, 2, 2]
+
+    @pytest.mark.parametrize(
+        "m, dims, svds",
+        [
+            (_normal_with_kernel_dim_3(), [3] * 8, 2),
+            (np.diag(np.ones(1), 1), [1, 2, 2], 3),
+            (np.diag(np.ones(3), 1), [1, 2, 3, 4, 4, 4], 6),
+        ],
+        ids=["normal", "nilpotent-2", "jordan-4"],
+    )
+    def test_svds_per_tower(self, monkeypatch, m, dims, svds):
+        # each level is a function of the one before: a normal M is at its
+        # fixed point after the SVD of Q* U_r for Q = ker M, and every
+        # level is the array of ker M; a grown level is never ker M, so a
+        # growing tower takes one SVD per level
+        svd, calls = np.linalg.svd, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(numlin.np.linalg, "svd", counted)
+        tower = kernel_tower(m, len(dims))
+        assert [q.shape[1] for q in tower] == dims
+        assert len(calls) == svds
+        repeats = [q is tower[0] for q in tower[1:]]
+        assert all(repeats) if svds == 2 else not any(repeats)
 
     def test_zero_and_invertible_maps(self):
         assert [q.shape[1] for q in kernel_tower(np.zeros((3, 3)), 3)] == [3, 3, 3]

@@ -2,10 +2,12 @@
 
 For each n it times, on the repeated-eigenvalue instance of the spectral
 suites (``cli._spectral_instances``): the ad_iD superoperator build, the
-change to the Hermitian frame, the kernel tower to k = 8, one
-``nullspace`` of the matrix the tower factors, one ``subspace_distance``,
-and the four stages of ``kernel_commutant_check`` (the kernel of ad_iD,
-``hermitian_commutant``, ``projection_commutant``, ``algebra_commutant``).
+change to the Hermitian frame, the kernel tower to k = 8,
+``superoperator_stabilization_report`` to k = 8 (the tower and its
+distances to ker ad_iD), one ``nullspace`` of the matrix the tower
+factors, one ``subspace_distance``, and the four stages of
+``kernel_commutant_check`` (the kernel of ad_iD, ``hermitian_commutant``,
+``projection_commutant``, ``algebra_commutant``).
 At every n it also times the GNS stages of ``br_gns_check`` on
 ``cli.equilibrium_instance(n, seed)``, also above ``cli._BR_GNS_MAX_DIM``
 (32), with the superoperator of its generator built once outside the
@@ -51,7 +53,7 @@ from derivlab.commutant import (
     hermitian_commutant,
     projection_commutant,
 )
-from derivlab.derivation import ad_superoperator
+from derivlab.derivation import ad_superoperator, superoperator_stabilization_report
 from derivlab.spectral import spectral_resolution
 
 DIMS = (4, 8, 12, 16, 24, 32)
@@ -97,6 +99,7 @@ def stages(n: int, seed: int = 8) -> dict:
         "superoperator_build": lambda: ad_superoperator(d),
         "frame_change": lambda: numlin.real_frame(sop.matrix, n),
         "kernel_tower": lambda: sop.kernel_tower(K_MAX),
+        "stabilization_report": lambda: superoperator_stabilization_report(sop, K_MAX),
         "nullspace": lambda: numlin.nullspace(frame, scale=1.0),
         "subspace_distance": lambda: numlin.subspace_distance(kernel, comm),
         "commutant_check.kernel": lambda: ad_superoperator(d).kernel(),
