@@ -3,42 +3,41 @@
 
 The kernel of the commutator derivation, the commutant of the generator,
 and the commutant of its spectral projections are one and the same
-von Neumann algebra.  Each is computed by an independent numerical route
-(superoperator nullspace vs. stacked commutation systems), and the
-pairwise projector distances come out at roundoff level.
+von Neumann algebra.  The first two are computed here by independent
+numerical routes (superoperator nullspace vs. stacked commutation
+system); P_D' and the algebra P_D'' that the projections span come in
+closed form from the spectral resolution, as the check
+`derivlab run --suite commutant_identity` measures them.  The pairwise
+projector distances come out at roundoff level.
 """
 
 from derivlab import (
     bicommutant,
     commutant,
     derivation_kernel,
-    spectral_resolution,
-    spectral_vn_algebra,
     subspace_distance,
 )
 from derivlab.cli import commutant_identity_check, generate
 
 d = generate("hermitian_with_multiplicity", 6, seed=11, multiplicities=[2, 2, 1, 1])
-res = spectral_resolution(d)
 
 kernel = derivation_kernel(d)
 comm = commutant([d])
-proj_comm = commutant(list(res.projections))
-algebra = spectral_vn_algebra(res)
+check = commutant_identity_check("commutant_identity/demo", d)
+details = check["details"]
+dims, distances = details["dims"], details["distances"]
 
 print("dim ker ad     =", kernel.dim)
 print("dim {D}'       =", comm.dim)
-print("dim P_D'       =", proj_comm.dim)
-print("dim P_D''      =", algebra.dim, "(= number of clusters)")
+print("dim P_D'       =", dims["projection_commutant"])
+print("dim P_D''      =", dims["algebra"], "(= number of clusters)")
 
 print("\ndistance(ker, {D}')   =", subspace_distance(kernel, comm))
-print("distance(ker, P_D')   =", subspace_distance(kernel, proj_comm))
-print("distance({D}', P_D')  =", subspace_distance(comm, proj_comm))
+print("distance(ker, P_D')   =", distances["kernel_vs_projection_commutant"])
+print("distance({D}', P_D')  =", distances["commutant_vs_projection_commutant"])
 
-# the generated algebra P_D'' is abelian and sits inside the kernel; the
-# check `derivlab run --suite commutant_identity` makes gives the verdict
-check = commutant_identity_check("commutant_identity/demo", d)
-print("\ncontainment residual of P_D'' in ker ad:", check["details"]["algebra_containment"])
+# the generated algebra P_D'' is abelian and sits inside the kernel
+print("\ncontainment residual of P_D'' in ker ad:", details["algebra_containment"])
 print("overall verdict:", "PASS" if check["pass"] else "FAIL")
 
 # bicommutants stabilize: S'' '' = S''

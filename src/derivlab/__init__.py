@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 from .commutant import (
     bicommutant,
     commutant,
-    spectral_vn_algebra,
 )
 from .derivation import (
     ad_superoperator,

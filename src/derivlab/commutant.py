@@ -1,5 +1,9 @@
-"""Commutants, bicommutants, and the algebra generated by a spectral
-resolution, together with the identity ker ad_iD = {D}' = P_D'."""
+"""Commutants, bicommutants, and the identity ker ad_iD = {D}' = P_D'.
+
+The two spectral objects of the identity, the commutant {P_i}' of the
+spectral projections and the algebra P_D'' they generate, have closed
+forms in the eigenvectors of each P_i (``projection_algebras``); only
+ker ad_iD and {D}' factor an n^2 x n^2 matrix."""
 
 from __future__ import annotations
 
@@ -21,10 +25,6 @@ from .numlin import (
     subspace_distance,
 )
 from .spectral import DEFAULT_CLUSTER_TOL, SpectralResolution, spectral_resolution
-
-# fixed draws for the generic elements below, so every report reproduces
-_WEIGHTS_SEED = 20180801
-_ALGEBRA_SEED = 20180802
 
 
 def commutation_matrix(g: np.ndarray) -> np.ndarray:
@@ -105,52 +105,34 @@ def projection_defect(projections) -> float:
     return worst
 
 
-def projection_commutant(
-    res: SpectralResolution, rank_tol: float = DEFAULT_RANK_TOL
-) -> OperatorSubspace:
-    """{P_1, ..., P_k}' of the spectral projections from one generator.
+def projection_algebras(res: SpectralResolution) -> tuple:
+    """({P_1, ..., P_k}', P_D'') of a spectral resolution, in closed form.
 
-    For orthogonal projections that sum to I and distinct reals c_i,
-    {P_i}' = {sum c_i P_i}' exactly.  The c_i are i + u_i with u_i drawn
-    from a fixed seed in [-1/4, 1/4]: gaps of at least 1/2, and no affine
-    image of the eigenvalues of D, so the generator is not D in disguise.
-    The projections of a ``SpectralResolution`` are orthogonal and
-    complete by construction; ``projection_defect`` measures it.
+    For orthogonal projections that sum to I, x commutes with every P_i
+    iff x = sum P_i x P_i, so {P_i}' = span{u_a u_b* : a, b in one
+    cluster}, u an orthonormal basis of ran P_i: its m_i eigenvectors of
+    eigenvalue 1 from eigh(P_i).  These sum(m_i^2) elements are
+    HS-orthonormal.  The algebra the P_i generate is their span, and the
+    P_i / ||P_i|| are orthonormal because P_i P_j = 0.  Both rely on the
+    family being orthogonal and complete, which ``projection_defect``
+    measures.
     """
-    k = len(res.projections)
-    weights = np.arange(k) + np.random.default_rng(_WEIGHTS_SEED).uniform(-0.25, 0.25, k)
-    g = np.tensordot(weights, np.asarray(res.projections), axes=1)
-    return commutant([g], rank_tol)
-
-
-def algebra_commutant(
-    algebra: OperatorSubspace, rank_tol: float = DEFAULT_RANK_TOL
-) -> OperatorSubspace:
-    """Commutant of a *-algebra given by a basis, from two of its elements.
-
-    A finite-dimensional *-algebra is a direct sum of full matrix blocks,
-    and two generic Hermitian elements generate it (Burnside's theorem,
-    blockwise; generic spectra also separate inequivalent blocks), so its
-    commutant is the commutant of those two: a stack of 2 maps rather than
-    one per basis element.  The elements are X + X* and i(X - X*) for X a
-    combination of the basis with coefficients from a fixed seed.
-    """
-    rng = np.random.default_rng(_ALGEBRA_SEED)
-    coeffs = rng.standard_normal(algebra.dim) + 1j * rng.standard_normal(algebra.dim)
-    x = np.tensordot(coeffs, algebra.basis, axes=1)
-    return commutant([x + x.conj().T, 1j * (x - x.conj().T)], rank_tol)
-
-
-def spectral_vn_algebra(res: SpectralResolution) -> OperatorSubspace:
-    """Bicommutant of the spectral projections; equals their linear span,
-    so its dimension is the number of clusters."""
-    return algebra_commutant(projection_commutant(res))
+    n = res.projections.shape[1]
+    blocks = []
+    for p, m in zip(res.projections, res.multiplicities):
+        u = np.linalg.eigh(p)[1][:, n - m:]
+        blocks.append(np.einsum("ia,jb->abij", u, u.conj()).reshape(-1, n, n))
+    norms = np.linalg.norm(res.projections, axis=(1, 2))
+    return (
+        OperatorSubspace(n, np.concatenate(blocks)),
+        OperatorSubspace(n, res.projections / norms[:, None, None]),
+    )
 
 
 @dataclass(frozen=True)
 class KernelCommutantReport:
     """Pairwise distances among ker ad_iD, {D}', and the commutant of the
-    spectral projections, plus containment of the generated algebra and
+    spectral projections, plus containment of the algebra they span and
     the orthogonality/completeness defect of the projections: measurements
     only, the pass rule lives in ``cli.commutant_identity_check``."""
 
@@ -193,22 +175,21 @@ def kernel_commutant_check(
     """Measure three realizations of the same subspace against each other —
     the kernel of ad_iD (real SVD in the Hermitian frame), the commutant
     of {D} (complex eigh), and the commutant of the spectral projections
-    (one generator, real SVD in the frame, which needs the projections to
-    be orthogonal and complete, so their defect is reported too) — and
-    how far the algebra generated by the projections sits outside the
-    kernel.  One projection commutant serves the distances and the
-    algebra, and one commutation matrix C of D serves the first two
-    routes: ``hermitian_commutant``'s eigh reads C, then C becomes the
-    matrix iC of ad_iD in place, so no second n^2 x n^2 array is built."""
+    (closed form from the n x n eigh of each projection, which needs the
+    projections to be orthogonal and complete, so their defect is
+    reported too) — and how far the algebra the projections span sits
+    outside the kernel.  The two n^2 x n^2 factorizations share one
+    commutation matrix C of D: ``hermitian_commutant``'s eigh reads C,
+    then C becomes the matrix iC of ad_iD in place, so no second
+    n^2 x n^2 array is built."""
     d = as_cmatrix(d)
     res = spectral_resolution(d, cluster_tol)
     c = commutation_matrix(d)
     comm = _eigh_commutant(c, d.shape[0], rank_tol)
     c *= 1j
     kernel = map_kernels(c, d.shape[0], rank_tol=rank_tol)[0]
-    del c  # freed before the projection routes build their stacks
-    proj_comm = projection_commutant(res, rank_tol)
-    algebra = algebra_commutant(proj_comm, rank_tol)
+    del c  # freed before the closed forms build their bases
+    proj_comm, algebra = projection_algebras(res)
     return KernelCommutantReport(
         ambient_dim=d.shape[0],
         kernel_dim=kernel.dim,

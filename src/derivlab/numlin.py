@@ -155,13 +155,14 @@ def kernel_tower(
     explicitly, is at most rank_tol; a cosine near 1 is never thresholded,
     because 1 - cos loses every digit below sqrt(eps).
 
-    For a normal M the range is orthogonal to the kernel, every sine is 1
-    and the tower is ker M repeated: a level that adds nothing to ker M is
-    the array of ker M itself.  Each level is a function of the one
-    before, so once ker M extends to nothing, ker M is the fixed point:
-    the remaining levels are that array, and a normal M costs at most
-    two SVDs at any k_max.  A nilpotent part makes the tower grow.  A
-    float64 M gives real bases.
+    Since ker M^k lies in ker M^(k+1), and ker M^(k+1) = ker M^k makes
+    every later level equal too, the first level whose candidates do not
+    grow it is the fixed point: the remaining levels are that array.  So
+    rounding that drops a candidate past the stabilization index cannot
+    make the tower shrink.  For a normal M the range is orthogonal to the
+    kernel, every sine is 1 and ker M is the fixed point, so a normal M
+    costs at most two SVDs at any k_max.  A nilpotent part makes the
+    tower grow.  A float64 M gives real bases.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -178,12 +179,9 @@ def kernel_tower(
         w = np.linalg.svd(cosines, full_matrices=False)[2].conj().T
         sines = np.linalg.norm(u_r @ w - q @ (cosines @ w), axis=0)
         joined = w[:, sines <= rank_tol]
-        if joined.shape[1] == 0:
-            if q is v_0:  # the fixed point
-                tower += [v_0] * (k_max - len(tower))
-                break
-            tower.append(v_0)
-            continue
+        if v_0.shape[1] + joined.shape[1] <= q.shape[1]:  # the fixed point
+            tower += [q] * (k_max - len(tower))
+            break
         grown = np.linalg.qr(joined / s_r[:, None])[0]
         tower.append(np.hstack([v_0, v_r @ grown]))
     return tower
@@ -334,6 +332,8 @@ class OperatorSubspace:
             )
         if b.shape[0] > self.ambient_dim**2:
             raise ShapeMismatch("more basis elements than the ambient dimension")
+        if not np.all(np.isfinite(b)):
+            raise ValueError("basis entries must be finite")
         object.__setattr__(self, "basis", b)
         rows = self.vectors()
         if frob(rows.conj() @ rows.T - np.eye(self.dim)) > 1e-10:
@@ -361,7 +361,8 @@ def map_kernels(m, n: int, k_max: int = 1, rank_tol: float = DEFAULT_RANK_TOL) -
     at scale 1: a map of pure roundoff has full kernel.  A *-preserving map
     (exactly real ``real_frame``) is factored as that real matrix, at about
     half the cost and memory, with the same singular values; any other map
-    stays complex.  Levels repeating ker M are one object, wrapped once.
+    stays complex.  Levels repeating the fixed point are one object,
+    wrapped once.
     """
     frame = real_frame(m, n)
     factored = m if frame is None else frame
@@ -369,7 +370,7 @@ def map_kernels(m, n: int, k_max: int = 1, rank_tol: float = DEFAULT_RANK_TOL) -
         bases = [nullspace(factored, rank_tol, scale=1.0)]
     else:
         bases = kernel_tower(factored, k_max, rank_tol, scale=1.0)
-    subspaces = {}  # by id: kernel_tower repeats ker M as one array
+    subspaces = {}  # by id: kernel_tower repeats its fixed point as one array
     for q in bases:
         if id(q) not in subspaces:
             columns = q if frame is None else from_frame(q, n)

@@ -45,8 +45,7 @@ def test_stage_timings_smoke(tmp_path):
         "subspace_distance",
         "commutant_check.kernel",
         "commutant_check.hermitian_commutant",
-        "commutant_check.projection_commutant",
-        "commutant_check.algebra_commutant",
+        "commutant_check.closed_forms",
         "gns_construct",
         "implementing_operator",
         "implementation_check",

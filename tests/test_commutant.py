@@ -9,6 +9,7 @@ from derivlab.cli import (
     DEFAULT_DISTANCE_TOL,
     _spectral_instances,
     commutant_identity_check,
+    generate,
 )
 from derivlab.commutant import (
     bicommutant,
@@ -16,9 +17,8 @@ from derivlab.commutant import (
     commutation_matrix,
     hermitian_commutant,
     kernel_commutant_check,
-    projection_commutant,
+    projection_algebras,
     projection_defect,
-    spectral_vn_algebra,
 )
 from derivlab.derivation import ad_superoperator
 from derivlab.errors import NotHermitian, ShapeMismatch
@@ -175,37 +175,6 @@ class TestBicommutant:
         assert subspace_distance(once, twice) <= 1e-8
 
 
-class TestSpectralVnAlgebra:
-    def test_scalar(self):
-        res = spectral_resolution(np.eye(4))
-        assert spectral_vn_algebra(res).dim == 1
-
-    def test_distinct_diagonal(self):
-        res = spectral_resolution(np.diag([0.0, 1.0, 2.0]))
-        space = spectral_vn_algebra(res)
-        oracle = from_spanning(3, list(res.projections))
-        assert space.dim == 3
-        assert subspace_distance(space, oracle) <= 1e-8
-
-    def test_with_multiplicity(self):
-        res = spectral_resolution(np.diag([1.0, 1.0, 2.0]))
-        space = spectral_vn_algebra(res)
-        oracle = from_spanning(3, list(res.projections))
-        assert space.dim == 2
-        assert subspace_distance(space, oracle) <= 1e-8
-
-    def test_is_star_algebra_with_identity(self, gapped_hermitian):
-        from derivlab.cli import generate
-
-        d = generate("hermitian_with_multiplicity", 5, 9, multiplicities=[2, 2, 1])
-        space = spectral_vn_algebra(spectral_resolution(d))
-        assert membership_residual(space, np.eye(5) / np.sqrt(5)) <= 1e-9
-        for a in space.basis:
-            assert membership_residual(space, a.conj().T) <= 1e-9
-            for b in space.basis:
-                assert membership_residual(space, a @ b) <= 1e-9
-
-
 class TestOrderReversalAndStability:
     def test_order_reversal(self):
         a = random_hermitian(3, seed=11)
@@ -265,6 +234,30 @@ class TestKernelCommutantCheck:
         assert (report.kernel_dim, report.commutant_dim) == (kernel.dim, comm.dim)
         assert report.distance_kernel_commutant == subspace_distance(kernel, comm)
 
+    def test_two_factorizations(self, monkeypatch):
+        # ker ad_iD is the one SVD and {D}' the one eigh of an n^2 x n^2
+        # matrix; {P_i}' and P_D'' come from n x n eighs
+        d = _spectral_instances(6, 3)[1][1]
+        k = spectral_resolution(d).n_clusters
+        module = importlib.import_module("derivlab.commutant")
+        kernels, eighs = [], []
+        map_kernels, eigh = module.map_kernels, np.linalg.eigh
+
+        def counted_kernels(m, *args, **kwargs):
+            kernels.append(m.shape)
+            return map_kernels(m, *args, **kwargs)
+
+        def counted_eigh(m, *args, **kwargs):
+            eighs.append(m.shape)
+            return eigh(m, *args, **kwargs)
+
+        monkeypatch.setattr(module, "map_kernels", counted_kernels)
+        monkeypatch.setattr(module.np.linalg, "eigh", counted_eigh)
+        kernel_commutant_check(d)
+        assert kernels == [(36, 36)]
+        # the spectral resolution's eigh, {D}', then one per projection
+        assert eighs == [(6, 6), (36, 36)] + [(6, 6)] * k
+
     def test_json_identity_field(self):
         # the check adds its verdict and tolerances to the report's fields
         data = commutant_identity_check("commutant_identity/eye", np.eye(2))["details"]
@@ -273,21 +266,40 @@ class TestKernelCommutantCheck:
         assert set(data["tolerances"]) == {"rank", "subspace", "containment"}
 
 
+_NAMED_SPECTRA = {
+    "scalar": np.eye(4),
+    "distinct_diagonal": np.diag([0.0, 1.0, 2.0]),
+    "multiplicity": np.diag([1.0, 1.0, 2.0]),
+    "star_algebra": generate("hermitian_with_multiplicity", 5, 9, multiplicities=[2, 2, 1]),
+}
+
+
 class TestSingleGeneratorRoutes:
-    @pytest.mark.parametrize("n", range(2, 9))
-    def test_match_stacked_oracles(self, n):
-        # the k-generator stack and the full-basis bicommutant, kept as
-        # oracles for the one-generator commutant and the two-element algebra
-        for _, d in _spectral_instances(n, 8):
+    @pytest.mark.parametrize("case", [*range(2, 9), *_NAMED_SPECTRA], ids=str)
+    def test_match_stacked_oracles(self, case):
+        # the k-generator stack, the full-basis bicommutant and the span of
+        # the projections are the oracles of the closed forms
+        if isinstance(case, int):
+            spectra = [d for _, d in _spectral_instances(case, 8)]
+        else:
+            spectra = [_NAMED_SPECTRA[case]]
+        for d in spectra:
+            n = d.shape[0]
             res = spectral_resolution(d)
             projections = list(res.projections)
-            pc = projection_commutant(res)
+            pc, algebra = projection_algebras(res)
             stacked = commutant(projections)
-            assert pc.dim == stacked.dim
+            assert pc.dim == stacked.dim == np.sum(res.multiplicities**2)
             assert subspace_distance(pc, stacked) <= 1e-10
-            algebra = spectral_vn_algebra(res)
             assert algebra.dim == res.n_clusters
             assert subspace_distance(algebra, bicommutant(projections)) <= 1e-10
+            assert subspace_distance(algebra, from_spanning(n, projections)) <= 1e-10
+            # P_D'' is a *-algebra with identity
+            assert membership_residual(algebra, np.eye(n) / np.sqrt(n)) <= 1e-9
+            for a in algebra.basis:
+                assert membership_residual(algebra, a.conj().T) <= 1e-9
+                for b in algebra.basis:
+                    assert membership_residual(algebra, a @ b) <= 1e-9
 
     @pytest.mark.parametrize("n", [2, 5, 8])
     def test_hermitian_commutant_matches_svd_route(self, n):
@@ -331,9 +343,12 @@ class TestSingleGeneratorRoutes:
         report = check["details"]
         assert check["pass"] is False
         assert report["projection_defect"] >= 1e3 * DEFAULT_CONTAINMENT_TOL
-        # the one generator gives the lost block weight 0, one more distinct
-        # value, so its commutant is still {D}': only the defect sees the loss
-        assert report["distances"]["kernel_vs_projection_commutant"] <= DEFAULT_DISTANCE_TOL
+        # the closed form spans the blocks of the listed projections only,
+        # so {P_i}' loses the lost block's m^2 elements: the distances see
+        # the loss as well
+        m = spectral_resolution(d).multiplicities[-1]
+        assert report["dims"]["kernel"] - report["dims"]["projection_commutant"] == m * m
+        assert report["distances"]["kernel_vs_projection_commutant"] >= 1e3 * DEFAULT_DISTANCE_TOL
 
     @pytest.mark.parametrize("n", [4, 6, 9])
     @pytest.mark.parametrize("kind", [0, 1], ids=["simple", "multiplicity"])

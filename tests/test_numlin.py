@@ -169,15 +169,16 @@ class TestKernelTower:
         [
             (_normal_with_kernel_dim_3(), [3] * 8, 2),
             (np.diag(np.ones(1), 1), [1, 2, 2], 3),
-            (np.diag(np.ones(3), 1), [1, 2, 3, 4, 4, 4], 6),
+            (np.diag(np.ones(3), 1), [1, 2, 3, 4, 4, 4], 5),
         ],
         ids=["normal", "nilpotent-2", "jordan-4"],
     )
     def test_svds_per_tower(self, monkeypatch, m, dims, svds):
         # each level is a function of the one before: a normal M is at its
         # fixed point after the SVD of Q* U_r for Q = ker M, and every
-        # level is the array of ker M; a grown level is never ker M, so a
-        # growing tower takes one SVD per level
+        # level is the array of ker M; a growing tower takes one SVD per
+        # level until the SVD that finds its fixed point, whose array the
+        # remaining levels repeat
         svd, calls = np.linalg.svd, []
 
         def counted(*args, **kwargs):
@@ -340,6 +341,30 @@ class TestMapKernels:
             power = np.linalg.matrix_power(m, k)
             assert np.linalg.norm(power @ kernel.vectors().T) <= 1e-10
 
+    def test_tower_past_the_stabilization_index_does_not_shrink(self):
+        # draw 3 of the seed-0 sweep of integer upper-triangular D (n = 5):
+        # exact rational arithmetic gives dims 5, 8, 11, 12, 13, 13, ...
+        # Past k = 5 rounding drops some candidates, and a tower that does
+        # not stop there shrinks: 5, 8, 11, 12, 13, 12, 11, 10, 5, 8.
+        d = np.array(
+            [
+                [0, 3, 6, 4, 4],
+                [0, 1, -7, 1, 4],
+                [0, 0, 1, -4, -1],
+                [0, 0, 0, 1, 8],
+                [0, 0, 0, 0, 0],
+            ],
+            dtype=float,
+        )
+        eye = np.eye(5)
+        m = kron(eye, d) - kron(d.T, eye)
+        kernels = map_kernels(m, 5, k_max=10)
+        assert [k.dim for k in kernels] == [5, 8, 11, 12, 13] + [13] * 5
+        assert all(k is kernels[4] for k in kernels[5:])
+        for k, kernel in enumerate(kernels[:6], start=1):
+            power = np.linalg.matrix_power(m, k)
+            assert np.linalg.norm(power @ kernel.vectors().T) <= 1e-9 * frob(power)
+
     def test_stack_only_at_k_max_1(self):
         # {diag(0, 1, 1)}' and {diag(0, 0, 1)}' meet in the diagonal matrices
         stack = np.vstack([_ad(np.diag([0.0, 1.0, 1.0])), _ad(np.diag([0.0, 0.0, 1.0]))])
@@ -428,6 +453,14 @@ class TestOperatorSubspace:
         bad = np.stack([np.eye(2), np.eye(2)])  # linearly dependent, not orthonormal
         with pytest.raises(ValueError):
             OperatorSubspace(2, bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_basis_is_rejected(self, bad):
+        # the Gram check alone passes a NaN: no comparison with NaN is true
+        basis = np.eye(2)[None] / np.sqrt(2)
+        basis[0, 0, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            OperatorSubspace(2, basis)
 
     def test_from_spanning_dedupes(self):
         s = from_spanning(2, [np.eye(2), 2.0 * np.eye(2)])

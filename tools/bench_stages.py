@@ -5,9 +5,9 @@ suites (``cli._spectral_instances``): the ad_iD superoperator build, the
 change to the Hermitian frame, the kernel tower to k = 8,
 ``superoperator_stabilization_report`` to k = 8 (the tower and its
 distances to ker ad_iD), one ``nullspace`` of the matrix the tower
-factors, one ``subspace_distance``, and the four stages of
+factors, one ``subspace_distance``, and the three stages of
 ``kernel_commutant_check`` (the kernel of ad_iD, ``hermitian_commutant``,
-``projection_commutant``, ``algebra_commutant``).
+and ``projection_algebras``, the closed forms of {P_i}' and P_D'').
 At every n it also times the GNS stages of ``br_gns_check`` on
 ``cli.equilibrium_instance(n, seed)``, also above ``cli._BR_GNS_MAX_DIM``
 (32), with the superoperator of its generator built once outside the
@@ -48,11 +48,7 @@ from derivlab.cli import (
     equilibrium_instance,
     heisenberg_grid_checks,
 )
-from derivlab.commutant import (
-    algebra_commutant,
-    hermitian_commutant,
-    projection_commutant,
-)
+from derivlab.commutant import hermitian_commutant, projection_algebras
 from derivlab.derivation import ad_superoperator, superoperator_stabilization_report
 from derivlab.spectral import spectral_resolution
 
@@ -90,7 +86,6 @@ def stages(n: int, seed: int = 8) -> dict:
     kernel = sop.kernel()
     comm = hermitian_commutant(d)
     res = spectral_resolution(d)
-    proj_comm = projection_commutant(res)
     omega, g = equilibrium_instance(n, seed)
     delta = ad_superoperator(g)
     rep = gns.gns_construct(omega)
@@ -104,8 +99,7 @@ def stages(n: int, seed: int = 8) -> dict:
         "subspace_distance": lambda: numlin.subspace_distance(kernel, comm),
         "commutant_check.kernel": lambda: ad_superoperator(d).kernel(),
         "commutant_check.hermitian_commutant": lambda: hermitian_commutant(d),
-        "commutant_check.projection_commutant": lambda: projection_commutant(res),
-        "commutant_check.algebra_commutant": lambda: algebra_commutant(proj_comm),
+        "commutant_check.closed_forms": lambda: projection_algebras(res),
         "gns_construct": lambda: gns.gns_construct(omega),
         "implementing_operator": lambda: gns.implementing_operator(rep, delta),
         "implementation_check": lambda: gns.implementation_check(delta, s),
