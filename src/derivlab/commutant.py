@@ -3,7 +3,9 @@
 The two spectral objects of the identity, the commutant {P_i}' of the
 spectral projections and the algebra P_D'' they generate, have closed
 forms in the eigenvectors of each P_i (``projection_algebras``); only
-ker ad_iD and {D}' factor an n^2 x n^2 matrix."""
+ker ad_iD and {D}' factor an n^2 x n^2 matrix, a real one each: ker
+ad_iD in the Hermitian frame, {D}' after reducing D to a real
+tridiagonal T."""
 
 from __future__ import annotations
 
@@ -18,17 +20,18 @@ from .numlin import (
     as_cmatrix,
     containment_residual,
     frob,
+    hermitian_tridiagonal,
     is_hermitian,
     kron,
     map_kernels,
-    require_hermitian,
     subspace_distance,
 )
 from .spectral import DEFAULT_CLUSTER_TOL, SpectralResolution, spectral_resolution
 
 
 def commutation_matrix(g: np.ndarray) -> np.ndarray:
-    """The matrix of x -> [g, x]: vec([g, x]) = (I (x) g - g^T (x) I) vec(x)."""
+    """The matrix of x -> [g, x]: vec([g, x]) = (I (x) g - g^T (x) I) vec(x),
+    float64 for a float64 g (``kron``)."""
     eye = np.eye(g.shape[0])
     return kron(eye, g) - kron(g.T, eye)
 
@@ -72,25 +75,24 @@ def bicommutant(gens) -> OperatorSubspace:
 
 
 def hermitian_commutant(h, rank_tol: float = DEFAULT_RANK_TOL) -> OperatorSubspace:
-    """{H}' for one Hermitian H, from eigh of the Hermitian matrix
-    I (x) H - H^T (x) I: the eigenvectors whose |eigenvalue| is at most
-    rank_tol * max(largest |eigenvalue|, 1), the rank rule of ``commutant``.
-    An eigensolver, so a route independent of the SVD in ``commutant``.
+    """{H}' for one Hermitian H, an eigensolver route independent of the
+    SVD in ``commutant`` and of the Hermitian frame.
 
-    It stays a complex eigh of the untransformed matrix, although that
-    matrix is real in the Hermitian frame: the kernel of ad_iD and {P_i}'
-    both go through the frame change and a real SVD, so a {D}' that
-    shares neither the algorithm nor the frame code with them lets
-    ``kernel_commutant_check`` catch a fault in either."""
-    h = require_hermitian(h)
-    return _eigh_commutant(commutation_matrix(h), h.shape[0], rank_tol)
-
-
-def _eigh_commutant(c: np.ndarray, n: int, rank_tol: float) -> OperatorSubspace:
-    # {H}' from the commutation matrix c of H, as ``hermitian_commutant``
-    w, v = np.linalg.eigh(c)
-    cut = rank_tol * max(float(np.max(np.abs(w))), 1.0)
-    return OperatorSubspace.from_vec_columns(n, v[:, np.abs(w) <= cut])
+    ``numlin.hermitian_tridiagonal`` gives H = W T W* with W unitary and
+    T real symmetric tridiagonal, so {H}' = W {T}' W*, and {T}' is the
+    kernel of the float64 symmetric matrix I (x) T - T (x) I: the
+    eigenvectors of its eigh whose |eigenvalue| is at most
+    rank_tol * max(largest |eigenvalue|, 1), the rank rule of
+    ``commutant``.  Each is mapped back as W Y W*.  The kernel of ad_iD
+    and {P_i}' share neither the reduction nor the eigh, so
+    ``kernel_commutant_check`` catches a fault in either side."""
+    w, t = hermitian_tridiagonal(h)
+    n = t.shape[0]
+    values, vectors = np.linalg.eigh(commutation_matrix(t))
+    cut = rank_tol * max(float(np.max(np.abs(values))), 1.0)
+    # column j unvecs to Y_j[i, l] = vectors[i + n l, j]
+    kernel = vectors[:, np.abs(values) <= cut].T.reshape(-1, n, n).transpose(0, 2, 1)
+    return OperatorSubspace(n, w @ kernel @ w.conj().T)
 
 
 def projection_defect(projections) -> float:
@@ -111,16 +113,16 @@ def projection_algebras(res: SpectralResolution) -> tuple:
     For orthogonal projections that sum to I, x commutes with every P_i
     iff x = sum P_i x P_i, so {P_i}' = span{u_a u_b* : a, b in one
     cluster}, u an orthonormal basis of ran P_i: its m_i eigenvectors of
-    eigenvalue 1 from eigh(P_i).  These sum(m_i^2) elements are
-    HS-orthonormal.  The algebra the P_i generate is their span, and the
-    P_i / ||P_i|| are orthonormal because P_i P_j = 0.  Both rely on the
-    family being orthogonal and complete, which ``projection_defect``
-    measures.
+    eigenvalue 1 from eigh(P_i), one batched call over the P_i.  These
+    sum(m_i^2) elements are HS-orthonormal.  The algebra the P_i generate
+    is their span, and the P_i / ||P_i|| are orthonormal because
+    P_i P_j = 0.  Both rely on the family being orthogonal and complete,
+    which ``projection_defect`` measures.
     """
     n = res.projections.shape[1]
     blocks = []
-    for p, m in zip(res.projections, res.multiplicities):
-        u = np.linalg.eigh(p)[1][:, n - m:]
+    for u, m in zip(np.linalg.eigh(res.projections)[1], res.multiplicities):
+        u = u[:, n - m:]
         blocks.append(np.einsum("ia,jb->abij", u, u.conj()).reshape(-1, n, n))
     norms = np.linalg.norm(res.projections, axis=(1, 2))
     return (
@@ -174,21 +176,18 @@ def kernel_commutant_check(
 ) -> KernelCommutantReport:
     """Measure three realizations of the same subspace against each other —
     the kernel of ad_iD (real SVD in the Hermitian frame), the commutant
-    of {D} (complex eigh), and the commutant of the spectral projections
-    (closed form from the n x n eigh of each projection, which needs the
-    projections to be orthogonal and complete, so their defect is
-    reported too) — and how far the algebra the projections span sits
-    outside the kernel.  The two n^2 x n^2 factorizations share one
-    commutation matrix C of D: ``hermitian_commutant``'s eigh reads C,
-    then C becomes the matrix iC of ad_iD in place, so no second
-    n^2 x n^2 array is built."""
+    of {D} (``hermitian_commutant``: Householder reduction and a float64
+    eigh), and the commutant of the spectral projections (closed form
+    from the n x n eigh of each projection, which needs the projections
+    to be orthogonal and complete, so their defect is reported too) —
+    and how far the algebra the projections span sits outside the
+    kernel.  The complex commutation matrix C of D is built for the
+    kernel route alone, and ``map_kernels`` drops it once the frame
+    gather has read it, before the SVD."""
     d = as_cmatrix(d)
     res = spectral_resolution(d, cluster_tol)
-    c = commutation_matrix(d)
-    comm = _eigh_commutant(c, d.shape[0], rank_tol)
-    c *= 1j
-    kernel = map_kernels(c, d.shape[0], rank_tol=rank_tol)[0]
-    del c  # freed before the closed forms build their bases
+    comm = hermitian_commutant(d, rank_tol)
+    kernel = map_kernels(1j * commutation_matrix(d), d.shape[0], rank_tol=rank_tol)[0]
     proj_comm, algebra = projection_algebras(res)
     return KernelCommutantReport(
         ambient_dim=d.shape[0],

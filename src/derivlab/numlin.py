@@ -25,6 +25,7 @@ package a provable inequality.
 from __future__ import annotations
 
 import functools
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -56,7 +57,7 @@ def max_ambient_dim() -> int:
 def _finite_matrix(m: np.ndarray) -> np.ndarray:
     if m.ndim != 2:
         raise ShapeMismatch(f"expected a 2-D array, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -107,6 +108,54 @@ def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as exc:  # iteration cap exceeded
         raise NoConvergence(str(exc)) from exc
     return w, u
+
+
+def hermitian_tridiagonal(h) -> tuple[np.ndarray, np.ndarray]:
+    """(W, T) with W unitary and T real symmetric tridiagonal, H = W T W*.
+
+    n - 2 Householder reflections (Golub and Van Loan, Matrix
+    Computations, sec. 8.3) reduce H to a Hermitian tridiagonal matrix;
+    each costs one rank-2 Hermitian update of the trailing block and one
+    rank-1 update of W, and a column that is already reduced gets none.
+    A diagonal matrix of phases then makes the off-diagonal real and
+    nonnegative.  O(n^3); the columns of W are not eigenvectors of H.
+    """
+    a = require_hermitian(h).copy()
+    n = a.shape[0]
+    w = np.eye(n, dtype=np.complex128)
+    for k in range(n - 2):
+        x = a[k + 1:, k]
+        tail = np.vdot(x[1:], x[1:]).real
+        if tail == 0:
+            continue
+        first = complex(x[0])
+        head = abs(first)
+        norm = math.sqrt(head * head + tail)
+        # H = I - u u* with ||u||^2 = 2 sends x to alpha e_1, |alpha| = ||x||,
+        # with the phase that keeps u[0] from cancelling; only that entry
+        # of the column is read again
+        alpha = -norm * (first / head if head else 1.0)
+        scale = math.sqrt(2 / ((head + norm) ** 2 + tail))
+        u = x * scale
+        u[0] -= alpha * scale
+        a[k + 1, k] = alpha
+        # H A H = A - u p* - p u*, with p = A u - (u* A u / 2) u
+        block = a[k + 1:, k + 1:]
+        p = block @ u
+        p -= np.vdot(u, p).real / 2 * u
+        outer = u[:, None] * p.conj()
+        block -= outer
+        block -= outer.conj().T
+        right = w[:, k + 1:]
+        right -= (right @ u)[:, None] * u.conj()
+    off = a.diagonal(-1)
+    t = np.zeros((n, n))
+    t.flat[:: n + 1] = a.diagonal().real
+    t.flat[1:: n + 1] = t.flat[n:: n + 1] = np.abs(off)
+    # conj(phi_(k+1)) off_k phi_k = |off_k| when phi_(k+1) = phi_k off_k / |off_k|
+    phases = np.ones(n, dtype=np.complex128)
+    np.cumprod(np.exp(1j * np.angle(off)), out=phases[1:])
+    return w * phases, t
 
 
 def _numerical_rank(s: np.ndarray, rank_tol: float, scale: float) -> int:
@@ -223,11 +272,12 @@ def real_frame(m, n: int):
     indices of a vec index: true of ad_iD and of i[g, .] built from an
     exactly Hermitian D or g, because the gather adds each entry to its
     conjugate.  A map that is *-preserving only to roundoff, or not at
-    all, gets None and stays on the complex route.  Costs one gather per
-    side, O(n^4).
+    all, gets None and stays on the complex route.  A float64 M (a
+    ``kron`` of two real factors) is read as complex.  Costs one gather
+    per side, O(n^4).
     """
     order, ends = _frame_order(n)
-    m = np.asarray(m)
+    m = np.asarray(m, dtype=np.complex128)
     rows = _frame_side(m.reshape(-1, n * n, n * n)[:, order], ends, 1, -1j)
     frame = _frame_side(rows[:, :, order], ends, 2, 1j).reshape(m.shape)
     del rows
@@ -289,9 +339,10 @@ def kron(a, b) -> np.ndarray:
     """Kronecker product with the package-wide memory budget applied.
 
     Built as one broadcast product, whose entries are those of np.kron
-    bit for bit, without np.kron's general n-d set-up per call."""
-    a = as_cmatrix(a)
-    b = as_cmatrix(b)
+    bit for bit, without np.kron's general n-d set-up per call.  Two
+    float64 factors give a float64 product; any other pair is complex."""
+    a = _as_matrix(a)
+    b = _as_matrix(b)
     rows, cols = a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
     budget = max_ambient_dim() ** 4
     if rows * cols > budget:
@@ -362,14 +413,17 @@ def map_kernels(m, n: int, k_max: int = 1, rank_tol: float = DEFAULT_RANK_TOL) -
     (exactly real ``real_frame``) is factored as that real matrix, at about
     half the cost and memory, with the same singular values; any other map
     stays complex.  Levels repeating the fixed point are one object,
-    wrapped once.
+    wrapped once.  The complex map is not referenced here past the frame
+    gather, so a caller that keeps no reference of its own frees it
+    before the SVD.
     """
     frame = real_frame(m, n)
-    factored = m if frame is None else frame
+    if frame is not None:
+        m = frame
     if k_max == 1:
-        bases = [nullspace(factored, rank_tol, scale=1.0)]
+        bases = [nullspace(m, rank_tol, scale=1.0)]
     else:
-        bases = kernel_tower(factored, k_max, rank_tol, scale=1.0)
+        bases = kernel_tower(m, k_max, rank_tol, scale=1.0)
     subspaces = {}  # by id: kernel_tower repeats its fixed point as one array
     for q in bases:
         if id(q) not in subspaces:

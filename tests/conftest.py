@@ -107,6 +107,18 @@ def eigenbasis_kernel_oracle(d, k_unused=None, cluster_tol=1e-8):
     return from_spanning(n, mats)
 
 
+def complex_eigh_commutant_oracle(h, rank_tol=1e-10):
+    """{H}' from the complex eigh of the Hermitian n^2 x n^2 matrix
+    I (x) H - H^T (x) I itself, with no reduction and no frame: the
+    eigenvectors whose |eigenvalue| is at most
+    rank_tol * max(largest |eigenvalue|, 1)."""
+    h = np.asarray(h, dtype=complex)
+    eye = np.eye(h.shape[0])
+    w, v = np.linalg.eigh(np.kron(eye, h) - np.kron(h.T, eye))
+    cut = rank_tol * max(float(np.max(np.abs(w))), 1.0)
+    return OperatorSubspace.from_vec_columns(h.shape[0], v[:, np.abs(w) <= cut])
+
+
 @pytest.fixture
 def gapped_hermitian():
     return lambda n, seed: generate("hermitian", n, seed)

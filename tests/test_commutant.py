@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import weakref
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from derivlab.commutant import (
     projection_defect,
 )
 from derivlab.derivation import ad_superoperator
-from derivlab.errors import NotHermitian, ShapeMismatch
+from derivlab.errors import DimensionOverflow, NotHermitian, ShapeMismatch
 from derivlab.numlin import (
     OperatorSubspace,
     containment_residual,
@@ -34,6 +35,7 @@ from derivlab.numlin import (
 from derivlab.spectral import spectral_resolution
 
 from conftest import (
+    complex_eigh_commutant_oracle,
     eigenbasis_kernel_oracle,
     from_spanning,
     matrix_unit,
@@ -217,26 +219,56 @@ class TestKernelCommutantCheck:
         assert commutant_identity_check("commutant_identity/simple", d)["pass"]
 
     def test_one_commutation_matrix_serves_kernel_and_commutant(self, monkeypatch):
-        # C(D) is built once for the SVD and the eigh route, and both
+        # C(D) is built once, for the kernel route only: {D}' builds the
+        # real commutation matrix of the tridiagonal T instead.  Both
         # measure as the standalone routes do, bit for bit
         d = _spectral_instances(5, 3)[1][1]
         kernel, comm = ad_superoperator(d).kernel(), hermitian_commutant(d)
         module = importlib.import_module("derivlab.commutant")
-        built = []
+        built, factored = [], []
+        map_kernels = module.map_kernels
 
         def recorded(g):
             built.append(g)
             return commutation_matrix(g)
 
+        def recorded_kernels(m, *args, **kwargs):
+            factored.append(m)
+            return map_kernels(m, *args, **kwargs)
+
         monkeypatch.setattr(module, "commutation_matrix", recorded)
+        monkeypatch.setattr(module, "map_kernels", recorded_kernels)
         report = kernel_commutant_check(d)
         assert sum(np.array_equal(g, d) for g in built) == 1
+        assert [g.dtype for g in built if not np.array_equal(g, d)] == [np.float64]
+        assert len(factored) == 1
+        assert np.array_equal(factored[0], 1j * commutation_matrix(d))
         assert (report.kernel_dim, report.commutant_dim) == (kernel.dim, comm.dim)
         assert report.distance_kernel_commutant == subspace_distance(kernel, comm)
 
+    def test_commutation_matrix_is_freed_before_the_kernel_svd(self, monkeypatch):
+        # the complex map of ad_iD is alive only until the frame gather
+        # has read it; the SVD sees the real frame matrix alone
+        numlin = importlib.import_module("derivlab.numlin")
+        real_frame, nullspace = numlin.real_frame, numlin.nullspace
+        read, alive = [], []
+
+        def gathered(m, n):
+            read.append(weakref.ref(m))
+            return real_frame(m, n)
+
+        def factored(m, *args, **kwargs):
+            alive.append((m.dtype, read[-1]() is not None))
+            return nullspace(m, *args, **kwargs)
+
+        monkeypatch.setattr(numlin, "real_frame", gathered)
+        monkeypatch.setattr(numlin, "nullspace", factored)
+        kernel_commutant_check(_spectral_instances(4, 3)[1][1])
+        assert alive == [(np.float64, False)]
+
     def test_two_factorizations(self, monkeypatch):
         # ker ad_iD is the one SVD and {D}' the one eigh of an n^2 x n^2
-        # matrix; {P_i}' and P_D'' come from n x n eighs
+        # matrix, a float64 one; {P_i}' and P_D'' come from n x n eighs
         d = _spectral_instances(6, 3)[1][1]
         k = spectral_resolution(d).n_clusters
         module = importlib.import_module("derivlab.commutant")
@@ -248,15 +280,20 @@ class TestKernelCommutantCheck:
             return map_kernels(m, *args, **kwargs)
 
         def counted_eigh(m, *args, **kwargs):
-            eighs.append(m.shape)
+            eighs.append((m.shape, m.dtype))
             return eigh(m, *args, **kwargs)
 
         monkeypatch.setattr(module, "map_kernels", counted_kernels)
         monkeypatch.setattr(module.np.linalg, "eigh", counted_eigh)
         kernel_commutant_check(d)
         assert kernels == [(36, 36)]
-        # the spectral resolution's eigh, {D}', then one per projection
-        assert eighs == [(6, 6), (36, 36)] + [(6, 6)] * k
+        # the spectral resolution's eigh, {D}' of the real tridiagonal
+        # form, then one batched call over the projections
+        assert eighs == [
+            ((6, 6), np.complex128),
+            ((36, 36), np.float64),
+            ((k, 6, 6), np.complex128),
+        ]
 
     def test_json_identity_field(self):
         # the check adds its verdict and tolerances to the report's fields
@@ -301,12 +338,21 @@ class TestSingleGeneratorRoutes:
                 for b in algebra.basis:
                     assert membership_residual(algebra, a @ b) <= 1e-9
 
-    @pytest.mark.parametrize("n", [2, 5, 8])
+    @pytest.mark.parametrize("n", [2, 5, 8, 12, 16])
     def test_hermitian_commutant_matches_svd_route(self, n):
         for _, d in _spectral_instances(n, 9):
             comm = hermitian_commutant(d)
+            oracle = complex_eigh_commutant_oracle(d)
+            assert comm.dim == oracle.dim
+            assert subspace_distance(comm, oracle) <= 1e-10
             assert subspace_distance(comm, commutant([d])) <= 1e-10
             assert subspace_distance(comm, eigenbasis_kernel_oracle(d)) <= 1e-10
+
+    def test_hermitian_commutant_keeps_the_dimension_budget(self, monkeypatch):
+        # the real commutation matrix of T goes through numlin.kron's budget
+        monkeypatch.setenv("DERIVLAB_MAX_DIM", "4")
+        with pytest.raises(DimensionOverflow):
+            hermitian_commutant(np.eye(6))
 
     def test_hermitian_commutant_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from derivlab import numlin
+from derivlab.cli import _spectral_instances
 from derivlab.errors import (
     AmbientMismatch,
     DimensionOverflow,
@@ -21,6 +22,7 @@ from derivlab.numlin import (
     frob,
     from_frame,
     hermitian_eig,
+    hermitian_tridiagonal,
     kernel_tower,
     kron,
     map_kernels,
@@ -64,6 +66,51 @@ class TestHermitianEig:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def _reduction_cases():
+    cases = {f"spectral-{n}-{name}": d for n in range(2, 17) for name, d in _spectral_instances(n, 5)}
+    blocks = np.zeros((5, 5), dtype=complex)
+    blocks[:2, :2] = random_hermitian(2, seed=40)
+    blocks[2:, 2:] = random_hermitian(3, seed=41)
+    first_zero = random_hermitian(5, seed=42)
+    first_zero[1, 0] = first_zero[0, 1] = 0.0
+    cases.update(
+        one_by_one=np.array([[2.5]]),
+        diagonal=np.diag([3.0, -1.0, 0.5, 2.0]),
+        block_diagonal=blocks,  # column 1 has nothing below the subdiagonal
+        scalar=4.0 * np.eye(6),
+        first_entry_zero=first_zero,
+    )
+    return cases
+
+
+_REDUCTION_CASES = _reduction_cases()
+
+
+class TestHermitianTridiagonal:
+    @pytest.mark.parametrize("case", sorted(_REDUCTION_CASES))
+    def test_unitary_reduction_to_real_tridiagonal(self, case):
+        d = _REDUCTION_CASES[case]
+        n = d.shape[0]
+        eps = np.finfo(float).eps
+        w, t = hermitian_tridiagonal(d)
+        assert frob(w.conj().T @ w - np.eye(n)) <= 10 * n * eps
+        assert frob(w @ t @ w.conj().T - d) <= 10 * n * eps * frob(d)
+        assert t.dtype == np.float64
+        assert np.array_equal(t, t.T)
+        band = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= 1
+        assert not np.any(t[~band])
+
+    def test_reduced_matrices_keep_their_form(self):
+        # a diagonal matrix needs no reflection and no phase
+        w, t = hermitian_tridiagonal(np.diag([3.0, -1.0, 0.5]))
+        assert np.array_equal(w, np.eye(3))
+        assert np.array_equal(t, np.diag([3.0, -1.0, 0.5]))
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(NotHermitian):
+            hermitian_tridiagonal(matrix_unit(3, 0, 2))
 
 
 class TestNullspace:
@@ -422,7 +469,8 @@ class TestKronVec:
         b = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
         for x, y in ((a, b), (b, a), (a.real, b.real), (a, b.real)):
             product = kron(x, y)
-            assert product.dtype == np.complex128
+            # two float64 factors stay real; any other pair is complex
+            assert product.dtype == np.result_type(x, y)
             assert np.array_equal(product, np.kron(x, y))
 
     def test_budget(self, monkeypatch):
