@@ -4,8 +4,9 @@
 The kernel of the commutator derivation, the commutant of the generator,
 and the commutant of its spectral projections are one and the same
 von Neumann algebra.  The first two are computed here by independent
-numerical routes (superoperator nullspace vs. stacked commutation
-system); P_D' and the algebra P_D'' that the projections span come in
+numerical routes (an SVD of the real block of ad_iT after a Householder
+reduction D = W T W*, vs. the stacked commutation system); P_D' and the
+algebra P_D'' that the projections span come in
 closed form from the spectral resolution, as the check
 `derivlab run --suite commutant_identity` measures them.  The pairwise
 projector distances come out at roundoff level.

@@ -25,6 +25,7 @@ from .numlin import (
     kron,
     map_kernels,
     subspace_distance,
+    unvec_columns,
 )
 from .spectral import DEFAULT_CLUSTER_TOL, SpectralResolution, spectral_resolution
 
@@ -90,8 +91,7 @@ def hermitian_commutant(h, rank_tol: float = DEFAULT_RANK_TOL) -> OperatorSubspa
     n = t.shape[0]
     values, vectors = np.linalg.eigh(commutation_matrix(t))
     cut = rank_tol * max(float(np.max(np.abs(values))), 1.0)
-    # column j unvecs to Y_j[i, l] = vectors[i + n l, j]
-    kernel = vectors[:, np.abs(values) <= cut].T.reshape(-1, n, n).transpose(0, 2, 1)
+    kernel = unvec_columns(vectors[:, np.abs(values) <= cut], n)
     return OperatorSubspace(n, w @ kernel @ w.conj().T)
 
 
@@ -183,7 +183,13 @@ def kernel_commutant_check(
     and how far the algebra the projections span sits outside the
     kernel.  The complex commutation matrix C of D is built for the
     kernel route alone, and ``map_kernels`` drops it once the frame
-    gather has read it, before the SVD."""
+    gather has read it, before the SVD.
+
+    The kernel stays on this frame SVD of ad_iD, although
+    ``derivation.ad_kernel_tower`` is cheaper: that route reduces D by
+    the same ``hermitian_tridiagonal`` as {D}', so a fault in the
+    reduction would move both subspaces together and their distance
+    could not show it."""
     d = as_cmatrix(d)
     res = spectral_resolution(d, cluster_tol)
     comm = hermitian_commutant(d, rank_tol)

@@ -21,11 +21,17 @@ from .numlin import (
     DEFAULT_RANK_TOL,
     OperatorSubspace,
     as_cmatrix,
+    block_kernel_tower,
+    commutator_frame_block,
     frob,
+    from_frame,
+    hermitian_tridiagonal,
+    map_distinct,
     map_kernels,
     require_hermitian,
     subspace_distance,
     unvec,
+    unvec_columns,
     vec,
 )
 from .spectral import DEFAULT_CLUSTER_TOL, SpectralResolution, spectral_resolution, unitary_group
@@ -91,14 +97,38 @@ def ad_apply(d, x) -> np.ndarray:
     return 1j * (d @ x - x @ d)
 
 
+def ad_kernel_tower(d, k_max: int, rank_tol: float = DEFAULT_RANK_TOL) -> tuple:
+    """ker ad_iD, ..., ker ad_iD^k_max for Hermitian D, as OperatorSubspaces,
+    from n x n factors and one SVD of a quarter of ad_iD's entries.
+
+    ``numlin.hermitian_tridiagonal`` gives D = W T W* with W unitary and T
+    real symmetric tridiagonal, so ker ad_iD^k = W (ker ad_iT^k) W*, and
+    X -> W X W* keeps every dimension and distance.  In the Hermitian frame
+    ad_iT is [[0, -Q^T], [Q, 0]], Q = ``commutator_frame_block(T)``, and
+    ``block_kernel_tower`` takes the tower from one SVD of Q at scale 1,
+    the rank rule of ``map_kernels``.  No n^2 x n^2 array is formed.  The
+    levels are mapped back by ``from_frame`` and one batched W K W*;
+    levels repeating the fixed point are one object, as in ``map_kernels``.
+    """
+    w, t = hermitian_tridiagonal(d)
+    n = t.shape[0]
+    levels = block_kernel_tower(commutator_frame_block(t), k_max, rank_tol)
+
+    def conjugated(q):
+        return OperatorSubspace(n, w @ unvec_columns(from_frame(q, n), n) @ w.conj().T)
+
+    return map_distinct(conjugated, levels)
+
+
 def derivation_kernel(d, k: int = 1) -> OperatorSubspace:
     """Kernel of the k-th power of ad_iD, as an HS-orthonormal subspace.
 
-    Taken from the kernel tower of one SVD of ad_iD, never from the matrix
-    power, whose singular values |lambda_r - lambda_c|^k would raise the
-    spread/gap ratio of D to the k-th power.
+    The last level of ``ad_kernel_tower``: one SVD of the real block of
+    ad_iT, never the matrix power, whose singular values
+    |lambda_r - lambda_c|^k would raise the spread/gap ratio of D to the
+    k-th power.
     """
-    return ad_superoperator(d).kernel_tower(k)[-1]
+    return ad_kernel_tower(d, k)[-1]
 
 
 @dataclass(frozen=True)
@@ -114,11 +144,21 @@ class KernelStabilizationReport:
     kernel: OperatorSubspace | None = field(default=None, repr=False, compare=False)
 
 
+def _stabilization_report(kernels, multiplicities=None) -> KernelStabilizationReport:
+    # dims and distances to the first level, each distinct level measured once
+    if len(kernels) < 2:
+        raise ValueError("n_max must be >= 2")
+    base = kernels[0]
+    return KernelStabilizationReport(
+        kernel_dims=tuple(k.dim for k in kernels),
+        distances=map_distinct(lambda k: subspace_distance(k, base), kernels),
+        multiplicities=multiplicities,
+        kernel=base,
+    )
+
+
 def superoperator_stabilization_report(
-    sop: Superoperator,
-    n_max: int,
-    rank_tol: float = DEFAULT_RANK_TOL,
-    multiplicities=None,
+    sop: Superoperator, n_max: int, rank_tol: float = DEFAULT_RANK_TOL
 ) -> KernelStabilizationReport:
     """Dimensions of ker(map^k) and their distances to ker(map) for
     k = 1..n_max.
@@ -130,20 +170,7 @@ def superoperator_stabilization_report(
     ker(map) to itself.  A growing kernel is report content, never an
     exception; the report carries no verdict.
     """
-    if n_max < 2:
-        raise ValueError("n_max must be >= 2")
-    kernels = sop.kernel_tower(n_max, rank_tol)
-    base = kernels[0]
-    distance = {}  # by id of the level
-    for k in kernels:
-        if id(k) not in distance:
-            distance[id(k)] = subspace_distance(k, base)
-    return KernelStabilizationReport(
-        kernel_dims=tuple(k.dim for k in kernels),
-        distances=tuple(distance[id(k)] for k in kernels),
-        multiplicities=multiplicities,
-        kernel=base,
-    )
+    return _stabilization_report(sop.kernel_tower(n_max, rank_tol))
 
 
 def kernel_stabilization_report(
@@ -153,12 +180,12 @@ def kernel_stabilization_report(
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> KernelStabilizationReport:
     """Kernel stabilization of ad_iD: dims and distances for k <= n_max,
-    and the eigenvalue multiplicities of D."""
+    from ``ad_kernel_tower`` and measured as in
+    ``superoperator_stabilization_report``, and the eigenvalue
+    multiplicities of D."""
     res = spectral_resolution(d, cluster_tol)
-    return superoperator_stabilization_report(
-        ad_superoperator(d),
-        n_max,
-        rank_tol=rank_tol,
+    return _stabilization_report(
+        ad_kernel_tower(d, n_max, rank_tol),
         multiplicities=tuple(int(m) for m in res.multiplicities),
     )
 

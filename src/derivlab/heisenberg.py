@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .derivation import ad_superoperator
+from .derivation import ad_kernel_tower
 from .errors import GridTooCoarse, ShapeMismatch
 from .numlin import DEFAULT_RANK_TOL, as_cmatrix, frob, require_hermitian
 
@@ -263,14 +263,14 @@ def rigidity_check(
 ) -> RigidityReport:
     """Sample x from ker(ad_iD^2) and measure the largest
     ||[D, x]|| / (||D|| ||x||), which rigidity forces to zero.  The samples
-    come from the second level of one kernel tower of ad_iD, all drawn at
+    come from the second level of ``ad_kernel_tower``, all drawn at
     once and measured by one stacked commutator.  A NaN sample makes the
     maximum NaN, which no bound passes; a zero D gives 0.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     d = require_hermitian(d)
-    sq_kernel = ad_superoperator(d).kernel_tower(2, rank_tol)[1]
+    sq_kernel = ad_kernel_tower(d, 2, rank_tol)[1]
     # per trial, the real then the imaginary parts, as paired draws give them
     parts = np.random.default_rng(seed).standard_normal((trials, 2, sq_kernel.dim))
     x = np.tensordot(parts[:, 0] + 1j * parts[:, 1], sq_kernel.basis, axes=1)

@@ -15,7 +15,11 @@ that sends Hermitian matrices to Hermitian matrices, phi(x*) = phi(x)*
 (ad_iD for Hermitian D, i[g, .] for Hermitian g), has a real matrix
 T* M T with the singular values of M, and its kernels are T applied to
 real kernels.  ``real_frame`` forms T* M T by gathers, and
-``from_frame`` maps frame vectors back to vec coordinates.
+``from_frame`` maps frame vectors back to vec coordinates.  For a real
+symmetric g, i[g, .] maps the n(n+1)/2 real symmetric frame elements to
+the n(n-1)/2 imaginary antisymmetric ones and back, so its frame matrix
+is [[0, -Q^T], [Q, 0]]: ``commutator_frame_block`` builds Q for a
+tridiagonal g, and ``block_kernel_tower`` takes kernels from one SVD of Q.
 
 All matrix norms written ||.|| in residual bounds are Frobenius norms
 (the Hilbert-Schmidt norm), which keeps every Taylor-type bound in this
@@ -160,14 +164,14 @@ def hermitian_tridiagonal(h) -> tuple[np.ndarray, np.ndarray]:
 
 def _numerical_rank(s: np.ndarray, rank_tol: float, scale: float) -> int:
     # the one rank rule: sigma counts when sigma > rank_tol * max(sigma_max, scale)
+    if rank_tol <= 0:
+        raise ValueError("rank_tol must be positive")
     smax = s[0] if s.size else 0.0
     return int(np.sum(s > rank_tol * max(smax, scale)))
 
 
 def _svd_split(m, rank_tol: float, scale: float) -> tuple:
     # (U_r, S_r, V_r, V_0): M = U_r S_r V_r* on its numerical range, V_0 spans ker M
-    if rank_tol <= 0:
-        raise ValueError("rank_tol must be positive")
     m = _as_matrix(m)
     # reduced SVD loses nullspace directions when the matrix is wide
     u, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
@@ -186,6 +190,47 @@ def nullspace(m, rank_tol: float = DEFAULT_RANK_TOL, scale: float = 0.0) -> np.n
     real arithmetic and gets a real basis.
     """
     return _svd_split(m, rank_tol, scale)[3]
+
+
+def _block_split(q, rank_tol: float) -> tuple:
+    # _svd_split of A = [[0, -Q^T], [Q, 0]] at scale 1 for a float64 Q, from
+    # one full SVD of Q: each triple (u, sigma, v) gives A [v; 0] = sigma [0; u] and
+    # A [0; u] = sigma [-v; 0], so sigma appears twice, and ker A is
+    # [ker Q; 0] + [0; ker Q^T]
+    rows, cols = q.shape
+    u, s, vh = np.linalg.svd(q)  # full: the kernels need all of U and V
+    rank = _numerical_rank(s, rank_tol, 1.0)
+    size = rows + cols
+    u_r, v_r = np.zeros((size, 2 * rank)), np.zeros((size, 2 * rank))
+    u_r[cols:, :rank] = v_r[cols:, rank:] = u[:, :rank]
+    v_r[:cols, :rank] = vh[:rank].T
+    np.negative(vh[:rank].T, out=u_r[:cols, rank:])
+    v_0 = np.zeros((size, size - 2 * rank))
+    v_0[:cols, : cols - rank] = vh[rank:].T
+    v_0[cols:, cols - rank:] = u[:, rank:]
+    return u_r, np.concatenate([s[:rank], s[:rank]]), v_r, v_0
+
+
+def _grow_tower(split: tuple, k_max: int, rank_tol: float) -> list:
+    # the levels of ``kernel_tower`` from a split (U_r, S_r, V_r, V_0) of M
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    u_r, s_r, v_r, v_0 = split
+    if s_r.size == 0 or v_0.shape[1] == 0:  # M = 0 or M invertible: nothing grows
+        return [v_0] * k_max
+    tower = [v_0]
+    while len(tower) < k_max:
+        q = tower[-1]
+        cosines = q.conj().T @ u_r
+        w = np.linalg.svd(cosines, full_matrices=False)[2].conj().T
+        sines = np.linalg.norm(u_r @ w - q @ (cosines @ w), axis=0)
+        joined = w[:, sines <= rank_tol]
+        if v_0.shape[1] + joined.shape[1] <= q.shape[1]:  # the fixed point
+            tower += [q] * (k_max - len(tower))
+            break
+        grown = np.linalg.qr(joined / s_r[:, None])[0]
+        tower.append(np.hstack([v_0, v_r @ grown]))
+    return tower
 
 
 def kernel_tower(
@@ -211,29 +256,38 @@ def kernel_tower(
     make the tower shrink.  For a normal M the range is orthogonal to the
     kernel, every sine is 1 and ker M is the fixed point, so a normal M
     costs at most two SVDs at any k_max.  A nilpotent part makes the
-    tower grow.  A float64 M gives real bases.
+    tower grow.  A float64 M gives real bases.  ``block_kernel_tower``
+    runs the same growth from the split of a structured M.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
     shape = np.shape(m)
     if len(shape) != 2 or shape[0] != shape[1]:
         raise ShapeMismatch(f"kernel towers need a square matrix, got {shape}")
-    u_r, s_r, v_r, v_0 = _svd_split(m, rank_tol, scale)
-    if s_r.size == 0 or v_0.shape[1] == 0:  # M = 0 or M invertible: nothing grows
-        return [v_0] * k_max
-    tower = [v_0]
-    while len(tower) < k_max:
-        q = tower[-1]
-        cosines = q.conj().T @ u_r
-        w = np.linalg.svd(cosines, full_matrices=False)[2].conj().T
-        sines = np.linalg.norm(u_r @ w - q @ (cosines @ w), axis=0)
-        joined = w[:, sines <= rank_tol]
-        if v_0.shape[1] + joined.shape[1] <= q.shape[1]:  # the fixed point
-            tower += [q] * (k_max - len(tower))
-            break
-        grown = np.linalg.qr(joined / s_r[:, None])[0]
-        tower.append(np.hstack([v_0, v_r @ grown]))
-    return tower
+    return _grow_tower(_svd_split(m, rank_tol, scale), k_max, rank_tol)
+
+
+def block_kernel_tower(q, k_max: int, rank_tol: float = DEFAULT_RANK_TOL) -> list:
+    """``kernel_tower`` of A = [[0, -Q^T], [Q, 0]] for a float64 Q, from
+    one full SVD of Q; A itself is never formed.
+
+    Each singular triple (u, sigma, v) of Q gives A [v; 0] = sigma [0; u]
+    and A [0; u] = sigma [-v; 0], so the singular values of A are those of
+    Q, each twice, and ker A = [ker Q; 0] + [0; ker Q^T].  The rank rule
+    is that of ``map_kernels``: ``nullspace``'s at scale 1.  The split assembled from U and V feeds the growth loop
+    of ``kernel_tower`` unchanged.  For a square Q of order p this SVD
+    costs about an eighth of the one of the 2p x 2p A.
+    """
+    q = _finite_matrix(np.asarray(q, dtype=np.float64))
+    return _grow_tower(_block_split(q, rank_tol), k_max, rank_tol)
+
+
+def map_distinct(fn, items) -> tuple:
+    """fn(x) for each x of items, called once per distinct object: the
+    levels of a tower that repeat its fixed point share one result."""
+    done = {}
+    for x in items:
+        if id(x) not in done:
+            done[id(x)] = fn(x)
+    return tuple(done[id(x)] for x in items)
 
 
 @functools.lru_cache(maxsize=None)
@@ -296,6 +350,64 @@ def from_frame(v, n: int) -> np.ndarray:
         [v[:d], (v[d:u] + 1j * v[u:]) * _SQRT_HALF, (v[d:u] - 1j * v[u:]) * _SQRT_HALF]
     )
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _block_pattern(n: int) -> tuple:
+    # the entries of ``commutator_frame_block``: flat positions in Q, the
+    # entry of the parameters (diagonal of T, then its superdiagonal) each
+    # one reads, and its coefficient; a position may repeat, and sums
+    i, j = np.triu_indices(n, 1)
+    row = np.zeros((n, n), dtype=np.intp)  # Q row of the pair (i, j), i < j
+    row[i, j] = np.arange(i.size)
+    k = np.arange(n - 1)
+    col = n + np.arange(i.size)
+    root2 = math.sqrt(2.0)
+    # (Q rows, Q columns, parameters, coefficient) runs, b_p = T[p, p + 1]:
+    # sqrt 2 [T, E_kk] has b_(k-1) at (k - 1, k) and -b_k at (k, k + 1);
+    # [T, E_pq + E_qp] at (x, y), x < y, is T[x, p] [y = q] - T[q, y] [x = p]
+    runs = [
+        (row[k, k + 1], k + 1, n + k, root2),
+        (row[k, k + 1], k, n + k, -root2),
+        (row[i, j], col, i, 1.0),
+        (row[i, j], col, j, -1.0),
+    ]
+    for x, y, keep, param, sign in (
+        (i - 1, j, i >= 1, n + i - 1, 1.0),
+        (i + 1, j, i + 1 < j, n + i, 1.0),
+        (i, j - 1, j - 1 > i, n + j - 1, -1.0),
+        (i, j + 1, j + 1 < n, n + j, -1.0),
+    ):
+        runs.append((row[x[keep], y[keep]], col[keep], param[keep], sign))
+    flat = np.concatenate([r * (n + i.size) + c for r, c, _, _ in runs])
+    source = np.concatenate([p for _, _, p, _ in runs])
+    coef = np.concatenate([np.full(r.size, w) for r, _, _, w in runs])
+    for a in (flat, source, coef):
+        a.setflags(write=False)  # shared by every caller through the cache
+    return flat, source, coef, (i.size, n + i.size)
+
+
+def commutator_frame_block(t) -> np.ndarray:
+    """The float64 block Q of i[T, .] in the Hermitian frame, for a real
+    symmetric tridiagonal T.
+
+    i[T, .] sends real symmetric matrices to i times real antisymmetric
+    ones and back, so its frame matrix is [[0, -Q^T], [Q, 0]], with Q of
+    size n(n-1)/2 x n(n+1)/2: Q[(i, j), b] = sqrt 2 [T, s_b][i, j] for
+    i < j and the symmetric frame elements s_b.  Each column has at most
+    five entries, read straight from the two diagonals of T; the n^2 x n^2
+    map is never formed, but the budget of ``kron`` (DERIVLAB_MAX_DIM)
+    still bounds n.
+    """
+    n = t.shape[0]
+    if n > max_ambient_dim():
+        raise DimensionOverflow(
+            f"the superoperator of an n={n} matrix exceeds the budget (DERIVLAB_MAX_DIM)"
+        )
+    flat, source, coef, shape = _block_pattern(n)
+    params = np.concatenate([t.diagonal(), t.diagonal(1)])
+    q = np.bincount(flat, coef * params[source], shape[0] * shape[1])
+    return q.astype(np.float64, copy=False).reshape(shape)  # an empty count is int64
 
 
 # Pade [13/13] numerator coefficients b_0..b_13 and the 1-norm bound
@@ -364,6 +476,12 @@ def unvec(v, n: int) -> np.ndarray:
     return v.reshape((n, n), order="F")
 
 
+def unvec_columns(columns: np.ndarray, n: int) -> np.ndarray:
+    """The (d, n, n) stack whose j-th matrix is the unvec of column j of an
+    (n^2, d) array: X_j[i, l] = columns[i + n l, j]; the dtype is kept."""
+    return columns.T.reshape(-1, n, n).transpose(0, 2, 1)
+
+
 @dataclass(frozen=True)
 class OperatorSubspace:
     """A subspace of M_n given by a Hilbert-Schmidt-orthonormal basis.
@@ -401,9 +519,7 @@ class OperatorSubspace:
     @classmethod
     def from_vec_columns(cls, ambient_dim: int, columns: np.ndarray):
         """Wrap orthonormal vec-coordinate columns (e.g. from nullspace)."""
-        # column j unvecs to X_j[i, l] = columns[i + n l, j]
-        n = ambient_dim
-        return cls(n, columns.T.reshape(-1, n, n).transpose(0, 2, 1))
+        return cls(ambient_dim, unvec_columns(columns, ambient_dim))
 
 
 def map_kernels(m, n: int, k_max: int = 1, rank_tol: float = DEFAULT_RANK_TOL) -> tuple:
@@ -424,12 +540,10 @@ def map_kernels(m, n: int, k_max: int = 1, rank_tol: float = DEFAULT_RANK_TOL) -
         bases = [nullspace(m, rank_tol, scale=1.0)]
     else:
         bases = kernel_tower(m, k_max, rank_tol, scale=1.0)
-    subspaces = {}  # by id: kernel_tower repeats its fixed point as one array
-    for q in bases:
-        if id(q) not in subspaces:
-            columns = q if frame is None else from_frame(q, n)
-            subspaces[id(q)] = OperatorSubspace.from_vec_columns(n, columns)
-    return tuple(subspaces[id(q)] for q in bases)
+    return map_distinct(
+        lambda q: OperatorSubspace.from_vec_columns(n, q if frame is None else from_frame(q, n)),
+        bases,
+    )
 
 
 def _check_same_ambient(s1: OperatorSubspace, s2: OperatorSubspace):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from derivlab.cli import generate
+from derivlab.cli import _spectral_instances, generate
 from derivlab.errors import ShapeMismatch
 from derivlab.numlin import OperatorSubspace, hermitian_eig
 
@@ -12,6 +12,25 @@ def random_hermitian(n, seed, scale=1.0):
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return scale * (g + g.conj().T) / 2.0
+
+
+def reduction_cases():
+    """Hermitian D by name: the spectral suites' pair at n = 2..16, and the
+    shapes that take the special paths of numlin.hermitian_tridiagonal."""
+    cases = {f"spectral-{n}-{name}": d for n in range(2, 17) for name, d in _spectral_instances(n, 5)}
+    blocks = np.zeros((5, 5), dtype=complex)
+    blocks[:2, :2] = random_hermitian(2, seed=40)
+    blocks[2:, 2:] = random_hermitian(3, seed=41)
+    first_zero = random_hermitian(5, seed=42)
+    first_zero[1, 0] = first_zero[0, 1] = 0.0
+    cases.update(
+        one_by_one=np.array([[2.5]]),
+        diagonal=np.diag([3.0, -1.0, 0.5, 2.0]),
+        block_diagonal=blocks,  # column 1 has nothing below the subdiagonal
+        scalar=4.0 * np.eye(6),
+        first_entry_zero=first_zero,
+    )
+    return cases
 
 
 def random_matrix(n, seed, scale=1.0):

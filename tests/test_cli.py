@@ -527,3 +527,14 @@ class TestDimensionBudget:
             ad_superoperator(np.eye(6))
         monkeypatch.setenv("DERIVLAB_MAX_DIM", "8")
         ad_superoperator(np.eye(6))
+
+    def test_kernel_stab_route_keeps_the_budget(self, monkeypatch):
+        # the tower of ad_iD makes no kron call, so it applies the budget itself
+        from derivlab.derivation import kernel_stabilization_report
+        from derivlab.errors import DimensionOverflow
+
+        monkeypatch.setenv("DERIVLAB_MAX_DIM", "4")
+        with pytest.raises(DimensionOverflow):
+            kernel_stabilization_report(np.eye(6), 3)
+        monkeypatch.setenv("DERIVLAB_MAX_DIM", "8")
+        assert kernel_stabilization_report(np.eye(6), 3).kernel_dims == (36, 36, 36)

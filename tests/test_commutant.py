@@ -246,6 +246,27 @@ class TestKernelCommutantCheck:
         assert (report.kernel_dim, report.commutant_dim) == (kernel.dim, comm.dim)
         assert report.distance_kernel_commutant == subspace_distance(kernel, comm)
 
+    def test_kernel_route_stays_on_the_frame_svd(self, monkeypatch):
+        # {D}' already reduces D to T, so the kernel must not: one
+        # map_kernels call on the n^2 x n^2 map, and no block SVD of ad_iT
+        numlin = importlib.import_module("derivlab.numlin")
+        module = importlib.import_module("derivlab.commutant")
+        shapes, map_kernels = [], module.map_kernels
+
+        def recorded(m, *args, **kwargs):
+            shapes.append(np.shape(m))
+            return map_kernels(m, *args, **kwargs)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the block route of ad_iT was called")
+
+        monkeypatch.setattr(module, "map_kernels", recorded)
+        monkeypatch.setattr(numlin, "_block_split", refused)
+        for _, d in _spectral_instances(6, 4):
+            shapes.clear()
+            kernel_commutant_check(d)
+            assert shapes == [(36, 36)]
+
     def test_commutation_matrix_is_freed_before_the_kernel_svd(self, monkeypatch):
         # the complex map of ad_iD is alive only until the frame gather
         # has read it; the SVD sees the real frame matrix alone

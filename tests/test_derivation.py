@@ -1,4 +1,5 @@
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from derivlab.derivation import (
     DEFAULT_T_GRID,
     Superoperator,
     ad_apply,
+    ad_kernel_tower,
     ad_superoperator,
     derivation_kernel,
     difference_quotient_check,
@@ -19,8 +21,10 @@ from derivlab.derivation import (
 from derivlab.errors import ZeroT
 from derivlab.numlin import (
     OperatorSubspace,
+    commutator_frame_block,
     frob,
     from_frame,
+    hermitian_tridiagonal,
     kernel_tower,
     kron,
     nullspace,
@@ -38,6 +42,7 @@ from conftest import (
     membership_residual,
     random_hermitian,
     random_matrix,
+    reduction_cases,
 )
 
 
@@ -270,6 +275,48 @@ class TestHermitianFrameRoute:
         assert real_frame(sop.matrix, 5) is None
         for k_map, k_complex in zip(sop.kernel_tower(3), _complex_route_tower(sop, 3)):
             assert np.array_equal(k_map.basis, k_complex.basis)
+
+
+_REDUCTION_CASES = reduction_cases()
+
+
+class TestAdKernelTower:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_block_is_the_frame_matrix_of_ad(self, n):
+        # the frame matrix of i[T, .] is [[0, -Q^T], [Q, 0]], sym then antisym
+        d = _REDUCTION_CASES["one_by_one"] if n == 1 else _spectral_instances(n, 31)[0][1]
+        t = hermitian_tridiagonal(d)[1]
+        q = commutator_frame_block(t)
+        sym = n * (n + 1) // 2
+        assert q.shape == (n * n - sym, sym) and q.dtype == np.float64
+        assert np.max(np.count_nonzero(q, axis=0), initial=0) <= 5
+        frame = real_frame(ad_superoperator(t).matrix, n)
+        assert not frame[:sym, :sym].any() and not frame[sym:, sym:].any()
+        assert np.max(np.abs(frame[sym:, :sym] - q), initial=0.0) <= 1e-14 * max(1.0, frob(t))
+        assert np.max(np.abs(frame[:sym, sym:] + q.T), initial=0.0) <= 1e-14 * max(1.0, frob(t))
+
+    @pytest.mark.parametrize("case", sorted(_REDUCTION_CASES))
+    def test_matches_the_superoperator_route(self, case):
+        d = _REDUCTION_CASES[case]
+        tower = ad_kernel_tower(d, 8)
+        oracle = ad_superoperator(d).kernel_tower(8)
+        assert [k.dim for k in tower] == [k.dim for k in oracle]
+        for level, dense in zip(tower, oracle):
+            assert subspace_distance(level, dense) <= 1e-12
+        # ad_iD is normal: every level is the one object of ker ad_iD
+        assert all(level is tower[0] for level in tower)
+
+    @pytest.mark.parametrize("n", [16, 24])
+    def test_traced_peak_stays_below_two_complex_superoperators(self, n):
+        # the dense route peaked at about 3.5 complex n^2 x n^2 arrays
+        for _, d in _spectral_instances(n, 7):
+            tracemalloc.start()
+            try:
+                kernel_stabilization_report(d, 8)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * 16 * n**4
 
 
 class TestDerivationAlgebra:

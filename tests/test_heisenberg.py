@@ -246,12 +246,11 @@ class TestRigidity:
         # one NaN entry in the sampled basis makes every sample NaN; the
         # maximum must stay NaN, which no bound passes
         d = np.diag([0.0, 1.0, 1.0])
-        levels = heisenberg.ad_superoperator(d).kernel_tower(2)
+        levels = heisenberg.ad_kernel_tower(d, 2)
         basis = levels[1].basis.copy()
         basis[0, 0, 0] = np.nan
         tower = [levels[0], SimpleNamespace(dim=levels[1].dim, basis=basis)]
-        sop = SimpleNamespace(kernel_tower=lambda k_max, rank_tol: tower)
-        monkeypatch.setattr(heisenberg, "ad_superoperator", lambda d: sop)
+        monkeypatch.setattr(heisenberg, "ad_kernel_tower", lambda d, k_max, rank_tol: tower)
         assert np.isnan(rigidity_check(d, trials=20).max_relative_commutator)
         check = heisenberg_rigidity_check("heisenberg/rigidity/nan", d, seed=0)
         assert check["pass"] is False

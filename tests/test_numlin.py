@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from derivlab import numlin
-from derivlab.cli import _spectral_instances
 from derivlab.errors import (
     AmbientMismatch,
     DimensionOverflow,
@@ -22,6 +21,7 @@ from derivlab.numlin import (
     frob,
     from_frame,
     hermitian_eig,
+    block_kernel_tower,
     hermitian_tridiagonal,
     kernel_tower,
     kron,
@@ -40,6 +40,7 @@ from conftest import (
     random_hermitian,
     random_matrix,
     read_matrix_text,
+    reduction_cases,
 )
 
 
@@ -68,24 +69,7 @@ class TestHermitianEig:
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def _reduction_cases():
-    cases = {f"spectral-{n}-{name}": d for n in range(2, 17) for name, d in _spectral_instances(n, 5)}
-    blocks = np.zeros((5, 5), dtype=complex)
-    blocks[:2, :2] = random_hermitian(2, seed=40)
-    blocks[2:, 2:] = random_hermitian(3, seed=41)
-    first_zero = random_hermitian(5, seed=42)
-    first_zero[1, 0] = first_zero[0, 1] = 0.0
-    cases.update(
-        one_by_one=np.array([[2.5]]),
-        diagonal=np.diag([3.0, -1.0, 0.5, 2.0]),
-        block_diagonal=blocks,  # column 1 has nothing below the subdiagonal
-        scalar=4.0 * np.eye(6),
-        first_entry_zero=first_zero,
-    )
-    return cases
-
-
-_REDUCTION_CASES = _reduction_cases()
+_REDUCTION_CASES = reduction_cases()
 
 
 class TestHermitianTridiagonal:
@@ -250,6 +234,57 @@ class TestKernelTower:
             kernel_tower(np.eye(2), 2, rank_tol=0.0)
         with pytest.raises(ShapeMismatch):
             kernel_tower(np.ones((2, 3)), 2)
+
+
+def _assembled(q):
+    # A = [[0, -Q^T], [Q, 0]], the matrix block_kernel_tower never forms
+    rows, cols = q.shape
+    a = np.zeros((rows + cols, rows + cols))
+    a[cols:, :cols] = q
+    a[:cols, cols:] = -q.T
+    return a
+
+
+_RNG = np.random.default_rng(61)
+_BLOCKS = {
+    "wide": _RNG.standard_normal((6, 10)),
+    "rank-deficient": _RNG.standard_normal((6, 3)) @ _RNG.standard_normal((3, 10)),
+    "zero": np.zeros((3, 6)),
+    "n=1": np.zeros((0, 1)),  # the block of ad_iT for a 1 x 1 T
+}
+
+
+class TestBlockKernelTower:
+    @pytest.mark.parametrize("case", sorted(_BLOCKS))
+    def test_block_split_is_the_dense_split(self, case):
+        q = _BLOCKS[case]
+        a = _assembled(q)
+        u_r, s_r, v_r, v_0 = numlin._block_split(q, 1e-10)
+        dense = numlin._svd_split(a, 1e-10, 1.0)
+        assert s_r.size == dense[1].size
+        if s_r.size:
+            assert np.max(np.abs(np.sort(s_r)[::-1] - dense[1])) <= 1e-13 * dense[1][0]
+        assert v_0.shape[1] == dense[3].shape[1]
+        assert _projector_gap(v_0, dense[3]) <= 1e-12
+        # the split factors A: A V_r = U_r S_r, A V_0 = 0, all orthonormal
+        assert frob(a @ v_r - u_r * s_r) <= 1e-13 * max(1.0, frob(a))
+        assert frob(a @ v_0) <= 1e-13 * max(1.0, frob(a))
+        for basis in (u_r, np.hstack([v_r, v_0])):
+            assert frob(basis.T @ basis - np.eye(basis.shape[1])) <= 1e-13
+        tower = block_kernel_tower(q, 4)
+        oracle = kernel_tower(a, 4, scale=1.0)
+        assert [k.shape[1] for k in tower] == [k.shape[1] for k in oracle]
+        for level, dense_level in zip(tower, oracle):
+            assert level.dtype == np.float64
+            assert _projector_gap(level, dense_level) <= 1e-12
+
+    def test_rejections(self):
+        with pytest.raises(ValueError):
+            block_kernel_tower(np.ones((1, 3)), 0)
+        with pytest.raises(ValueError):
+            block_kernel_tower(np.ones((1, 3)), 2, rank_tol=0.0)
+        with pytest.raises(ValueError, match="finite"):
+            block_kernel_tower(np.array([[np.nan, 0.0, 1.0]]), 2)
 
 
 class TestRealInputs:

@@ -4,8 +4,10 @@ For each n it times, on the repeated-eigenvalue instance of the spectral
 suites (``cli._spectral_instances``): the ad_iD superoperator build, the
 change to the Hermitian frame, the kernel tower to k = 8,
 ``superoperator_stabilization_report`` to k = 8 (the tower and its
-distances to ker ad_iD), one ``nullspace`` of the matrix the tower
-factors, one ``subspace_distance``, and the three stages of
+distances to ker ad_iD), ``kernel_stabilization_report`` to k = 8 (the
+route of the ``kernel_stab`` suite, under one name in every checkout,
+so that two checkouts compare stage by stage), one ``nullspace`` of the
+matrix the tower factors, one ``subspace_distance``, and the three stages of
 ``kernel_commutant_check`` (the kernel of ad_iD, ``hermitian_commutant``,
 and ``projection_algebras``, the closed forms of {P_i}' and P_D'').
 At every n it also times the GNS stages of ``br_gns_check`` on
@@ -18,10 +20,11 @@ timings: ``gns_construct``, ``implementing_operator``,
 ``heisenberg``, it times the stages of the heisenberg suite that do not
 depend on n: ``hcr_residual`` on the 128-point line and circle pairs
 across the suite's grids, and ``cli.heisenberg_grid_checks``.  Each figure
-is the fastest of up to three runs, stopping early once a stage has used
-one second.  Beside ``seconds``, ``peak_mib`` holds for each stage the
-tracemalloc peak of one further call, made apart from the timed ones so
-that tracing does not slow them.
+is the fastest of as many calls as fill 0.2 s, or of one call when that
+takes longer: a stage of microseconds is the best of thousands of calls.
+Beside ``seconds``, ``peak_mib`` holds for each stage the tracemalloc
+peak of one further call, made apart from the timed ones so that
+tracing does not slow them.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/bench_stages.py \
         [--dims 4,8,12,16,24,32] [--seed 8] [--out stages.json]
@@ -49,23 +52,27 @@ from derivlab.cli import (
     heisenberg_grid_checks,
 )
 from derivlab.commutant import hermitian_commutant, projection_algebras
-from derivlab.derivation import ad_superoperator, superoperator_stabilization_report
+from derivlab.derivation import (
+    ad_superoperator,
+    kernel_stabilization_report,
+    superoperator_stabilization_report,
+)
 from derivlab.spectral import spectral_resolution
 
 DIMS = (4, 8, 12, 16, 24, 32)
 K_MAX = 8
 
 
-def _best_of(fn, repeats: int = 3, budget_s: float = 1.0) -> float:
+def _best_of(fn, min_s: float = 0.2) -> float:
+    """The fastest call of fn, called until the calls have used min_s."""
     best, spent = np.inf, 0.0
-    for _ in range(repeats):
+    while True:
         start = time.perf_counter()
         fn()
         took = time.perf_counter() - start
         best, spent = min(best, took), spent + took
-        if spent >= budget_s:
-            break
-    return best
+        if spent >= min_s:
+            return best
 
 
 def _peak_mib(fn) -> float:
@@ -95,6 +102,7 @@ def stages(n: int, seed: int = 8) -> dict:
         "frame_change": lambda: numlin.real_frame(sop.matrix, n),
         "kernel_tower": lambda: sop.kernel_tower(K_MAX),
         "stabilization_report": lambda: superoperator_stabilization_report(sop, K_MAX),
+        "kernel_stabilization_report": lambda: kernel_stabilization_report(d, K_MAX),
         "nullspace": lambda: numlin.nullspace(frame, scale=1.0),
         "subspace_distance": lambda: numlin.subspace_distance(kernel, comm),
         "commutant_check.kernel": lambda: ad_superoperator(d).kernel(),
