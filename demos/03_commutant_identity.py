@@ -3,37 +3,30 @@
 
 The kernel of the commutator derivation, the commutant of the generator,
 and the commutant of its spectral projections are one and the same
-von Neumann algebra.  The first two are computed here by independent
-numerical routes (an SVD of the real block of ad_iT after a Householder
-reduction D = W T W*, vs. the stacked commutation system); P_D' and the
-algebra P_D'' that the projections span come in
-closed form from the spectral resolution, as the check
-`derivlab run --suite commutant_identity` measures them.  The pairwise
-projector distances come out at roundoff level.
+von Neumann algebra.  The check `derivlab run --suite commutant_identity`
+computes each by its own numerical route: the kernel from an SVD of
+ad_iD in the Hermitian frame, {D}' from a Householder reduction
+D = W T W* and a float64 eigh of I (x) T - T (x) I, and P_D' and the
+algebra P_D'' that the projections span in closed form from the
+spectral resolution.  The pairwise projector distances it measures come
+out at roundoff level.
 """
 
-from derivlab import (
-    bicommutant,
-    commutant,
-    derivation_kernel,
-    subspace_distance,
-)
+from derivlab import bicommutant, subspace_distance
 from derivlab.cli import commutant_identity_check, generate
 
 d = generate("hermitian_with_multiplicity", 6, seed=11, multiplicities=[2, 2, 1, 1])
 
-kernel = derivation_kernel(d)
-comm = commutant([d])
 check = commutant_identity_check("commutant_identity/demo", d)
 details = check["details"]
 dims, distances = details["dims"], details["distances"]
 
-print("dim ker ad     =", kernel.dim)
-print("dim {D}'       =", comm.dim)
+print("dim ker ad     =", dims["kernel"])
+print("dim {D}'       =", dims["commutant"])
 print("dim P_D'       =", dims["projection_commutant"])
 print("dim P_D''      =", dims["algebra"], "(= number of clusters)")
 
-print("\ndistance(ker, {D}')   =", subspace_distance(kernel, comm))
+print("\ndistance(ker, {D}')   =", distances["kernel_vs_commutant"])
 print("distance(ker, P_D')   =", distances["kernel_vs_projection_commutant"])
 print("distance({D}', P_D')  =", distances["commutant_vs_projection_commutant"])
 

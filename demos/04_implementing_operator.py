@@ -12,7 +12,6 @@ import numpy as np
 
 from derivlab import (
     ad_superoperator,
-    analytic_norm_series,
     equilibrium_check,
     gns_construct,
     implementation_check,
@@ -21,7 +20,7 @@ from derivlab import (
 )
 from derivlab.cli import br_gns_check
 from derivlab.gns import flow_intertwining_residual, kernel_correspondence_distance
-from derivlab.numlin import frob
+from derivlab.numlin import frob, vec
 
 # a faithful state and a generator diagonal in the same basis: the state
 # commutes with the generator, which is exactly the equilibrium condition
@@ -40,7 +39,9 @@ print("equilibrium residual max_b |omega(delta(b))| =",
 
 rep = gns_construct(omega)
 print("GNS space dimension:", rep.hilbert_dim)
-print("<f, f> =", rep.inner(rep.cyclic_vector, rep.cyclic_vector).real)
+# the cyclic vector f, the class of the identity, is R vec(I) = vec((L*)^T)
+f = vec(rep.factor.T)
+print("<f, f> =", np.vdot(f, f).real)
 
 s, symmetry = implementing_operator(rep, delta)
 print("\n||S - S*|| =", symmetry)
@@ -60,9 +61,14 @@ check = br_gns_check("br_gns/demo", omega, g, n_max=5)
 print("kernel dims through power 5:", tuple(check["details"]["kernel_dims"]))
 print("br_gns verdict:", "PASS" if check["pass"] else "FAIL")
 
-# every matrix is an analytic vector: the norm series converges
+# every matrix is an analytic vector: the partial sums of
+# sum_k ||delta^k(x)|| / k! converge below ||x|| exp(||delta||)
 x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-sums = analytic_norm_series(delta, x, t=1.0, k_max=24)
+term, factorial, sums = vec(x), 1.0, [frob(x)]
+for k in range(1, 25):
+    term = delta.matrix @ term
+    factorial *= k
+    sums.append(sums[-1] + np.linalg.norm(term) / factorial)
 print("\nanalytic norm series: first term", round(sums[0], 6),
       "limit", round(sums[-1], 6),
-      "bound", round(frob(x) * np.exp(delta.norm()), 6))
+      "bound", round(frob(x) * np.exp(np.linalg.norm(delta.matrix, 2)), 6))

@@ -7,22 +7,16 @@ commutants and the spectral von Neumann algebra, the GNS construction
 with an implementing operator for equilibrium states, and discretized
 Heisenberg commutation pairs with their trace obstruction.
 
-The root re-exports the names the demos import, and ``kron``; its
-``commutant`` is the function, not the submodule.
+The root re-exports the names the demos import, and ``kron`` and
+``commutant``, which perfbench reads at the root; its ``commutant`` is
+the function, not the submodule.
 """
 
 __version__ = "0.1.0"
 
-from .commutant import (
-    bicommutant,
-    commutant,
-)
-from .derivation import (
-    ad_superoperator,
-    derivation_kernel,
-)
+from .commutant import bicommutant, commutant
+from .derivation import ad_superoperator
 from .gns import (
-    analytic_norm_series,
     equilibrium_check,
     gns_construct,
     implementation_check,
@@ -36,10 +30,4 @@ from .heisenberg import (
     trace_obstruction,
 )
 from .numlin import kron, subspace_distance
-from .spectral import (
-    borel_calculus,
-    projection_commutation_check,
-    spectral_projection,
-    spectral_resolution,
-    unitary_group,
-)
+from .spectral import spectral_resolution, unitary_group

@@ -167,7 +167,9 @@ def generate(kind: str, n: int, seed: int, multiplicities=None):
     kinds: "hermitian" (simple, well-separated spectrum),
     "hermitian_with_multiplicity" (prescribed eigenvalue repeats,
     conjugated by a Haar-style unitary), "density" (faithful density
-    matrix).  Only "hermitian_with_multiplicity" takes multiplicities.
+    matrix), "derivation" (an inner derivation, written as its Hermitian
+    generator: the "hermitian" instance).  Only
+    "hermitian_with_multiplicity" takes multiplicities.
     """
     limit = _dim_limit()
     if not 1 <= n <= limit or seed < 0:
@@ -177,7 +179,7 @@ def generate(kind: str, n: int, seed: int, multiplicities=None):
             f"multiplicities apply only to hermitian_with_multiplicity, not {kind!r}"
         )
     rng = _rng(seed, n, 0)
-    if kind == "hermitian":
+    if kind in ("hermitian", "derivation"):
         u = _haar_unitary(n, rng)
         return _conjugated(u, _gapped_values(n, rng))
     if kind == "hermitian_with_multiplicity":
@@ -603,9 +605,7 @@ def main(argv=None) -> int:
         mult = [
             _number(int, m, "multiplicity") for m in args.multiplicities.split(",") if m
         ] or None
-        # an inner derivation is written as its Hermitian generator
-        kind = "hermitian" if args.kind == "derivation" else args.kind
-        numlin.write_matrix_text(args.out, generate(kind, args.n, args.seed, mult))
+        numlin.write_matrix_text(args.out, generate(args.kind, args.n, args.seed, mult))
         print(f"wrote {args.kind} instance (n={args.n}, seed={args.seed}) to {args.out}")
         return 0
     except (ConfigInvalid, BadMultiplicities) as exc:

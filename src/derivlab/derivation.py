@@ -30,9 +30,7 @@ from .numlin import (
     map_kernels,
     require_hermitian,
     subspace_distance,
-    unvec,
     unvec_columns,
-    vec,
 )
 from .spectral import DEFAULT_CLUSTER_TOL, SpectralResolution, spectral_resolution, unitary_group
 
@@ -57,17 +55,10 @@ class Superoperator:
             )
         object.__setattr__(self, "matrix", m)
 
-    def apply(self, x) -> np.ndarray:
-        return unvec(self.matrix @ vec(x), self.ambient_dim)
-
     def power(self, k: int) -> "Superoperator":
         if k < 1:
             raise ValueError("power requires k >= 1")
         return Superoperator(self.ambient_dim, np.linalg.matrix_power(self.matrix, k))
-
-    def norm(self) -> float:
-        """Operator 2-norm (largest singular value) of the map."""
-        return float(np.linalg.norm(self.matrix, 2))
 
     def kernel(self, rank_tol: float = DEFAULT_RANK_TOL) -> OperatorSubspace:
         return self.kernel_tower(1, rank_tol)[0]
@@ -118,17 +109,6 @@ def ad_kernel_tower(d, k_max: int, rank_tol: float = DEFAULT_RANK_TOL) -> tuple:
         return OperatorSubspace(n, w @ unvec_columns(from_frame(q, n), n) @ w.conj().T)
 
     return map_distinct(conjugated, levels)
-
-
-def derivation_kernel(d, k: int = 1) -> OperatorSubspace:
-    """Kernel of the k-th power of ad_iD, as an HS-orthonormal subspace.
-
-    The last level of ``ad_kernel_tower``: one SVD of the real block of
-    ad_iT, never the matrix power, whose singular values
-    |lambda_r - lambda_c|^k would raise the spread/gap ratio of D to the
-    k-th power.
-    """
-    return ad_kernel_tower(d, k)[-1]
 
 
 @dataclass(frozen=True)

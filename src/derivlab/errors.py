@@ -29,10 +29,6 @@ class AmbiguousClustering(DerivlabError):
     """An eigenvalue gap sits exactly at the clustering threshold."""
 
 
-class MissingValue(DerivlabError):
-    """Functional-calculus input does not cover every cluster value."""
-
-
 class ZeroT(DerivlabError):
     """Difference quotients require nonzero time steps."""
 

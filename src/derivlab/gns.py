@@ -123,8 +123,8 @@ class GNSRepresentation:
     coordinates is rho^T (x) I, whose Cholesky factor is R = L* (x) I
     with L = chol(rho^T); the coordinates of a are R vec(a) =
     vec(a (L*)^T), and pi(a) = R (I (x) a) R^-1 = I (x) a exactly.  Only
-    the n x n factor L* and its inverse are stored; f is the class of the
-    identity.
+    the n x n factor L* and its inverse are stored.  The cyclic vector f,
+    the class of the identity, has the coordinates vec((L*)^T).
     """
 
     factor: np.ndarray = field(repr=False)
@@ -138,11 +138,6 @@ class GNSRepresentation:
     def hilbert_dim(self) -> int:
         return self.n * self.n
 
-    @property
-    def cyclic_vector(self) -> np.ndarray:
-        """f = pi(I) f, the coordinates of the class of the identity."""
-        return vec(self.factor.T)
-
     def pi(self, a) -> np.ndarray:
         """The representation: left multiplication by a in GNS coordinates,
         which is I (x) a."""
@@ -150,10 +145,6 @@ class GNSRepresentation:
         if a.shape != (self.n, self.n):
             raise ShapeMismatch(f"expected a {self.n}x{self.n} matrix, got shape {a.shape}")
         return kron(np.eye(self.n), a)
-
-    def inner(self, u, v) -> complex:
-        """Hilbert-space inner product, linear in the first argument."""
-        return complex(np.vdot(v, u))
 
 
 def gns_construct(omega: State) -> GNSRepresentation:
@@ -370,24 +361,3 @@ def abstract_kernel_stabilization(
     spectral resolution, so the report's multiplicities stay unset;
     perfbench traces it by this name."""
     return superoperator_stabilization_report(delta, n_max, rank_tol)
-
-
-def analytic_norm_series(delta: Superoperator, a, t: float, k_max: int) -> np.ndarray:
-    """Partial sums of sum_k t^k / k! ||delta^k(a)|| for k <= k_max.
-
-    Bounded by ||a|| exp(t ||map||), so every matrix is an analytic
-    vector at finite dimension.
-    """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    a = as_cmatrix(a)
-    term = a
-    total = frob(a)
-    partial = [total]
-    factorial = 1.0
-    for k in range(1, k_max + 1):
-        term = delta.apply(term)
-        factorial *= k
-        total += t**k / factorial * frob(term)
-        partial.append(total)
-    return np.asarray(partial)

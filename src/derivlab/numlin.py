@@ -272,9 +272,10 @@ def block_kernel_tower(q, k_max: int, rank_tol: float = DEFAULT_RANK_TOL) -> lis
     Each singular triple (u, sigma, v) of Q gives A [v; 0] = sigma [0; u]
     and A [0; u] = sigma [-v; 0], so the singular values of A are those of
     Q, each twice, and ker A = [ker Q; 0] + [0; ker Q^T].  The rank rule
-    is that of ``map_kernels``: ``nullspace``'s at scale 1.  The split assembled from U and V feeds the growth loop
-    of ``kernel_tower`` unchanged.  For a square Q of order p this SVD
-    costs about an eighth of the one of the 2p x 2p A.
+    is that of ``map_kernels``: ``nullspace``'s at scale 1.  The split
+    assembled from U and V feeds the growth loop of ``kernel_tower``
+    unchanged.  For a square Q of order p this SVD costs about an eighth
+    of the one of the 2p x 2p A.
     """
     q = _finite_matrix(np.asarray(q, dtype=np.float64))
     return _grow_tower(_block_split(q, rank_tol), k_max, rank_tol)
@@ -467,13 +468,6 @@ def kron(a, b) -> np.ndarray:
 def vec(x) -> np.ndarray:
     """Column-stacking vectorization: vec(X)[i + n*j] = X[i, j]."""
     return np.asarray(x, dtype=np.complex128).reshape(-1, order="F")
-
-
-def unvec(v, n: int) -> np.ndarray:
-    v = np.asarray(v, dtype=np.complex128).reshape(-1)
-    if v.size != n * n:
-        raise ShapeMismatch(f"vector of length {v.size} is not n^2 for n={n}")
-    return v.reshape((n, n), order="F")
 
 
 def unvec_columns(columns: np.ndarray, n: int) -> np.ndarray:

@@ -3,7 +3,7 @@ import pytest
 
 from derivlab.cli import _spectral_instances, generate
 from derivlab.errors import ShapeMismatch
-from derivlab.numlin import OperatorSubspace, hermitian_eig
+from derivlab.numlin import OperatorSubspace, as_cmatrix, frob, hermitian_eig
 
 
 def random_hermitian(n, seed, scale=1.0):
@@ -42,6 +42,39 @@ def matrix_unit(n, r, c):
     e = np.zeros((n, n), dtype=complex)
     e[r, c] = 1.0
     return e
+
+
+def unvec(v, n: int) -> np.ndarray:
+    """The inverse of ``numlin.vec``: the n x n matrix X with
+    vec(X)[i + n*j] = X[i, j]."""
+    v = np.asarray(v, dtype=np.complex128).reshape(-1)
+    if v.size != n * n:
+        raise ShapeMismatch(f"vector of length {v.size} is not n^2 for n={n}")
+    return v.reshape((n, n), order="F")
+
+
+def functional_calculus(res, values):
+    """sum f(lambda_i) P_i over the clusters of a spectral resolution, for
+    the values of f at the cluster representatives."""
+    return np.einsum("k,kij->ij", np.asarray(values, dtype=complex), res.projections)
+
+
+def projection_commutation_check(res, x) -> float:
+    """Max over spectral projections P of ||[P,[D,x]] - [D,[P,x]]||.
+
+    Both nested commutators agree identically, so the return value is a
+    pure roundoff residual.
+    """
+    x = as_cmatrix(x)
+    d = functional_calculus(res, res.values)
+    dx = d @ x - x @ d
+    worst = 0.0
+    for p in res.projections:
+        lhs = p @ dx - dx @ p
+        px = p @ x - x @ p
+        rhs = d @ px - px @ d
+        worst = max(worst, frob(lhs - rhs))
+    return worst
 
 
 def iterated_commutator(d, x, k):

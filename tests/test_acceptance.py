@@ -32,9 +32,14 @@ from derivlab.derivation import (
 from derivlab.gns import flow_intertwining_residual, gns_construct, implementing_operator
 from derivlab.heisenberg import periodic_pair, rigidity_check, schrodinger_pair
 from derivlab.numlin import frob
-from derivlab.spectral import projection_commutation_check, spectral_resolution
+from derivlab.spectral import spectral_resolution
 
-from conftest import iterated_commutator, random_hermitian, random_matrix
+from conftest import (
+    iterated_commutator,
+    projection_commutation_check,
+    random_hermitian,
+    random_matrix,
+)
 
 
 def _report(name, passed, detail):

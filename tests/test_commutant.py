@@ -291,7 +291,7 @@ class TestKernelCommutantCheck:
         # ker ad_iD is the one SVD and {D}' the one eigh of an n^2 x n^2
         # matrix, a float64 one; {P_i}' and P_D'' come from n x n eighs
         d = _spectral_instances(6, 3)[1][1]
-        k = spectral_resolution(d).n_clusters
+        k = len(spectral_resolution(d).values)
         module = importlib.import_module("derivlab.commutant")
         kernels, eighs = [], []
         map_kernels, eigh = module.map_kernels, np.linalg.eigh
@@ -349,7 +349,7 @@ class TestSingleGeneratorRoutes:
             stacked = commutant(projections)
             assert pc.dim == stacked.dim == np.sum(res.multiplicities**2)
             assert subspace_distance(pc, stacked) <= 1e-10
-            assert algebra.dim == res.n_clusters
+            assert algebra.dim == len(res.values)
             assert subspace_distance(algebra, bicommutant(projections)) <= 1e-10
             assert subspace_distance(algebra, from_spanning(n, projections)) <= 1e-10
             # P_D'' is a *-algebra with identity

@@ -20,7 +20,6 @@ from derivlab.errors import (
 )
 from derivlab.gns import (
     abstract_kernel_stabilization,
-    analytic_norm_series,
     equilibrium_check,
     flow_intertwining_residual,
     gns_construct,
@@ -33,7 +32,6 @@ from derivlab.numlin import (
     DEFAULT_RANK_TOL,
     frob,
     subspace_distance,
-    unvec,
     vec,
 )
 
@@ -44,6 +42,7 @@ from conftest import (
     matrix_unit,
     random_hermitian,
     random_matrix,
+    unvec,
 )
 
 
@@ -85,12 +84,14 @@ class TestDerivationConstruction:
         delta = ad_superoperator(np.diag([0.0, 1.0]))
         b = matrix_unit(2, 0, 1)
         # oracle: [i diag(0,1), E01] = i(0 - 1) E01
-        assert frob(delta.apply(b) - (-1j) * b) <= 1e-14
+        assert frob(unvec(delta.matrix @ vec(b), 2) - (-1j) * b) <= 1e-14
 
     def test_star_compatibility(self):
         delta = ad_superoperator(random_hermitian(4, seed=1))
         x = random_matrix(4, seed=2)
-        assert frob(delta.apply(x.conj().T) - delta.apply(x).conj().T) <= 1e-12
+        image = unvec(delta.matrix @ vec(x), 4)
+        image_of_adjoint = unvec(delta.matrix @ vec(x.conj().T), 4)
+        assert frob(image_of_adjoint - image.conj().T) <= 1e-12
 
     def test_rejects_non_hermitian_generator(self):
         with pytest.raises(NotHermitian):
@@ -146,19 +147,15 @@ class TestGNSConstruction:
     def test_tracial_two_by_two(self):
         rep = gns_construct(tracial_state(2))
         assert rep.hilbert_dim == 4
-        assert abs(rep.inner(rep.cyclic_vector, rep.cyclic_vector) - 1.0) <= 1e-12
-
-    def test_cyclic_vector_is_the_class_of_the_identity(self):
-        rep = gns_construct(equilibrium_instance(3, 5)[0])
-        assert rep.hilbert_dim == 9
-        assert np.array_equal(rep.cyclic_vector, embed(rep, np.eye(3)))
+        f = vec(rep.factor.T)
+        assert abs(np.vdot(f, f) - 1.0) <= 1e-12
 
     def test_inner_product_reproduces_state(self):
         omega = state_from_density(np.diag([0.7, 0.3]))
         rep = gns_construct(omega)
         e00 = matrix_unit(2, 0, 0)
         # oracle: tr(rho E00* E00) = rho_00 = 0.7
-        val = rep.inner(embed(rep, e00), embed(rep, e00))
+        val = np.vdot(embed(rep, e00), embed(rep, e00))
         assert abs(val - 0.7) <= 1e-12
 
     def test_inner_products_match_state_on_random_pairs(self):
@@ -168,7 +165,7 @@ class TestGNSConstruction:
         for _ in range(5):
             a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            lhs = rep.inner(embed(rep, a), embed(rep, b))
+            lhs = np.vdot(embed(rep, b), embed(rep, a))
             rhs = expectation(omega, b.conj().T @ a)
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
@@ -204,10 +201,11 @@ class TestGNSConstruction:
     def test_state_vector_identity(self):
         omega, _ = equilibrium_instance(4, 14)
         rep = gns_construct(omega)
+        f = vec(rep.factor.T)
         for r in range(4):
             for c in range(4):
                 a = matrix_unit(4, r, c)
-                lhs = rep.inner(rep.pi(a) @ rep.cyclic_vector, rep.cyclic_vector)
+                lhs = np.vdot(f, rep.pi(a) @ f)
                 assert abs(lhs - expectation(omega, a)) <= 1e-10
 
     def test_rejects_non_faithful(self):
@@ -308,35 +306,6 @@ class TestAbstractStabilization:
         assert all(dist <= DEFAULT_DISTANCE_TOL for dist in report.distances)
 
 
-class TestAnalyticSeries:
-    def test_zero_derivation(self):
-        delta = ad_superoperator(np.zeros((2, 2)))
-        a = random_matrix(2, seed=17)
-        sums = analytic_norm_series(delta, a, 1.0, 6)
-        assert np.allclose(sums, frob(a))
-
-    def test_unit_norm_chain_converges_to_e(self):
-        delta = ad_superoperator(np.diag([0.0, 1.0]))
-        a = matrix_unit(2, 0, 1)
-        sums = analytic_norm_series(delta, a, 1.0, 16)
-        # oracle: ||delta^k(a)|| = 1 for every k, so the series is e
-        import math
-
-        partial_e = sum(1.0 / math.factorial(k) for k in range(17))
-        assert abs(sums[-1] - partial_e) <= 1e-12
-        assert abs(sums[-1] - np.e) <= 1e-12
-
-    def test_norm_bound(self):
-        omega, g = equilibrium_instance(3, 18)
-        delta = ad_superoperator(g)
-        a = random_matrix(3, seed=19)
-        t = 0.7
-        sums = analytic_norm_series(delta, a, t, 20)
-        assert np.all(np.diff(sums) >= -1e-15)
-        assert sums[0] >= frob(a) - 1e-12
-        assert sums[-1] <= frob(a) * np.exp(t * delta.norm()) + 1e-9
-
-
 def units_one_by_one(n):
     return [matrix_unit(n, r, c) for c in range(n) for r in range(n)]
 
@@ -358,7 +327,7 @@ def oracle_implementation(pi, n, delta, s):
     worst = 0.0
     for unit in units_one_by_one(n):
         pa = pi(unit)
-        lhs = pi(delta.apply(unit))
+        lhs = pi(unvec(delta.matrix @ vec(unit), n))
         rhs = 1j * (s @ pa - pa @ s)
         worst = max(worst, float(np.max(np.linalg.norm(lhs - rhs, axis=0))))
     return worst
@@ -414,7 +383,7 @@ class TestBatchedChecks:
         stack = np.stack([random_matrix(n, seed=k) for k in range(3)])
         assert np.max(np.abs(rep.pi(stack[0]) - pi(stack[0]))) <= 1e-12
         assert np.max(np.abs(embed(rep, stack[1]) - r @ vec(stack[1]))) <= 1e-12
-        assert np.max(np.abs(rep.cyclic_vector - r @ vec(np.eye(n)))) <= 1e-12
+        assert np.max(np.abs(vec(rep.factor.T) - r @ vec(np.eye(n)))) <= 1e-12
         s, symmetry = implementing_operator(rep, delta)
         dense_s = -1j * (r @ delta.matrix @ r_inv)
         assert np.max(np.abs(s - dense_s)) <= 1e-12

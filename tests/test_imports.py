@@ -7,8 +7,10 @@ fails on a name that a top-level import binds and the file never reads.
 ``__init__.py`` files are exempt: their imports are re-exports, and each
 re-export must instead be imported from the package root by a demo, a
 test or a perfbench file.  A public function, class or method of the
-package that ``src/``, ``demos/`` and ``tools/`` never read by name is
-dead code or a test helper, and belongs in ``tests/`` if anywhere.
+package that ``src/`` and ``tools/`` never read is dead code or a test
+helper, and belongs in ``tests/`` if anywhere.  Demos do not count as
+readers: a demo prints the verdicts of check functions, and a def that
+only a demo prints is decided by no check.
 """
 
 import ast
@@ -30,11 +32,11 @@ CALLERS = sorted(
     p for d in ("demos", "tests", "perfbench") for p in (ROOT / d).glob("*.py")
 )
 # perfbench's wrapper test reads derivlab.kron through a loop over
-# namespaces, which no import statement shows
-READ_BY_ATTRIBUTE = {"kron"}
-READERS = sorted(
-    p for d in ("src/derivlab", "demos", "tools") for p in (ROOT / d).glob("*.py")
-)
+# namespaces and calls derivlab.commutant as an attribute of the package,
+# which no import statement shows
+READ_BY_ATTRIBUTE = {"kron", "commutant"}
+READERS = sorted(p for d in ("src/derivlab", "tools") for p in (ROOT / d).glob("*.py"))
+PACKAGE_MODULES = {p.stem for p in (ROOT / "src" / "derivlab").glob("*.py")}
 # public defs that nothing outside the tests reads yet, each with its reason
 UNREAD_ALLOWED = {
     "derivation.difference_quotient_check": "the flow suite of ROADMAP item 7 is to run it",
@@ -89,39 +91,73 @@ def test_every_root_reexport_has_a_caller():
 
 
 def public_defs(module: str, source: str) -> dict:
-    """Qualified name -> bare name of each public top-level function and
-    class of a module and of each public method of those classes."""
+    """Qualified name -> (bare name, is a method) of each public top-level
+    function and class of a module and of each public method of those
+    classes."""
     defs = {}
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            defs[f"{module}.{node.name}"] = node.name
+            defs[f"{module}.{node.name}"] = (node.name, False)
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                    defs[f"{module}.{node.name}.{item.name}"] = item.name
+                    defs[f"{module}.{node.name}.{item.name}"] = (item.name, True)
     return defs
 
 
-def names_read(source: str) -> set:
-    """Every name a file loads, bare or as an attribute."""
-    read = set()
-    for node in ast.walk(ast.parse(source)):
+def module_names(tree: ast.AST) -> set:
+    """Names that a file's imports bind to a module: every ``import``, and
+    ``from . import m`` or ``from derivlab import m`` for a module m of the
+    package."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module in (None, "derivlab"):
+            bound |= {
+                alias.asname or alias.name for alias in node.names if alias.name in PACKAGE_MODULES
+            }
+    return bound
+
+
+def names_read(source: str) -> tuple:
+    """(names, on_receivers): every name a file loads, bare or as an
+    attribute, and the attributes it loads from a receiver that is not an
+    imported module (``x.norm`` is one, ``np.linalg.norm`` is not)."""
+    tree = ast.parse(source)
+    modules = module_names(tree)
+    names, on_receivers = set(), set()
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            read.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            read.add(node.attr)
-    return read
+            names.add(node.attr)
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if not (isinstance(root, ast.Name) and root.id in modules):
+                on_receivers.add(node.attr)
+    return names, on_receivers
 
 
 def unread_defs(modules: dict, readers: list) -> list:
     """Qualified names of the public defs in ``modules`` (name -> source)
-    whose bare name no source in ``readers`` reads.  Imports do not count
-    as reads, so a re-export alone keeps nothing alive."""
-    read = set().union(*map(names_read, readers))
+    that no source in ``readers`` reads.  A function or class is read by
+    its bare name or as a module attribute; a method only as an attribute
+    of a receiver that is not an imported module, so neither a local of
+    its name nor ``np.linalg.norm`` keeps ``norm`` alive.  Imports do not
+    count as reads, so a re-export alone keeps nothing alive."""
+    names, on_receivers = set(), set()
+    for source in readers:
+        read, attributes = names_read(source)
+        names |= read
+        on_receivers |= attributes
     defs = {}
     for module, source in modules.items():
         defs.update(public_defs(module, source))
-    return sorted(q for q, name in defs.items() if name not in read)
+    return sorted(
+        q for q, (name, method) in defs.items() if name not in (on_receivers if method else names)
+    )
 
 
 def traced_targets() -> set:
@@ -150,6 +186,15 @@ def test_finds_an_unread_def():
     reader = "from m import unused\nused()\nKept().method()\n"
     assert unread_defs({"m": module}, [reader]) == ["m.unused"]
     assert unread_defs({"m": module}, ["used()\nKept\n"]) == ["m.Kept.method", "m.unused"]
+    # a method is read only as an attribute, and not as one of a module
+    for reader in (
+        "used()\nKept\nmethod = 1\nprint(method)\n",
+        "import numpy as np\nused()\nKept\nnp.linalg.method()\n",
+        "from . import numlin\nused()\nKept\nnumlin.method()\n",
+    ):
+        assert unread_defs({"m": module}, [reader]) == ["m.Kept.method", "m.unused"]
+    reader = "import numpy as np\nused()\nKept\nnp.asarray(k).method()\n"
+    assert unread_defs({"m": module}, [reader]) == ["m.unused"]
 
 
 def test_every_public_def_has_a_caller_outside_the_tests():

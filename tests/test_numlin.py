@@ -29,7 +29,6 @@ from derivlab.numlin import (
     nullspace,
     real_frame,
     subspace_distance,
-    unvec,
     vec,
 )
 
@@ -41,6 +40,7 @@ from conftest import (
     random_matrix,
     read_matrix_text,
     reduction_cases,
+    unvec,
 )
 
 

@@ -1,19 +1,16 @@
 import numpy as np
 import pytest
 
-from derivlab.errors import AmbiguousClustering, MissingValue
+from derivlab.errors import AmbiguousClustering
 from derivlab.numlin import frob
-from derivlab.spectral import (
-    DEFAULT_CLUSTER_TOL,
-    borel_calculus,
-    indicator_values,
-    projection_commutation_check,
-    spectral_projection,
-    spectral_resolution,
-    unitary_group,
-)
+from derivlab.spectral import DEFAULT_CLUSTER_TOL, spectral_resolution, unitary_group
 
-from conftest import random_hermitian, random_matrix
+from conftest import (
+    functional_calculus,
+    projection_commutation_check,
+    random_hermitian,
+    random_matrix,
+)
 
 
 class TestSpectralResolution:
@@ -26,7 +23,7 @@ class TestSpectralResolution:
 
     def test_identity_single_cluster(self):
         res = spectral_resolution(np.eye(3))
-        assert res.n_clusters == 1
+        assert len(res.values) == 1
         assert list(res.multiplicities) == [3]
         assert frob(res.projections[0] - np.eye(3)) <= 1e-12
 
@@ -34,7 +31,7 @@ class TestSpectralResolution:
         # oracle: the eigenvalues of a diagonal matrix are its entries
         d = np.diag([1.0, 1.0 + 1e-12, 5.0])
         res = spectral_resolution(d, cluster_tol=1e-8)
-        assert res.n_clusters == 2
+        assert len(res.values) == 2
         assert list(res.multiplicities) == [2, 1]
 
     def test_ambiguous_gap(self):
@@ -55,45 +52,38 @@ class TestSpectralResolution:
         for i, p in enumerate(res.projections):
             for q in res.projections[i + 1 :]:
                 assert frob(p @ q) <= 1e-10
-        scale = max(DEFAULT_CLUSTER_TOL * res.n_clusters, 1e-9)
-        assert frob(d - res.reconstruct()) <= scale * max(1.0, np.linalg.norm(d, 2))
+        scale = max(DEFAULT_CLUSTER_TOL * len(res.values), 1e-9)
+        rebuilt = functional_calculus(res, res.values)
+        assert frob(d - rebuilt) <= scale * max(1.0, np.linalg.norm(d, 2))
         assert int(np.sum(res.multiplicities)) == n
 
 
 class TestBorelCalculus:
+    """The projections of a resolution of an ungapped random matrix carry
+    a functional calculus: f = 1 gives I, f = id gives D, and f -> f(D)
+    is multiplicative."""
+
     def test_constant_one_gives_identity(self):
         res = spectral_resolution(random_hermitian(4, seed=3))
-        assert frob(borel_calculus(res, np.ones(res.n_clusters)) - np.eye(4)) <= 1e-10
+        assert frob(functional_calculus(res, np.ones(len(res.values))) - np.eye(4)) <= 1e-10
 
     def test_identity_function_rebuilds(self):
         d = random_hermitian(5, seed=4)
         res = spectral_resolution(d)
-        assert frob(borel_calculus(res, res.values) - d) <= 1e-9 * max(1.0, frob(d))
-
-    def test_indicator(self):
-        res = spectral_resolution(np.diag([0.0, 1.0, 2.0]))
-        # oracle: indicator evaluated on the eigenvalues directly
-        values = indicator_values(res, [(1.5, np.inf)])
-        assert np.array_equal(values, [0.0, 0.0, 1.0])
-        p = spectral_projection(res, [(1.5, np.inf)])
-        assert np.allclose(p, np.diag([0.0, 0.0, 1.0]))
+        assert frob(functional_calculus(res, res.values) - d) <= 1e-9 * max(1.0, frob(d))
 
     def test_multiplicative(self):
         res = spectral_resolution(random_hermitian(6, seed=5))
+        k = len(res.values)
         rng = np.random.default_rng(8)
-        f = rng.standard_normal(res.n_clusters) + 1j * rng.standard_normal(res.n_clusters)
-        g = rng.standard_normal(res.n_clusters) + 1j * rng.standard_normal(res.n_clusters)
-        lhs = borel_calculus(res, f * g)
-        rhs = borel_calculus(res, f) @ borel_calculus(res, g)
+        f = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        g = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        lhs = functional_calculus(res, f * g)
+        rhs = functional_calculus(res, f) @ functional_calculus(res, g)
         assert frob(lhs - rhs) <= 1e-9
-        sum_lhs = borel_calculus(res, f + g)
-        sum_rhs = borel_calculus(res, f) + borel_calculus(res, g)
+        sum_lhs = functional_calculus(res, f + g)
+        sum_rhs = functional_calculus(res, f) + functional_calculus(res, g)
         assert frob(sum_lhs - sum_rhs) <= 1e-9
-
-    def test_missing_value(self):
-        res = spectral_resolution(np.diag([0.0, 1.0, 2.0]))
-        with pytest.raises(MissingValue):
-            borel_calculus(res, [1.0, 2.0])
 
 
 class TestUnitaryGroup:
