@@ -4,12 +4,13 @@
 The kernel of the commutator derivation, the commutant of the generator,
 and the commutant of its spectral projections are one and the same
 von Neumann algebra.  The check `derivlab run --suite commutant_identity`
-computes each by its own numerical route: the kernel from an SVD of
-ad_iD in the Hermitian frame, {D}' from a Householder reduction
-D = W T W* and a float64 eigh of I (x) T - T (x) I, and P_D' and the
-algebra P_D'' that the projections span in closed form from the
-spectral resolution.  The pairwise projector distances it measures come
-out at roundoff level.
+reduces D once by Householder reflections, D = W T W* with T real
+tridiagonal, and then parts: the kernel from an SVD of the real block of
+ad_iT, {D}' from a float64 eigh of I (x) T - T (x) I.  P_D' and the
+algebra P_D'' that the projections span come in closed form from the
+spectral resolution, which never sees (W, T), so a faulty reduction
+would show as a distance to P_D'.  The pairwise projector distances it
+measures come out at roundoff level.
 """
 
 from derivlab import bicommutant, subspace_distance

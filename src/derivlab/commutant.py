@@ -2,10 +2,10 @@
 
 The two spectral objects of the identity, the commutant {P_i}' of the
 spectral projections and the algebra P_D'' they generate, have closed
-forms in the eigenvectors of each P_i (``projection_algebras``); only
-ker ad_iD and {D}' factor an n^2 x n^2 matrix, a real one each: ker
-ad_iD in the Hermitian frame, {D}' after reducing D to a real
-tridiagonal T."""
+forms in the eigenvectors of each P_i (``projection_algebras``).  ker
+ad_iD and {D}' share one reduction D = W T W*, T real tridiagonal, then
+part: an SVD of the real block of ad_iT, an eigh of I (x) T - T (x) I.
+{P_i}' never sees (W, T), so a faulty reduction shows against it."""
 
 from __future__ import annotations
 
@@ -25,6 +25,7 @@ from .numlin import (
     kron,
     map_kernels,
     subspace_distance,
+    tridiagonal_kernel_tower,
     unvec_columns,
 )
 from .spectral import DEFAULT_CLUSTER_TOL, SpectralResolution, spectral_resolution
@@ -84,10 +85,12 @@ def hermitian_commutant(h, rank_tol: float = DEFAULT_RANK_TOL) -> OperatorSubspa
     kernel of the float64 symmetric matrix I (x) T - T (x) I: the
     eigenvectors of its eigh whose |eigenvalue| is at most
     rank_tol * max(largest |eigenvalue|, 1), the rank rule of
-    ``commutant``.  Each is mapped back as W Y W*.  The kernel of ad_iD
-    and {P_i}' share neither the reduction nor the eigh, so
-    ``kernel_commutant_check`` catches a fault in either side."""
-    w, t = hermitian_tridiagonal(h)
+    ``commutant``.  Each is mapped back as W Y W*; no eigenvector of H
+    is used.  ``kernel_commutant_check`` reuses the reduction, not the eigh."""
+    return _tridiagonal_commutant(*hermitian_tridiagonal(h), rank_tol)
+
+
+def _tridiagonal_commutant(w, t, rank_tol: float) -> OperatorSubspace:
     n = t.shape[0]
     values, vectors = np.linalg.eigh(commutation_matrix(t))
     cut = rank_tol * max(float(np.max(np.abs(values))), 1.0)
@@ -175,25 +178,23 @@ def kernel_commutant_check(
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> KernelCommutantReport:
     """Measure three realizations of the same subspace against each other —
-    the kernel of ad_iD (real SVD in the Hermitian frame), the commutant
-    of {D} (``hermitian_commutant``: Householder reduction and a float64
-    eigh), and the commutant of the spectral projections (closed form
-    from the n x n eigh of each projection, which needs the projections
-    to be orthogonal and complete, so their defect is reported too) —
-    and how far the algebra the projections span sits outside the
-    kernel.  The complex commutation matrix C of D is built for the
-    kernel route alone, and ``map_kernels`` drops it once the frame
-    gather has read it, before the SVD.
+    the kernel of ad_iD, the commutant of {D}, and the commutant of the
+    spectral projections (closed form from the n x n eigh of each
+    projection, which needs the projections to be orthogonal and
+    complete, so their defect is reported too) — and how far the algebra
+    the projections span sits outside the kernel.
 
-    The kernel stays on this frame SVD of ad_iD, although
-    ``derivation.ad_kernel_tower`` is cheaper: that route reduces D by
-    the same ``hermitian_tridiagonal`` as {D}', so a fault in the
-    reduction would move both subspaces together and their distance
-    could not show it."""
+    One Householder reduction D = W T W* (``hermitian_tridiagonal``)
+    serves the first two, which then part: ker ad_iD is one SVD of the
+    n(n-1)/2 x n(n+1)/2 real block of ad_iT (``tridiagonal_kernel_tower``),
+    {D}' one float64 eigh of I (x) T - T (x) I (``hermitian_commutant``).
+    A faulty reduction moves both together, but not {P_i}', which comes
+    from the spectral resolution alone: their distances to it show it."""
     d = as_cmatrix(d)
     res = spectral_resolution(d, cluster_tol)
-    comm = hermitian_commutant(d, rank_tol)
-    kernel = map_kernels(1j * commutation_matrix(d), d.shape[0], rank_tol=rank_tol)[0]
+    w, t = hermitian_tridiagonal(d)
+    comm = _tridiagonal_commutant(w, t, rank_tol)
+    kernel = tridiagonal_kernel_tower(w, t, 1, rank_tol)[0]
     proj_comm, algebra = projection_algebras(res)
     return KernelCommutantReport(
         ambient_dim=d.shape[0],

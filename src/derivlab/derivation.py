@@ -21,16 +21,13 @@ from .numlin import (
     DEFAULT_RANK_TOL,
     OperatorSubspace,
     as_cmatrix,
-    block_kernel_tower,
-    commutator_frame_block,
     frob,
-    from_frame,
     hermitian_tridiagonal,
     map_distinct,
     map_kernels,
     require_hermitian,
     subspace_distance,
-    unvec_columns,
+    tridiagonal_kernel_tower,
 )
 from .spectral import DEFAULT_CLUSTER_TOL, SpectralResolution, spectral_resolution, unitary_group
 
@@ -89,26 +86,9 @@ def ad_apply(d, x) -> np.ndarray:
 
 
 def ad_kernel_tower(d, k_max: int, rank_tol: float = DEFAULT_RANK_TOL) -> tuple:
-    """ker ad_iD, ..., ker ad_iD^k_max for Hermitian D, as OperatorSubspaces,
-    from n x n factors and one SVD of a quarter of ad_iD's entries.
-
-    ``numlin.hermitian_tridiagonal`` gives D = W T W* with W unitary and T
-    real symmetric tridiagonal, so ker ad_iD^k = W (ker ad_iT^k) W*, and
-    X -> W X W* keeps every dimension and distance.  In the Hermitian frame
-    ad_iT is [[0, -Q^T], [Q, 0]], Q = ``commutator_frame_block(T)``, and
-    ``block_kernel_tower`` takes the tower from one SVD of Q at scale 1,
-    the rank rule of ``map_kernels``.  No n^2 x n^2 array is formed.  The
-    levels are mapped back by ``from_frame`` and one batched W K W*;
-    levels repeating the fixed point are one object, as in ``map_kernels``.
-    """
-    w, t = hermitian_tridiagonal(d)
-    n = t.shape[0]
-    levels = block_kernel_tower(commutator_frame_block(t), k_max, rank_tol)
-
-    def conjugated(q):
-        return OperatorSubspace(n, w @ unvec_columns(from_frame(q, n), n) @ w.conj().T)
-
-    return map_distinct(conjugated, levels)
+    """ker ad_iD, ..., ker ad_iD^k_max for Hermitian D: ``tridiagonal_kernel_tower``
+    of the Householder reduction D = W T W* (``hermitian_tridiagonal``)."""
+    return tridiagonal_kernel_tower(*hermitian_tridiagonal(d), k_max, rank_tol)
 
 
 @dataclass(frozen=True)

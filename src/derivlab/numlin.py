@@ -171,12 +171,12 @@ def _numerical_rank(s: np.ndarray, rank_tol: float, scale: float) -> int:
 
 
 def _svd_split(m, rank_tol: float, scale: float) -> tuple:
-    # (U_r, S_r, V_r, V_0): M = U_r S_r V_r* on its numerical range, V_0 spans ker M
+    # (S_r, V_0, ranges): V_0 spans ker M, M = U_r S_r V_r* with (U_r, V_r) = ranges()
     m = _as_matrix(m)
     # reduced SVD loses nullspace directions when the matrix is wide
     u, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
     rank = _numerical_rank(s, rank_tol, scale)
-    return u[:, :rank], s[:rank], vh[:rank].conj().T, vh[rank:].conj().T
+    return s[:rank], vh[rank:].conj().T, lambda: (u[:, :rank], vh[:rank].conj().T)
 
 
 def nullspace(m, rank_tol: float = DEFAULT_RANK_TOL, scale: float = 0.0) -> np.ndarray:
@@ -189,35 +189,38 @@ def nullspace(m, rank_tol: float = DEFAULT_RANK_TOL, scale: float = 0.0) -> np.n
     space instead of ranking its noise.  A float64 matrix is factored in
     real arithmetic and gets a real basis.
     """
-    return _svd_split(m, rank_tol, scale)[3]
+    return _svd_split(m, rank_tol, scale)[1]
 
 
 def _block_split(q, rank_tol: float) -> tuple:
     # _svd_split of A = [[0, -Q^T], [Q, 0]] at scale 1 for a float64 Q, from
-    # one full SVD of Q: each triple (u, sigma, v) gives A [v; 0] = sigma [0; u] and
-    # A [0; u] = sigma [-v; 0], so sigma appears twice, and ker A is
-    # [ker Q; 0] + [0; ker Q^T]
+    # one full SVD of Q (``block_kernel_tower``)
     rows, cols = q.shape
     u, s, vh = np.linalg.svd(q)  # full: the kernels need all of U and V
     rank = _numerical_rank(s, rank_tol, 1.0)
     size = rows + cols
-    u_r, v_r = np.zeros((size, 2 * rank)), np.zeros((size, 2 * rank))
-    u_r[cols:, :rank] = v_r[cols:, rank:] = u[:, :rank]
-    v_r[:cols, :rank] = vh[:rank].T
-    np.negative(vh[:rank].T, out=u_r[:cols, rank:])
     v_0 = np.zeros((size, size - 2 * rank))
     v_0[:cols, : cols - rank] = vh[rank:].T
     v_0[cols:, cols - rank:] = u[:, rank:]
-    return u_r, np.concatenate([s[:rank], s[:rank]]), v_r, v_0
+
+    def ranges():  # dense and three quarters zeros, so built on demand
+        u_r, v_r = np.zeros((size, 2 * rank)), np.zeros((size, 2 * rank))
+        u_r[cols:, :rank] = v_r[cols:, rank:] = u[:, :rank]
+        v_r[:cols, :rank] = vh[:rank].T
+        np.negative(vh[:rank].T, out=u_r[:cols, rank:])
+        return u_r, v_r
+
+    return np.concatenate([s[:rank], s[:rank]]), v_0, ranges
 
 
 def _grow_tower(split: tuple, k_max: int, rank_tol: float) -> list:
-    # the levels of ``kernel_tower`` from a split (U_r, S_r, V_r, V_0) of M
+    # the levels of ``kernel_tower`` from a split (S_r, V_0, ranges) of M
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    u_r, s_r, v_r, v_0 = split
-    if s_r.size == 0 or v_0.shape[1] == 0:  # M = 0 or M invertible: nothing grows
+    s_r, v_0, ranges = split
+    if k_max == 1 or s_r.size == 0 or v_0.shape[1] == 0:  # one level, M = 0 or invertible
         return [v_0] * k_max
+    u_r, v_r = ranges()
     tower = [v_0]
     while len(tower) < k_max:
         q = tower[-1]
@@ -538,6 +541,22 @@ def map_kernels(m, n: int, k_max: int = 1, rank_tol: float = DEFAULT_RANK_TOL) -
         lambda q: OperatorSubspace.from_vec_columns(n, q if frame is None else from_frame(q, n)),
         bases,
     )
+
+
+def tridiagonal_kernel_tower(w, t, k_max: int, rank_tol: float = DEFAULT_RANK_TOL) -> tuple:
+    """ker ad_iD, ..., ker ad_iD^k_max as OperatorSubspaces, for D = W T W*
+    from ``hermitian_tridiagonal``: ker ad_iD^k = W (ker ad_iT^k) W*.  In
+    the Hermitian frame ad_iT is [[0, -Q^T], [Q, 0]], Q =
+    ``commutator_frame_block(T)``, and one SVD of Q (``block_kernel_tower``)
+    gives the tower; no n^2 x n^2 array is formed.  Levels map back by
+    ``from_frame`` and one batched W K W*, each distinct level once."""
+    n = t.shape[0]
+    levels = block_kernel_tower(commutator_frame_block(t), k_max, rank_tol)
+
+    def conjugated(q):
+        return OperatorSubspace(n, w @ unvec_columns(from_frame(q, n), n) @ w.conj().T)
+
+    return map_distinct(conjugated, levels)
 
 
 def _check_same_ambient(s1: OperatorSubspace, s2: OperatorSubspace):

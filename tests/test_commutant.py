@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -21,13 +22,14 @@ from derivlab.commutant import (
     projection_algebras,
     projection_defect,
 )
-from derivlab.derivation import ad_superoperator
+from derivlab.derivation import ad_kernel_tower, ad_superoperator
 from derivlab.errors import DimensionOverflow, NotHermitian, ShapeMismatch
 from derivlab.numlin import (
     OperatorSubspace,
     containment_residual,
     frob,
     from_frame,
+    kron,
     nullspace,
     real_frame,
     subspace_distance,
@@ -218,96 +220,126 @@ class TestKernelCommutantCheck:
         assert report.kernel_dim == 7  # oracle: simple spectrum => diagonals
         assert commutant_identity_check("commutant_identity/simple", d)["pass"]
 
-    def test_one_commutation_matrix_serves_kernel_and_commutant(self, monkeypatch):
-        # C(D) is built once, for the kernel route only: {D}' builds the
-        # real commutation matrix of the tridiagonal T instead.  Both
-        # measure as the standalone routes do, bit for bit
+    def test_one_reduction_serves_kernel_and_commutant(self, monkeypatch):
+        # D is reduced to (W, T) once, and both routes read that one pair:
+        # the only commutation matrix built is the float64 one of T, for
+        # {D}'.  Both measure as the standalone routes do, bit for bit
         d = _spectral_instances(5, 3)[1][1]
-        kernel, comm = ad_superoperator(d).kernel(), hermitian_commutant(d)
+        kernel, comm = ad_kernel_tower(d, 1)[0], hermitian_commutant(d)
         module = importlib.import_module("derivlab.commutant")
-        built, factored = [], []
-        map_kernels = module.map_kernels
+        reductions, built = [], []
+        reduce, build = module.hermitian_tridiagonal, module.commutation_matrix
+
+        def recorded_reduction(h):
+            reductions.append(reduce(h))
+            return reductions[-1]
 
         def recorded(g):
             built.append(g)
-            return commutation_matrix(g)
+            return build(g)
 
-        def recorded_kernels(m, *args, **kwargs):
-            factored.append(m)
-            return map_kernels(m, *args, **kwargs)
-
+        monkeypatch.setattr(module, "hermitian_tridiagonal", recorded_reduction)
         monkeypatch.setattr(module, "commutation_matrix", recorded)
-        monkeypatch.setattr(module, "map_kernels", recorded_kernels)
         report = kernel_commutant_check(d)
-        assert sum(np.array_equal(g, d) for g in built) == 1
-        assert [g.dtype for g in built if not np.array_equal(g, d)] == [np.float64]
-        assert len(factored) == 1
-        assert np.array_equal(factored[0], 1j * commutation_matrix(d))
+        assert len(reductions) == 1
+        assert len(built) == 1 and built[0] is reductions[0][1]
+        assert built[0].dtype == np.float64
         assert (report.kernel_dim, report.commutant_dim) == (kernel.dim, comm.dim)
         assert report.distance_kernel_commutant == subspace_distance(kernel, comm)
 
-    def test_kernel_route_stays_on_the_frame_svd(self, monkeypatch):
-        # {D}' already reduces D to T, so the kernel must not: one
-        # map_kernels call on the n^2 x n^2 map, and no block SVD of ad_iT
+    def test_kernel_route_is_the_block_svd(self, monkeypatch):
+        # ker ad_iD is one SVD of the n(n-1)/2 x n(n+1)/2 block of ad_iT;
+        # neither the frame gather nor map_kernels runs
         numlin = importlib.import_module("derivlab.numlin")
         module = importlib.import_module("derivlab.commutant")
-        shapes, map_kernels = [], module.map_kernels
+        shapes, svd = [], np.linalg.svd
 
         def recorded(m, *args, **kwargs):
-            shapes.append(np.shape(m))
-            return map_kernels(m, *args, **kwargs)
+            shapes.append((m.shape, m.dtype))
+            return svd(m, *args, **kwargs)
 
         def refused(*args, **kwargs):
-            raise AssertionError("the block route of ad_iT was called")
+            raise AssertionError("the frame route of ad_iD was called")
 
-        monkeypatch.setattr(module, "map_kernels", recorded)
-        monkeypatch.setattr(numlin, "_block_split", refused)
-        for _, d in _spectral_instances(6, 4):
-            shapes.clear()
-            kernel_commutant_check(d)
-            assert shapes == [(36, 36)]
+        monkeypatch.setattr(np.linalg, "svd", recorded)
+        monkeypatch.setattr(module, "map_kernels", refused)
+        monkeypatch.setattr(numlin, "real_frame", refused)
+        for n in (2, 6):
+            for _, d in _spectral_instances(n, 4):
+                shapes.clear()
+                kernel_commutant_check(d)
+                assert shapes == [((n * (n - 1) // 2, n * (n + 1) // 2), np.float64)]
 
     def test_commutation_matrix_is_freed_before_the_kernel_svd(self, monkeypatch):
-        # the complex map of ad_iD is alive only until the frame gather
-        # has read it; the SVD sees the real frame matrix alone
-        numlin = importlib.import_module("derivlab.numlin")
-        real_frame, nullspace = numlin.real_frame, numlin.nullspace
-        read, alive = [], []
+        # the float64 n^2 x n^2 matrix of {D}' is gone when the block SVD
+        # runs, every product the check builds is float64, and the traced
+        # peak stays under two complex n^4 arrays (the frame route of
+        # ad_iD peaked at 3.5)
+        module = importlib.import_module("derivlab.commutant")
+        build, svd = module.commutation_matrix, np.linalg.svd
+        built, alive = [], []
 
-        def gathered(m, n):
-            read.append(weakref.ref(m))
-            return real_frame(m, n)
+        def kept(g):
+            m = build(g)
+            built.append(weakref.ref(m))
+            return m
 
         def factored(m, *args, **kwargs):
-            alive.append((m.dtype, read[-1]() is not None))
-            return nullspace(m, *args, **kwargs)
+            alive.append([ref() is not None for ref in built])
+            return svd(m, *args, **kwargs)
 
-        monkeypatch.setattr(numlin, "real_frame", gathered)
-        monkeypatch.setattr(numlin, "nullspace", factored)
+        monkeypatch.setattr(module, "commutation_matrix", kept)
+        monkeypatch.setattr(np.linalg, "svd", factored)
         kernel_commutant_check(_spectral_instances(4, 3)[1][1])
-        assert alive == [(np.float64, False)]
+        assert alive == [[False]]
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        products = []
+
+        def dtyped(a, b):
+            products.append(np.result_type(a, b))
+            return kron(a, b)
+
+        monkeypatch.setattr(module, "kron", dtyped)
+        for n in (16, 24):
+            products.clear()
+            d = _spectral_instances(n, 7)[1][1]
+            tracemalloc.start()
+            try:
+                kernel_commutant_check(d)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert products == [np.float64, np.float64]
+            assert peak <= 2 * 16 * n**4
 
     def test_two_factorizations(self, monkeypatch):
-        # ker ad_iD is the one SVD and {D}' the one eigh of an n^2 x n^2
-        # matrix, a float64 one; {P_i}' and P_D'' come from n x n eighs
+        # one Householder reduction, then ker ad_iD is the one SVD (of the
+        # real block) and {D}' the one eigh of an n^2 x n^2 matrix, a
+        # float64 one; {P_i}' and P_D'' come from n x n eighs
         d = _spectral_instances(6, 3)[1][1]
         k = len(spectral_resolution(d).values)
         module = importlib.import_module("derivlab.commutant")
-        kernels, eighs = [], []
-        map_kernels, eigh = module.map_kernels, np.linalg.eigh
+        reductions, svds, eighs = [], [], []
+        reduce, svd, eigh = module.hermitian_tridiagonal, np.linalg.svd, np.linalg.eigh
 
-        def counted_kernels(m, *args, **kwargs):
-            kernels.append(m.shape)
-            return map_kernels(m, *args, **kwargs)
+        def counted_reduction(h):
+            reductions.append(h.shape)
+            return reduce(h)
+
+        def counted_svd(m, *args, **kwargs):
+            svds.append((m.shape, m.dtype))
+            return svd(m, *args, **kwargs)
 
         def counted_eigh(m, *args, **kwargs):
             eighs.append((m.shape, m.dtype))
             return eigh(m, *args, **kwargs)
 
-        monkeypatch.setattr(module, "map_kernels", counted_kernels)
-        monkeypatch.setattr(module.np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(module, "hermitian_tridiagonal", counted_reduction)
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         kernel_commutant_check(d)
-        assert kernels == [(36, 36)]
+        assert reductions == [(6, 6)]
+        assert svds == [((15, 21), np.float64)]
         # the spectral resolution's eigh, {D}' of the real tridiagonal
         # form, then one batched call over the projections
         assert eighs == [
@@ -315,6 +347,52 @@ class TestKernelCommutantCheck:
             ((36, 36), np.float64),
             ((k, 6, 6), np.complex128),
         ]
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_kernel_matches_the_frame_svd_oracle(self, monkeypatch, n):
+        # the kernel the check measures against the SVD of the complex
+        # ad_iD in the Hermitian frame, which the check no longer takes
+        module = importlib.import_module("derivlab.commutant")
+        towers, tower = [], module.tridiagonal_kernel_tower
+
+        def recorded(*args):
+            towers.append(tower(*args))
+            return towers[-1]
+
+        monkeypatch.setattr(module, "tridiagonal_kernel_tower", recorded)
+        for _, d in _spectral_instances(n, 3):
+            towers.clear()
+            kernel_commutant_check(d)
+            oracle = ad_superoperator(d).kernel()
+            assert [level.dim for level in towers[0]] == [oracle.dim]
+            assert subspace_distance(towers[0][0], oracle) <= 1e-12
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    @pytest.mark.parametrize("fault", ["flipped_sign", "identity_w"])
+    def test_reduction_faults_fail_the_check(self, monkeypatch, n, fault):
+        # negative control: a faulty reduction moves ker ad_iD and {D}'
+        # together, so their distance stays at roundoff, but {P_i}' never
+        # sees (W, T) and both distances to it expose the fault
+        module = importlib.import_module("derivlab.commutant")
+        reduce = module.hermitian_tridiagonal
+
+        def faulty(h):
+            w, t = reduce(h)
+            if fault == "identity_w":
+                return np.eye(len(t), dtype=np.complex128), t
+            t = t.copy()
+            t[0, 1] = t[1, 0] = -t[0, 1]  # S T S for S = diag(1, -1, ..., -1)
+            return w, t
+
+        monkeypatch.setattr(module, "hermitian_tridiagonal", faulty)
+        for _, d in _spectral_instances(n, 3):
+            check = commutant_identity_check("commutant_identity/faulty", d)
+            assert check["pass"] is False
+            assert check["residual"] >= 1e3 * check["tolerance"]
+            distances = check["details"]["distances"]
+            assert distances["kernel_vs_commutant"] <= DEFAULT_DISTANCE_TOL
+            for key in ("kernel_vs_projection_commutant", "commutant_vs_projection_commutant"):
+                assert distances[key] >= 1e3 * DEFAULT_DISTANCE_TOL
 
     def test_json_identity_field(self):
         # the check adds its verdict and tolerances to the report's fields

@@ -8,8 +8,12 @@ distances to ker ad_iD), ``kernel_stabilization_report`` to k = 8 (the
 route of the ``kernel_stab`` suite, under one name in every checkout,
 so that two checkouts compare stage by stage), one ``nullspace`` of the
 matrix the tower factors, one ``subspace_distance``, and the three stages of
-``kernel_commutant_check`` (the kernel of ad_iD, ``hermitian_commutant``,
-and ``projection_algebras``, the closed forms of {P_i}' and P_D'').
+``kernel_commutant_check``: the kernel of ad_iD by the check's route, the
+Householder reduction and one SVD of the real block of ad_iT
+(``ad_kernel_tower`` at k = 1, a name in every checkout),
+``hermitian_commutant``, and ``projection_algebras``, the closed forms of
+{P_i}' and P_D''.  The check reduces D once for its first two stages;
+each stage here reduces it itself.
 At every n it also times the GNS stages of ``br_gns_check`` on
 ``cli.equilibrium_instance(n, seed)``, also above ``cli._BR_GNS_MAX_DIM``
 (32), with the superoperator of its generator built once outside the
@@ -53,6 +57,7 @@ from derivlab.cli import (
 )
 from derivlab.commutant import hermitian_commutant, projection_algebras
 from derivlab.derivation import (
+    ad_kernel_tower,
     ad_superoperator,
     kernel_stabilization_report,
     superoperator_stabilization_report,
@@ -105,7 +110,7 @@ def stages(n: int, seed: int = 8) -> dict:
         "kernel_stabilization_report": lambda: kernel_stabilization_report(d, K_MAX),
         "nullspace": lambda: numlin.nullspace(frame, scale=1.0),
         "subspace_distance": lambda: numlin.subspace_distance(kernel, comm),
-        "commutant_check.kernel": lambda: ad_superoperator(d).kernel(),
+        "commutant_check.kernel": lambda: ad_kernel_tower(d, 1),
         "commutant_check.hermitian_commutant": lambda: hermitian_commutant(d),
         "commutant_check.closed_forms": lambda: projection_algebras(res),
         "gns_construct": lambda: gns.gns_construct(omega),
