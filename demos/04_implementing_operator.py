@@ -51,7 +51,7 @@ print("implementation residual ||pi(delta(a)) - [iS, pi(a)]|| =",
 
 for t in (0.5, 1.0):
     print(f"flow intertwining residual at t={t}:",
-          flow_intertwining_residual(delta, s, t))
+          flow_intertwining_residual(g, s, t))
 
 print("\nkernel correspondence distance:",
       kernel_correspondence_distance(delta, s))

@@ -61,13 +61,14 @@ DEFAULT_TOLERANCES = {
 HEISENBERG_GRIDS = (128, 256, 512)
 # the largest n of br_gns; larger dims stay in the other suites and are
 # listed in meta.skipped.  Time, not memory, sets it.  Its flow check
-# works in chunks under gns._CHUNK_BYTES (one instance peaks at 44 MB RSS
-# at n=12, 55 MB at n=16, 79 MB at n=20, 121 MB at n=24 and 297 MB at
-# n=32) and takes O(n^6) work, the implementation check O(n^4): one
-# instance takes 0.05 s at n=12, 0.22 s at n=16, 0.66 s at n=20, 1.8 s at
-# n=24 and 9.5 s at n=32 on one BLAS thread.  At 32, --suite all
-# --dims 2..32 --n-max 8 passes 253/253 checks in 148 s at 300 MB peak RSS
-# (2-core Xeon, one BLAS thread; BENCH_brgns32.json).
+# works in chunks under gns._CHUNK_BYTES (one instance peaks at 43 MB RSS
+# at n=12, 53 MB at n=16, 74 MB at n=20, 111 MB at n=24 and 265 MB at
+# n=32, where the n^2 x n^2 exponential of S sets the peak) and takes
+# O(n^6) work, the implementation check O(n^4): one instance takes
+# 0.02 s at n=12, 0.09 s at n=16, 0.25 s at n=20, 0.65 s at n=24 and
+# 3.0 s at n=32 on one BLAS thread.  At 32, --suite all --dims 2..32
+# --n-max 8 passes 253/253 checks in 39 s at 269 MB peak RSS (2-core
+# Xeon, one BLAS thread; BENCH_brflow.json).
 _BR_GNS_MAX_DIM = 32
 
 
@@ -321,9 +322,9 @@ def br_gns_check(check_id: str, omega: State, g, n_max: int, tol=DEFAULT_TOLERAN
     eq = equilibrium_check(omega, delta)
     s, symmetry = implementing_operator(gns_construct(omega), delta)
     impl = implementation_check(delta, s)
-    inter = flow_intertwining_residual(delta, s, 0.5, 1.0)
-    # one SVD of the map: ker(map) is the first level of the report's tower
-    stab = abstract_kernel_stabilization(delta, n_max, rank_tol=tol["rank"])
+    inter = flow_intertwining_residual(g, s, 0.5, 1.0)
+    # ker ad_ig is the first level of the report's tower
+    stab = abstract_kernel_stabilization(g, n_max, rank_tol=tol["rank"])
     corr = kernel_correspondence_distance(delta, s, tol["rank"], kernel=stab.kernel)
     residual = max(eq, symmetry, impl)
     passed = (

@@ -105,7 +105,10 @@ class KernelStabilizationReport:
 
 
 def _stabilization_report(kernels, multiplicities=None) -> KernelStabilizationReport:
-    # dims and distances to the first level, each distinct level measured once
+    # dims and distances to the first level, each distinct level measured
+    # once: a tower that repeats ker(map) takes one distance.  Every level
+    # contains the first by construction, so a distance measures growth
+    # only; a growing kernel is report content, never an exception
     if len(kernels) < 2:
         raise ValueError("n_max must be >= 2")
     base = kernels[0]
@@ -117,22 +120,6 @@ def _stabilization_report(kernels, multiplicities=None) -> KernelStabilizationRe
     )
 
 
-def superoperator_stabilization_report(
-    sop: Superoperator, n_max: int, rank_tol: float = DEFAULT_RANK_TOL
-) -> KernelStabilizationReport:
-    """Dimensions of ker(map^k) and their distances to ker(map) for
-    k = 1..n_max.
-
-    Every kernel comes from one SVD of the map (``kernel_tower``), which
-    contains ker(map) by construction, so a distance measures growth of
-    the kernel only.  Levels that repeat one subspace are one object
-    (``map_kernels``), measured once: a normal map takes one distance, of
-    ker(map) to itself.  A growing kernel is report content, never an
-    exception; the report carries no verdict.
-    """
-    return _stabilization_report(sop.kernel_tower(n_max, rank_tol))
-
-
 def kernel_stabilization_report(
     d,
     n_max: int,
@@ -140,9 +127,7 @@ def kernel_stabilization_report(
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> KernelStabilizationReport:
     """Kernel stabilization of ad_iD: dims and distances for k <= n_max,
-    from ``ad_kernel_tower`` and measured as in
-    ``superoperator_stabilization_report``, and the eigenvalue
-    multiplicities of D."""
+    from ``ad_kernel_tower``, and the eigenvalue multiplicities of D."""
     res = spectral_resolution(d, cluster_tol)
     return _stabilization_report(
         ad_kernel_tower(d, n_max, rank_tol),

@@ -16,17 +16,19 @@ that closed form and the n x n factor L*, never an n^2 x n^2 factor.
 The implementation residual is a max of column norms, each summed from
 masked sums of squares of entries of S and of the map's unit images and
 from squares of residual entries formed explicitly: O(n^4) work, and no
-array larger than S.  The flow check visits the n^2 matrix units in
-chunks whose arrays fit half of one fixed byte budget (_CHUNK_BYTES): a
-chunk groups whole rows r of units while one row fits, and cuts a row
-over that along the column block q of the residual, summing the squared
-norms of a row's runs per unit before the max.  The flow residual of
-E_rc is split by column block q of U (I (x) E_rc) U^-1 = A_r B_c: its
-rows p != q have the norm of R_rq B_cq, with R_rq the triangular factor
-of a QR of A_r without the rows of block q, and its rows p = q are
-formed and subtracted.  That takes n^2 small QRs and about 2 n^6
-multiply-adds, and no Gram matrix, whose norm identity would lose every
-digit below sqrt(eps).  A doubling ladder of times t, 2t, ... takes the
+array larger than S.  The flow of ad_ig is x -> V x V* with V =
+exp(itg), so the flow check takes one n x n exponential for it and
+never the map's matrix.  The flow residual of E_rc is
+U (I (x) E_rc) U^-1 - I (x) V E_rc V* = [A_r, -C_r] [B_c; D_c], for n
+columns A_r of U = exp(iSt), n rows B_c of U^-1, C_r = I (x) V[:, r]
+and D_c = I (x) V*[c, :].  Its norm is that of R_r [B_c; D_c] for the
+2n x 2n triangular factor R_r of one Householder QR of [A_r, -C_r] per
+row r: n QRs and about n^6 multiply-adds, and no Gram matrix, whose
+norm identity would lose every digit below sqrt(eps).  The check visits
+the n^2 matrix units in chunks whose arrays fit half of one fixed byte
+budget (_CHUNK_BYTES): a chunk groups whole rows r of units while one
+row fits, and cuts a row over that along c, each unit complete within
+its chunk.  A doubling ladder of times t, 2t, ... takes the
 exponentials once, at t, and squares them.
 """
 
@@ -37,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .commutant import commutant
-from .derivation import Superoperator, superoperator_stabilization_report
+from .derivation import Superoperator, _stabilization_report, ad_kernel_tower
 from .errors import NotDensity, NotEquilibrium, NotFaithful, ShapeMismatch
 from .numlin import (
     DEFAULT_RANK_TOL,
@@ -48,6 +50,7 @@ from .numlin import (
     hermitian_eig,
     is_hermitian,
     kron,
+    require_hermitian,
     subspace_distance,
     vec,
 )
@@ -206,9 +209,9 @@ def _unit_blocks(matrix, n: int) -> np.ndarray:
 
 def _unit_chunks(n: int) -> list:
     """Chunks (rows, part) of the matrix units E_rc for the flow check:
-    slices of r and of the column block q, 32 n^3 bytes per (r, q).
+    slices of r and of c, 32 n^3 bytes per (r, c).
     Whole rows are grouped while they fill at most half of _CHUNK_BYTES;
-    a row over that is cut into runs of blocks that do, down to one."""
+    a row over that is cut into runs of units that do, down to one."""
     half = _CHUNK_BYTES // 2
     rows = half // (32 * n**4)
     if rows:
@@ -267,46 +270,55 @@ def implementation_check(delta: Superoperator, s) -> float:
     return float(np.sqrt(mass.max()))
 
 
-def _flow_mass(n: int, u, u_inv, propagator) -> float:
-    """Max over units E_rc of ||U (I (x) E_rc) U^-1 - I (x) F_rc||^2 with
-    F_rc the image of E_rc under the propagator.
+def _flow_mass(u, u_inv, v) -> float:
+    """Max over units E_rc of ||U (I (x) E_rc) U^-1 - I (x) V E_rc V*||^2.
 
     U (I (x) E_rc) U^-1 = A_r B_c for the columns A_r = U[:, (l, r)] and
-    the rows B_c = U^-1[(l, c), :] over l, so column block q of the
-    residual is A_r B_cq with F_rc subtracted on its rows p = q.  Its rows
-    p != q have the norm of R_rq B_cq, where R_rq is the n x n triangular
-    factor of a QR of A_r without the rows of block q."""
-    # a[r, p, i, l] = U[pn + i, ln + r] and b[q, l, c n + j] = U^-1[ln + c, qn + j]
-    a = u.reshape(n, n, n, n).transpose(3, 0, 1, 2)
-    b = np.ascontiguousarray(u_inv.reshape(n, n, n, n).transpose(2, 0, 1, 3))
-    b = b.reshape(n, n, n * n)
-    flowed = _unit_blocks(propagator, n).transpose(0, 2, 1, 3)
-    # the blocks p != q of A_r, then block q
-    order = np.array([[p for p in range(n) if p != q] + [q] for q in range(n)])
+    the rows B_c = U^-1[(l, c), :] over l, and I (x) V E_rc V* = C_r D_c
+    for C_r = I (x) V[:, r] and D_c = I (x) V*[c, :].  So the residual is
+    [A_r, -C_r] [B_c; D_c], with the norm of R_r [B_c; D_c] for the
+    triangular factor R_r = [[R11, R12], [0, R22]] of a QR of [A_r, -C_r].
+    The rows R11 B_c + R12 D_c are formed, so what cancels cancels
+    explicitly; the rows R22 D_c, outer products, have the norm
+    ||R22|| ||V[:, c]||."""
+    n = v.shape[0]
+    d = n * n
+    # a[r, pn + i, l] = U[pn + i, ln + r] and b[c, l, qn + j] = U^-1[ln + c, qn + j]
+    a = u.reshape(d, n, n).transpose(2, 0, 1)
+    b = u_inv.reshape(n, n, d).transpose(1, 0, 2)
+    v_star = v.conj().T
+    column_mass = np.sum(np.abs(v) ** 2, axis=0)
     units = np.arange(n)
-    mass = np.zeros((n, n))
-    # a chunk covers units rows x every c and the column blocks q of its
-    # part; diff[q, r, h, i, c, j] holds R_rq B_cq at h = 0 and
-    # A_rq B_cq - F_rc at h = 1, 32 n^3 bytes per (r, q)
+    mass = np.empty((n, n))
+    factored = None
+    # a chunk covers the units of rows x part; top[r, c, m, q, j] holds
+    # the rows R11 B_c + R12 D_c, 16 n^3 bytes per (r, c), and as much
+    # again for the term R12 D_c.  Each R11 B_c is its own product of the
+    # same shape under every budget, so the chunks move no bit
     for rows, part in _unit_chunks(n):
-        blocks = a[units[rows, None], order[part, None]]
-        k_q, k_r = blocks.shape[:2]
-        left = np.empty((k_q, k_r, 2, n, n), dtype=np.complex128)
-        left[:, :, 0] = np.linalg.qr(blocks[:, :, :-1].reshape(k_q, k_r, -1, n), mode="r")
-        left[:, :, 1] = blocks[:, :, -1]
-        diff = np.matmul(left.reshape(k_q, -1, n), b[part]).reshape(k_q, k_r, 2, n, n, n)
-        diff[:, :, 1] -= flowed[rows]
-        # summed over q in order, so that cutting a row along q moves no
-        # bit of the result
-        partial = _mass(diff, "qrhicj->qrc")
-        mass[rows] = np.add.reduce(np.concatenate([mass[rows][None], partial]))
+        if rows != factored:  # one QR per row, shared by the row's runs
+            factored = rows
+            k = len(units[rows])
+            left = np.zeros((k, d, 2 * n), dtype=np.complex128)
+            left[:, :, :n] = a[rows]
+            left.reshape(k, n, n, 2 * n)[:, units, :, n + units] = -v[:, rows].T
+            r = np.linalg.qr(left, mode="r")
+            del left
+            r11 = r[:, None, :n, :n]
+            r12 = r[:, None, :n, n:, None]
+            low = np.sum(np.abs(r[:, n:, n:]) ** 2, axis=(1, 2))[:, None]
+        top = np.matmul(r11, b[part]).reshape(k, -1, n, n, n)
+        top += r12 * v_star[part, None, None, :]
+        mass[rows, part] = _mass(top, "rcmqj->rc") + low * column_mass[part]
     return mass.max()
 
 
-def flow_intertwining_residual(delta: Superoperator, s, *times: float) -> float:
+def flow_intertwining_residual(g, s, *times: float) -> float:
     """Max over matrix units a and the given times t of
-    ||exp(iSt) pi(a) exp(-iSt) - pi(exp(t map)(a))||.
+    ||exp(iSt) pi(a) exp(-iSt) - pi(exp(t ad_ig)(a))||.
 
+    The flow of ad_ig is x -> V x V* with V = exp(itg), from one n x n
+    exponential; S is taken as given, so the two sides share nothing.
     The times form a doubling ladder t, 2t, 4t, ...: the exponentials
     are taken at the first time only and squared for each next one, as
     exp(2X) = exp(X)^2."""
@@ -316,12 +328,11 @@ def flow_intertwining_residual(delta: Superoperator, s, *times: float) -> float:
     # exp(X)^-1 = exp(-X) for every square X; one inverse is cheaper
     # than a second expm
     u_inv = np.linalg.inv(u)
-    propagator = expm(times[0] * delta.matrix)
-    n = delta.ambient_dim
-    worst = _flow_mass(n, u, u_inv, propagator)
+    v = expm(1j * times[0] * require_hermitian(g))
+    worst = _flow_mass(u, u_inv, v)
     for _ in times[1:]:
-        u, u_inv, propagator = u @ u, u_inv @ u_inv, propagator @ propagator
-        worst = max(worst, _flow_mass(n, u, u_inv, propagator))
+        u, u_inv, v = u @ u, u_inv @ u_inv, v @ v
+        worst = max(worst, _flow_mass(u, u_inv, v))
     return float(np.sqrt(worst))
 
 
@@ -352,12 +363,12 @@ def kernel_correspondence_distance(
 
 
 def abstract_kernel_stabilization(
-    delta: Superoperator,
+    g,
     n_max: int,
     rank_tol: float = DEFAULT_RANK_TOL,
 ):
-    """Kernel stabilization report of the map:
-    ``superoperator_stabilization_report`` of delta.  It reads no
-    spectral resolution, so the report's multiplicities stay unset;
-    perfbench traces it by this name."""
-    return superoperator_stabilization_report(delta, n_max, rank_tol)
+    """Kernel stabilization report of ad_ig, from the Householder
+    reduction of g (``ad_kernel_tower``).  It reads no spectral
+    resolution, so the report's multiplicities stay unset; perfbench
+    traces it by this name."""
+    return _stabilization_report(ad_kernel_tower(g, n_max, rank_tol))

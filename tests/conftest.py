@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from derivlab.cli import _spectral_instances, generate
+from derivlab.derivation import _stabilization_report
 from derivlab.errors import ShapeMismatch
 from derivlab.numlin import OperatorSubspace, as_cmatrix, frob, hermitian_eig
 
@@ -169,6 +170,13 @@ def complex_eigh_commutant_oracle(h, rank_tol=1e-10):
     w, v = np.linalg.eigh(np.kron(eye, h) - np.kron(h.T, eye))
     cut = rank_tol * max(float(np.max(np.abs(w))), 1.0)
     return OperatorSubspace.from_vec_columns(h.shape[0], v[:, np.abs(w) <= cut])
+
+
+def superoperator_stabilization_report(sop, n_max, rank_tol=1e-10):
+    """The stabilization report of any map on M_n, from the frame SVD of
+    its n^2 x n^2 matrix (``Superoperator.kernel_tower``): the route for a
+    map that is no ad_iD of a Hermitian D, such as a Jordan control."""
+    return _stabilization_report(sop.kernel_tower(n_max, rank_tol))
 
 
 @pytest.fixture

@@ -179,9 +179,8 @@ def test_criterion_6_implementing_operator_pipeline():
         check = br_gns_check(f"criterion_6/{i}", omega, g, 5)
         assert check["pass"], check
         # the CLI checks the flow at t = 0.5 and 1.0; run it backwards too
-        delta = ad_superoperator(g)
-        s, _ = implementing_operator(gns_construct(omega), delta)
-        backwards = flow_intertwining_residual(delta, s, -1.0)
+        s, _ = implementing_operator(gns_construct(omega), ad_superoperator(g))
+        backwards = flow_intertwining_residual(g, s, -1.0)
         assert backwards <= 1e-8
         worst["residual"] = max(worst["residual"], check["residual"])
         worst["intertwine"] = max(

@@ -38,10 +38,12 @@ def test_stage_timings_smoke(tmp_path):
     assert result["env"]["openblas_threads"] == "1"
     seconds = result["seconds"]["4"]
     assert list(seconds) == [
+        "kernel_stab_check",
+        "commutant_identity_check",
+        "br_gns_check",
         "superoperator_build",
         "frame_change",
         "kernel_tower",
-        "stabilization_report",
         "kernel_stabilization_report",
         "nullspace",
         "subspace_distance",
@@ -96,6 +98,24 @@ def test_best_of_stops_at_the_budget():
     assert 0.002 <= best < 0.05
 
 
+def test_whole_check_stages_run_the_checks():
+    # each whole-check stage returns the record the suite's check makes
+    from derivlab import cli
+
+    n = 4
+    table = _load().stages(n)
+    d = cli._spectral_instances(n, 8)[1][1]
+    omega, g = cli.equilibrium_instance(n, 8)
+    expected = {
+        "kernel_stab_check": cli.kernel_stab_check("stage", d, 8),
+        "commutant_identity_check": cli.commutant_identity_check("stage", d),
+        "br_gns_check": cli.br_gns_check("stage", omega, g, 8),
+    }
+    for name, record in expected.items():
+        assert record["pass"], name
+        assert table[name]() == record, name
+
+
 def test_gns_stages_above_the_br_gns_limit(monkeypatch):
     from derivlab import cli, gns
     from derivlab.derivation import ad_superoperator
@@ -112,5 +132,5 @@ def test_gns_stages_above_the_br_gns_limit(monkeypatch):
     delta = ad_superoperator(g)
     s = gns.implementing_operator(gns.gns_construct(omega), delta)[0]
     assert table["flow_intertwining_residual"]() == gns.flow_intertwining_residual(
-        delta, s, 0.5, 1.0
+        g, s, 0.5, 1.0
     )

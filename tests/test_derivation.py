@@ -15,7 +15,6 @@ from derivlab.derivation import (
     flow,
     kernel_stabilization_report,
     pairing_derivative_check,
-    superoperator_stabilization_report,
 )
 from derivlab.errors import ZeroT
 from derivlab.numlin import (
@@ -41,6 +40,7 @@ from conftest import (
     random_hermitian,
     random_matrix,
     reduction_cases,
+    superoperator_stabilization_report,
     unvec,
 )
 

@@ -275,7 +275,7 @@ class TestImplementingOperator:
         rep = gns_construct(omega)
         s, _ = implementing_operator(rep, delta)
         for t in (-1.0, 0.25, 1.0):
-            assert flow_intertwining_residual(delta, s, t) <= 1e-8
+            assert flow_intertwining_residual(g, s, t) <= 1e-8
 
     def test_kernel_correspondence(self):
         omega, g = equilibrium_instance(4, 31)
@@ -287,21 +287,19 @@ class TestImplementingOperator:
 
 class TestAbstractStabilization:
     def test_inner_distinct(self):
-        delta = ad_superoperator(np.diag([0.0, 1.0, 2.0]))
-        report = abstract_kernel_stabilization(delta, 4)
+        report = abstract_kernel_stabilization(np.diag([0.0, 1.0, 2.0]), 4)
         assert report.kernel_dims == (3, 3, 3, 3)
         assert all(dist <= DEFAULT_DISTANCE_TOL for dist in report.distances)
 
     def test_zero_map(self):
-        delta = ad_superoperator(np.zeros((3, 3)))
-        report = abstract_kernel_stabilization(delta, 3)
+        report = abstract_kernel_stabilization(np.zeros((3, 3)), 3)
         assert report.kernel_dims == (9, 9, 9)
 
     def test_multiplicity_two_two(self):
         from derivlab.cli import generate
 
         a = generate("hermitian_with_multiplicity", 4, 16, multiplicities=[2, 2])
-        report = abstract_kernel_stabilization(ad_superoperator(a), 5)
+        report = abstract_kernel_stabilization(a, 5)
         assert report.kernel_dims == (8, 8, 8, 8, 8)
         assert all(dist <= DEFAULT_DISTANCE_TOL for dist in report.distances)
 
@@ -399,7 +397,7 @@ class TestBatchedChecks:
             ) <= 1e-12
             for t in (0.5, 1.0):
                 assert abs(
-                    flow_intertwining_residual(delta, op, t)
+                    flow_intertwining_residual(g, op, t)
                     - oracle_intertwining(pi, n, delta, op, t)
                 ) <= 1e-12
             assert abs(
@@ -415,7 +413,7 @@ class TestBatchedChecks:
         s, _ = implementing_operator(rep, delta)
         bad = perturbed(s, n, 70 + n)
         assert implementation_check(delta, bad) > 1e-6
-        assert flow_intertwining_residual(delta, bad, 1.0) > 1e-6
+        assert flow_intertwining_residual(g, bad, 1.0) > 1e-6
         assert kernel_correspondence_distance(delta, bad) > 1e-6
 
 
@@ -433,7 +431,9 @@ def n6_implementation_check(n, delta, s):
 
 def n6_flow_intertwining_residual(n, delta, s, t):
     """The flow residual of every unit through one n^6 product,
-    diff[p, i, r, c, q, j], with U^-1 from a second expm."""
+    diff[p, i, r, c, q, j], with U^-1 from a second expm and the
+    propagator from scipy's expm of the n^2 x n^2 map, not from V =
+    exp(itg) as the check takes it."""
     d = n * n
     u = scipy.linalg.expm(1j * t * s)
     u_inv = scipy.linalg.expm(-1j * t * s)
@@ -459,62 +459,65 @@ def operators_under_test(s, n):
     }
 
 
-# bytes per n^3 of the largest array of one (r, q) block of the flow
-# check; a row of units holds n of them
+# bytes per n^3 of the arrays of one unit (r, c) of the flow check; a
+# row of units holds n of them
 FLOW_BLOCK = 32
 
 
 def oracle_cases(n, seed):
-    """(name, map, operator) for every operator of
-    ``operators_under_test`` and for a map that is no derivation.  For a
-    true derivation every column j != c of the implementation residual
-    is bounded by a column j = c, so only such a map lets the off-block
-    mass of the columns j != c set the max."""
+    """(name, generator, map, operator) for every operator of
+    ``operators_under_test`` and for a map that is no derivation, which
+    has no generator.  For a true derivation every column j != c of the
+    implementation residual is bounded by a column j = c, so only such a
+    map lets the off-block mass of the columns j != c set the max."""
     omega, g = equilibrium_instance(n, seed)
     delta = ad_superoperator(g)
     s, _ = implementing_operator(gns_construct(omega), delta)
     ops = operators_under_test(s, n)
     noisy = Superoperator(n, delta.matrix + 1e-2 * random_matrix(n * n, seed=n))
-    cases = [(name, delta, op) for name, op in ops.items()]
-    return cases + [("not a derivation", noisy, ops["dense"])]
+    cases = [(name, g, delta, op) for name, op in ops.items()]
+    return cases + [("not a derivation", None, noisy, ops["dense"])]
 
 
 class TestChunkedChecks:
     @pytest.mark.parametrize("n", [7, 9, 12])
     def test_match_n6_oracle(self, monkeypatch, n):
-        # one row r of units holds n flow blocks of n^3 entries; at the
+        # one row r of units holds n flow units of 2 n^3 entries; at the
         # default budget the flow check groups its rows into chunks from
         # n = 9 on, with one row per chunk at n = 12, and cuts no row; the
-        # one-byte budget makes every block its own chunk, and the split
-        # budget holds two blocks of a row.  The implementation check
-        # works in one piece
+        # one-byte budget makes every unit its own chunk, and the split
+        # budget holds two units of a row.  The implementation check
+        # works in one piece; the flow check takes ad_ig only, so the
+        # map that is no derivation meets it alone
         default = gns._CHUNK_BYTES
         chunks = gns._unit_chunks(n)
         assert (len(chunks) > 1) == (n >= 9)
         assert all(part == slice(0, n) for _, part in chunks)
         budgets = {"default": default, "one block": 1, "split": 4 * FLOW_BLOCK * n**3}
-        for name, d, op in oracle_cases(n, 110 + n):
+        for name, g, d, op in oracle_cases(n, 110 + n):
             assert abs(
                 implementation_check(d, op) - n6_implementation_check(n, d, op)
             ) <= 1e-12, name
+            if g is None:
+                continue
             flowed = {t: n6_flow_intertwining_residual(n, d, op, t) for t in (-1.0, 0.5, 1.0)}
             for budget, size in budgets.items():
                 monkeypatch.setattr(gns, "_CHUNK_BYTES", size)
                 for t, expected in flowed.items():
                     assert abs(
-                        flow_intertwining_residual(d, op, t) - expected
+                        flow_intertwining_residual(g, op, t) - expected
                     ) <= 1e-12, (name, budget, t)
                 # the ladder squares the exponentials of t = 0.5 for t = 1
                 assert abs(
-                    flow_intertwining_residual(d, op, 0.5, 1.0)
+                    flow_intertwining_residual(g, op, 0.5, 1.0)
                     - max(flowed[0.5], flowed[1.0])
                 ) <= 1e-12, (name, budget)
             for times in [(), (0.5, 1.5), (1.0, 0.5), (0.5, 1.0, 3.0), (-1.0, 2.0)]:
                 with pytest.raises(ValueError):
-                    flow_intertwining_residual(d, op, *times)
+                    flow_intertwining_residual(g, op, *times)
 
     def test_one_row_chunks_match_n6_oracle(self, monkeypatch):
-        # a one-byte budget makes every block (r, q) of the flow check its
+        # a one-byte budget makes every unit (r, c) of the flow check its
         # own chunk
         monkeypatch.setattr(gns, "_CHUNK_BYTES", 1)
         n = 5
@@ -525,13 +528,13 @@ class TestChunkedChecks:
         s, _ = implementing_operator(rep, delta)
         for name, op in operators_under_test(s, n).items():
             assert abs(
-                flow_intertwining_residual(delta, op, 0.5)
+                flow_intertwining_residual(g, op, 0.5)
                 - n6_flow_intertwining_residual(n, delta, op, 0.5)
             ) <= 1e-12, name
 
     def test_split_rows_match_n6_oracle(self, monkeypatch):
-        # half the budget holds two blocks q of a row of the flow check,
-        # 32 n^3 bytes each, but not the row of n = 5 blocks
+        # half the budget holds two units c of a row of the flow check,
+        # 32 n^3 bytes each, but not the row of n = 5 units
         n = 5
         monkeypatch.setattr(gns, "_CHUNK_BYTES", 4 * FLOW_BLOCK * n**3)
         chunks = gns._unit_chunks(n)
@@ -545,14 +548,14 @@ class TestChunkedChecks:
         for name, op in operators_under_test(s, n).items():
             for t in (-1.0, 0.5, 1.0):
                 assert abs(
-                    flow_intertwining_residual(delta, op, t)
+                    flow_intertwining_residual(g, op, t)
                     - n6_flow_intertwining_residual(n, delta, op, t)
                 ) <= 1e-12, (name, t)
-            # cutting a row along q moves no bit of the result
+            # cutting a row along c moves no bit of the result
             monkeypatch.setattr(gns, "_CHUNK_BYTES", 2 * 2**20)
-            whole = flow_intertwining_residual(delta, op, 0.5, 1.0)
+            whole = flow_intertwining_residual(g, op, 0.5, 1.0)
             monkeypatch.setattr(gns, "_CHUNK_BYTES", 4 * FLOW_BLOCK * n**3)
-            assert flow_intertwining_residual(delta, op, 0.5, 1.0) == whole, name
+            assert flow_intertwining_residual(g, op, 0.5, 1.0) == whole, name
 
     @pytest.mark.parametrize("n, budget", [(5, 4 * 16 * 5**4), (12, None)])
     def test_chunk_arrays_fit_half_the_budget(self, monkeypatch, n, budget):
@@ -571,11 +574,11 @@ class TestChunkedChecks:
         delta = ad_superoperator(g)
         rep = gns_construct(omega)
         s, _ = implementing_operator(rep, delta)
-        flow_intertwining_residual(delta, s, 1.0)
+        flow_intertwining_residual(g, s, 1.0)
         assert sizes and max(sizes) <= gns._CHUNK_BYTES // 2
 
     def test_chunks_fit_half_the_budget_while_one_block_does(self):
-        # one flow block, 32 n^3 bytes, fits half of 2 MiB up to n = 32
+        # one flow unit, 32 n^3 bytes, fits half of 2 MiB up to n = 32
         for n in range(2, 33):
             block = FLOW_BLOCK * n**3
             covered = set()
@@ -595,7 +598,7 @@ class TestChunkedChecks:
         s, _ = implementing_operator(rep, delta)
         for check in (
             lambda: implementation_check(delta, s),
-            lambda: flow_intertwining_residual(delta, s, 1.0),
+            lambda: flow_intertwining_residual(g, s, 1.0),
         ):
             tracemalloc.start()
             try:
@@ -627,31 +630,64 @@ class TestImplementationFootprint:
 
 class TestOneFactorizationPerInstance:
     def test_br_gns_check_factors_the_map_once(self, monkeypatch):
-        # two SVDs per instance: the kernel tower of the map, whose first
-        # level is ker(map), and the commutant of T / n
-        omega, g = equilibrium_instance(6, 140)
+        # one SVD on the frame route, the commutant of T / n, and one of
+        # the real block of ad_ig, whose tower gives ker ad_ig; none of
+        # the n^2 x n^2 map
+        n = 6
+        omega, g = equilibrium_instance(n, 140)
         calls = []
-        split = numlin._svd_split
+        for name in ("_svd_split", "_block_split"):
+            split = getattr(numlin, name)
 
-        def counted(m, *args):
-            calls.append(np.shape(m))
-            return split(m, *args)
+            def counted(m, *args, name=name, split=split):
+                calls.append((name, np.shape(m)))
+                return split(m, *args)
 
-        monkeypatch.setattr(numlin, "_svd_split", counted)
-        assert br_gns_check("br_gns/n=6/i=0", omega, g, 5)["pass"]
-        assert len(calls) == 2
+            monkeypatch.setattr(numlin, name, counted)
+        assert br_gns_check(f"br_gns/n={n}/i=0", omega, g, 5)["pass"]
+        assert sorted(calls) == [
+            ("_block_split", (n * (n - 1) // 2, n * (n + 1) // 2)),
+            ("_svd_split", (n * n, n * n)),
+        ]
 
     def test_tower_kernel_is_the_map_kernel(self):
         omega, g = equilibrium_instance(5, 145)
         delta = ad_superoperator(g)
         rep = gns_construct(omega)
         s, _ = implementing_operator(rep, delta)
-        report = abstract_kernel_stabilization(delta, 5)
-        assert report.kernel.dim == report.kernel_dims[0]
-        assert np.array_equal(report.kernel.basis, delta.kernel().basis)
-        assert kernel_correspondence_distance(
-            delta, s, kernel=report.kernel
-        ) == kernel_correspondence_distance(delta, s)
+        report = abstract_kernel_stabilization(g, 5)
+        assert report.kernel.dim == report.kernel_dims[0] == delta.kernel().dim
+        assert subspace_distance(report.kernel, delta.kernel()) <= 1e-12
+        assert abs(
+            kernel_correspondence_distance(delta, s, kernel=report.kernel)
+            - kernel_correspondence_distance(delta, s)
+        ) <= 1e-12
+
+
+class TestPropagatorConvention:
+    @pytest.mark.parametrize("n", [3, 6])
+    @pytest.mark.parametrize("fault", ["-g", "g^T"])
+    def test_wrong_generator_fails_the_flow_check(self, monkeypatch, n, fault):
+        # negative control: with the true S, a propagator built from -g
+        # or from g^T in place of g must fail, so that a sign or a
+        # transpose slip in V cannot pass beside a matching slip in S.
+        # V = exp(itg) is the check's only n x n exponential
+        omega, g = equilibrium_instance(n, 170 + n)
+        assert br_gns_check(f"br_gns/n={n}/i=0", omega, g, 5)["pass"]
+        expm = gns.expm
+        wrong = {"-g": np.negative, "g^T": np.transpose}[fault]
+        monkeypatch.setattr(gns, "expm", lambda x: expm(wrong(x) if len(x) == n else x))
+        check = br_gns_check(f"br_gns/n={n}/{fault}", omega, g, 5)
+        assert check["pass"] is False
+        assert check["details"]["intertwining"] >= 1e3 * DEFAULT_DISTANCE_TOL
+        assert check["residual"] <= EQUILIBRIUM_TOL
+        assert check["details"]["kernel_correspondence"] <= DEFAULT_DISTANCE_TOL
+
+    def test_rejects_non_hermitian_generator(self):
+        omega, g = equilibrium_instance(3, 175)
+        s, _ = implementing_operator(gns_construct(omega), ad_superoperator(g))
+        with pytest.raises(NotHermitian):
+            flow_intertwining_residual(g + 1e-3j * np.eye(3), s, 1.0)
 
 
 class TestNegativeControls:

@@ -1,12 +1,15 @@
 """Per-stage timings of the superoperator and GNS layers at fixed dimensions.
 
-For each n it times, on the repeated-eigenvalue instance of the spectral
-suites (``cli._spectral_instances``): the ad_iD superoperator build, the
-change to the Hermitian frame, the kernel tower to k = 8,
-``superoperator_stabilization_report`` to k = 8 (the tower and its
-distances to ker ad_iD), ``kernel_stabilization_report`` to k = 8 (the
-route of the ``kernel_stab`` suite, under one name in every checkout,
-so that two checkouts compare stage by stage), one ``nullspace`` of the
+For each n it first times the three check functions whole, under names
+and signatures that every checkout shares, so that two checkouts compare
+check by check whatever route each takes: ``kernel_stab_check`` to
+k = 8 and ``commutant_identity_check`` on the repeated-eigenvalue
+instance of the spectral suites (``cli._spectral_instances``), and
+``br_gns_check`` to k = 8 on ``cli.equilibrium_instance(n, seed)``.
+On that spectral instance it then times the ad_iD superoperator build,
+the change to the Hermitian frame, the kernel tower to k = 8 of the
+superoperator, ``kernel_stabilization_report`` to k = 8 (the route of
+the ``kernel_stab`` suite), one ``nullspace`` of the
 matrix the tower factors, one ``subspace_distance``, and the three stages of
 ``kernel_commutant_check``: the kernel of ad_iD by the check's route, the
 Householder reduction and one SVD of the real block of ad_iT
@@ -14,16 +17,16 @@ Householder reduction and one SVD of the real block of ad_iT
 ``hermitian_commutant``, and ``projection_algebras``, the closed forms of
 {P_i}' and P_D''.  The check reduces D once for its first two stages;
 each stage here reduces it itself.
-At every n it also times the GNS stages of ``br_gns_check`` on
-``cli.equilibrium_instance(n, seed)``, also above ``cli._BR_GNS_MAX_DIM``
-(32), with the superoperator of its generator built once outside the
-timings: ``gns_construct``, ``implementing_operator``,
-``implementation_check``, ``flow_intertwining_residual`` at the times
-0.5 and 1 that ``br_gns_check`` passes, and
-``kernel_correspondence_distance``.  Once per run, under the key
-``heisenberg``, it times the stages of the heisenberg suite that do not
-depend on n: ``hcr_residual`` on the 128-point line and circle pairs
-across the suite's grids, and ``cli.heisenberg_grid_checks``.  Each figure
+At every n it also times the GNS stages of ``br_gns_check`` on the
+equilibrium instance, also above ``cli._BR_GNS_MAX_DIM`` (32), with the
+superoperator of its generator built once outside the timings:
+``gns_construct``, ``implementing_operator``, ``implementation_check``,
+``flow_intertwining_residual`` at the times 0.5 and 1 that
+``br_gns_check`` passes, and ``kernel_correspondence_distance``.  Once
+per run, under the key ``heisenberg``, it times the stages of the
+heisenberg suite that do not depend on n: ``hcr_residual`` on the
+128-point line and circle pairs across the suite's grids, and
+``cli.heisenberg_grid_checks``.  Each figure
 is the fastest of as many calls as fill 0.2 s, or of one call when that
 takes longer: a stage of microseconds is the best of thousands of calls.
 Beside ``seconds``, ``peak_mib`` holds for each stage the tracemalloc
@@ -33,7 +36,10 @@ tracing does not slow them.
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/bench_stages.py \
         [--dims 4,8,12,16,24,32] [--seed 8] [--out stages.json]
 
-With another checkout's ``src`` on PYTHONPATH it times that code.
+With another checkout's ``src`` on PYTHONPATH it times that code, where
+that code shares each stage's signature; the whole-check stages do in
+every checkout, while a flow check that takes the map in place of g
+raises at the flow stage.
 """
 
 from __future__ import annotations
@@ -52,16 +58,14 @@ from derivlab import gns, heisenberg, numlin
 from derivlab.cli import (
     HEISENBERG_GRIDS,
     _spectral_instances,
+    br_gns_check,
+    commutant_identity_check,
     equilibrium_instance,
     heisenberg_grid_checks,
+    kernel_stab_check,
 )
 from derivlab.commutant import hermitian_commutant, projection_algebras
-from derivlab.derivation import (
-    ad_kernel_tower,
-    ad_superoperator,
-    kernel_stabilization_report,
-    superoperator_stabilization_report,
-)
+from derivlab.derivation import ad_kernel_tower, ad_superoperator, kernel_stabilization_report
 from derivlab.spectral import spectral_resolution
 
 DIMS = (4, 8, 12, 16, 24, 32)
@@ -103,10 +107,12 @@ def stages(n: int, seed: int = 8) -> dict:
     rep = gns.gns_construct(omega)
     s = gns.implementing_operator(rep, delta)[0]
     return {
+        "kernel_stab_check": lambda: kernel_stab_check("stage", d, K_MAX),
+        "commutant_identity_check": lambda: commutant_identity_check("stage", d),
+        "br_gns_check": lambda: br_gns_check("stage", omega, g, K_MAX),
         "superoperator_build": lambda: ad_superoperator(d),
         "frame_change": lambda: numlin.real_frame(sop.matrix, n),
         "kernel_tower": lambda: sop.kernel_tower(K_MAX),
-        "stabilization_report": lambda: superoperator_stabilization_report(sop, K_MAX),
         "kernel_stabilization_report": lambda: kernel_stabilization_report(d, K_MAX),
         "nullspace": lambda: numlin.nullspace(frame, scale=1.0),
         "subspace_distance": lambda: numlin.subspace_distance(kernel, comm),
@@ -116,14 +122,10 @@ def stages(n: int, seed: int = 8) -> dict:
         "gns_construct": lambda: gns.gns_construct(omega),
         "implementing_operator": lambda: gns.implementing_operator(rep, delta),
         "implementation_check": lambda: gns.implementation_check(delta, s),
-        "flow_intertwining_residual": lambda: _flow_ladder(delta, s),
+        # the times that br_gns_check passes
+        "flow_intertwining_residual": lambda: gns.flow_intertwining_residual(g, s, 0.5, 1.0),
         "kernel_correspondence_distance": lambda: gns.kernel_correspondence_distance(delta, s),
     }
-
-
-def _flow_ladder(delta, s) -> float:
-    """The flow check at t = 0.5 and 1, as ``br_gns_check`` calls it."""
-    return gns.flow_intertwining_residual(delta, s, 0.5, 1.0)
 
 
 def heisenberg_stages() -> dict:
