@@ -6,11 +6,12 @@ and the commutant of its spectral projections are one and the same
 von Neumann algebra.  The check `derivlab run --suite commutant_identity`
 reduces D once by Householder reflections, D = W T W* with T real
 tridiagonal, and then parts: the kernel from an SVD of the real block of
-ad_iT, {D}' from a float64 eigh of I (x) T - T (x) I.  P_D' and the
-algebra P_D'' that the projections span come in closed form from the
-spectral resolution, which never sees (W, T), so a faulty reduction
-would show as a distance to P_D'.  The pairwise projector distances it
-measures come out at roundoff level.
+ad_iT, {D}' by inverse iteration, two shifted LU solves of the float64
+I (x) T - T (x) I, with its dimension from the eigenvalues of T.  P_D'
+and the algebra P_D'' that the projections span come in closed form
+from the spectral resolution, which never sees (W, T), so a faulty
+reduction would show as a distance to P_D'.  The pairwise projector
+distances it measures come out at roundoff level.
 """
 
 from derivlab import bicommutant, subspace_distance

@@ -4,8 +4,10 @@ The two spectral objects of the identity, the commutant {P_i}' of the
 spectral projections and the algebra P_D'' they generate, have closed
 forms in the eigenvectors of each P_i (``projection_algebras``).  ker
 ad_iD and {D}' share one reduction D = W T W*, T real tridiagonal, then
-part: an SVD of the real block of ad_iT, an eigh of I (x) T - T (x) I.
-{P_i}' never sees (W, T), so a faulty reduction shows against it."""
+part: an SVD of the real block of ad_iT on one side; on the other, a rank
+rule on the n^2 differences of the eigenvalues of T and two shifted LU
+solves of I (x) T - T (x) I.  {P_i}' never sees (W, T), so a faulty
+reduction shows against it."""
 
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ from .errors import ShapeMismatch
 from .numlin import (
     DEFAULT_RANK_TOL,
     OperatorSubspace,
+    _numerical_rank,
     as_cmatrix,
     containment_residual,
     frob,
@@ -77,25 +80,42 @@ def bicommutant(gens) -> OperatorSubspace:
 
 
 def hermitian_commutant(h, rank_tol: float = DEFAULT_RANK_TOL) -> OperatorSubspace:
-    """{H}' for one Hermitian H, an eigensolver route independent of the
-    SVD in ``commutant`` and of the Hermitian frame.
+    """{H}' for one Hermitian H, by inverse iteration: a route independent
+    of the SVD in ``commutant`` and of the Hermitian frame.
 
     ``numlin.hermitian_tridiagonal`` gives H = W T W* with W unitary and
     T real symmetric tridiagonal, so {H}' = W {T}' W*, and {T}' is the
-    kernel of the float64 symmetric matrix I (x) T - T (x) I: the
-    eigenvectors of its eigh whose |eigenvalue| is at most
-    rank_tol * max(largest |eigenvalue|, 1), the rank rule of
-    ``commutant``.  Each is mapped back as W Y W*; no eigenvector of H
-    is used.  ``kernel_commutant_check`` reuses the reduction, not the eigh."""
+    kernel of the float64 symmetric matrix M = I (x) T - T (x) I.  The
+    spectrum of M is {l_i - l_j} for the eigenvalues l of T (a Kronecker
+    sum; Horn and Johnson, Topics in Matrix Analysis, thm 4.4.5), so the
+    dimension k of the kernel comes from the n^2 values |l_i - l_j| and
+    the rank rule of ``commutant`` at scale 1 (``numlin._numerical_rank``).
+    The kernel is then two steps of block inverse iteration (Ipsen, SIAM
+    Review 39(2), 1997): a fixed-seed Gaussian n^2 x k block goes through
+    two LU solves with M - sigma I, a QR after each, where sigma =
+    eps max(l_max - l_min, 1), halved while it equals some |l_i - l_j|.
+    Only eigenvalues of T are read, no eigenvector of H or of M.
+    ``kernel_commutant_check`` reuses the reduction."""
     return _tridiagonal_commutant(*hermitian_tridiagonal(h), rank_tol)
 
 
 def _tridiagonal_commutant(w, t, rank_tol: float) -> OperatorSubspace:
     n = t.shape[0]
-    values, vectors = np.linalg.eigh(commutation_matrix(t))
-    cut = rank_tol * max(float(np.max(np.abs(values))), 1.0)
-    kernel = unvec_columns(vectors[:, np.abs(values) <= cut], n)
-    return OperatorSubspace(n, w @ kernel @ w.conj().T)
+    values = np.linalg.eigvalsh(t)
+    gaps = np.sort(np.abs(values[:, None] - values), axis=None)[::-1]
+    dim = gaps.size - _numerical_rank(gaps, rank_tol, 1.0)
+    # the shift keeps M - sigma I nonsingular when M is exactly 0 or
+    # diagonal, as long as no entry of a diagonal M, a gap, equals it
+    shift = np.finfo(np.float64).eps * max(values[-1] - values[0], 1.0)
+    while shift in gaps:
+        shift /= 2
+    m = commutation_matrix(t)
+    m.flat[:: n * n + 1] -= shift
+    x = np.random.default_rng(0).standard_normal((n * n, dim))
+    # one solve alone can leave a hundred times the error of two
+    for _ in range(2):
+        x = np.linalg.qr(np.linalg.solve(m, x))[0]
+    return OperatorSubspace(n, w @ unvec_columns(x, n) @ w.conj().T)
 
 
 def projection_defect(projections) -> float:
@@ -187,7 +207,8 @@ def kernel_commutant_check(
     One Householder reduction D = W T W* (``hermitian_tridiagonal``)
     serves the first two, which then part: ker ad_iD is one SVD of the
     n(n-1)/2 x n(n+1)/2 real block of ad_iT (``tridiagonal_kernel_tower``),
-    {D}' one float64 eigh of I (x) T - T (x) I (``hermitian_commutant``).
+    {D}' a rank rule on the eigenvalues of T and two shifted LU solves of
+    the float64 I (x) T - T (x) I (``hermitian_commutant``).
     A faulty reduction moves both together, but not {P_i}', which comes
     from the spectral resolution alone: their distances to it show it."""
     d = as_cmatrix(d)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -65,11 +66,21 @@ def test_stage_timings_smoke(tmp_path):
     ]
     for stage in (seconds, heisenberg):
         assert all(0 < s < 1 and math.isfinite(s) for s in stage.values())
-    # one traced call per stage, under the same keys as the timings
-    peaks = result["peak_mib"]
-    assert list(peaks) == ["4", "heisenberg"]
-    for key, stage in peaks.items():
-        assert list(stage) == list(result["seconds"][key])
+    # beside each best-of figure, the median and the number of its calls,
+    # and one traced call per stage, under the same keys as the timings
+    for field in ("median_s", "calls", "peak_mib"):
+        assert list(result[field]) == ["4", "heisenberg"]
+        for key, stage in result[field].items():
+            assert list(stage) == list(result["seconds"][key])
+    for key, best in result["seconds"].items():
+        for name, best_s in best.items():
+            calls, median = result["calls"][key][name], result["median_s"][key][name]
+            assert isinstance(calls, int) and calls >= 1
+            # calls are repeated until they fill 0.2 s, so all but the last
+            # took less than that together
+            assert best_s * (calls - 1) < 0.2
+            assert best_s <= median < 1
+    for stage in result["peak_mib"].values():
         assert all(0 < p < 64 and math.isfinite(p) for p in stage.values())
 
 
@@ -89,13 +100,24 @@ def test_best_of_stops_at_the_budget():
     best_of = _load()._best_of
     calls = []
     # a call that uses the whole time is the only one
-    assert best_of(lambda: calls.append(1), min_s=0.0) >= 0
-    assert len(calls) == 1
+    best, median, count = best_of(lambda: calls.append(1), min_s=0.0)
+    assert 0 <= best == median
+    assert count == len(calls) == 1
     # quick calls repeat until they have used min_s, and the fastest counts
     calls.clear()
-    best = best_of(lambda: calls.append(time.sleep(0.002)), min_s=0.05)
+    best, median, count = best_of(lambda: calls.append(time.sleep(0.002)), min_s=0.05)
+    assert count == len(calls)
     assert 2 <= len(calls) <= 25
-    assert 0.002 <= best < 0.05
+    assert 0.002 <= best <= median < 0.05
+
+
+def test_best_of_reports_the_median_call(monkeypatch):
+    # on a scripted clock the calls take 0.5, 0.125, 0.25, 0.125 and
+    # 0.25 s: the slow first call moves neither the best nor the median
+    tool = _load()
+    ticks = iter([0, 0.5, 0.5, 0.625, 0.625, 0.875, 0.875, 1.0, 1.0, 1.25])
+    monkeypatch.setattr(tool, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks)))
+    assert tool._best_of(lambda: None, min_s=1.2) == (0.125, 0.25, 5)
 
 
 def test_whole_check_stages_run_the_checks():

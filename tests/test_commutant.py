@@ -313,40 +313,41 @@ class TestKernelCommutantCheck:
             assert peak <= 2 * 16 * n**4
 
     def test_two_factorizations(self, monkeypatch):
-        # one Householder reduction, then ker ad_iD is the one SVD (of the
-        # real block) and {D}' the one eigh of an n^2 x n^2 matrix, a
-        # float64 one; {P_i}' and P_D'' come from n x n eighs
+        # one Householder reduction, then ker ad_iD is the one SVD of the
+        # real block, and {D}' the eigvalsh of T and two LU solves of the
+        # float64 n^2 x n^2 matrix; {P_i}' and P_D'' come from n x n eighs.
+        # No n^2-sized matrix goes through eigh or svd
         d = _spectral_instances(6, 3)[1][1]
         k = len(spectral_resolution(d).values)
         module = importlib.import_module("derivlab.commutant")
-        reductions, svds, eighs = [], [], []
-        reduce, svd, eigh = module.hermitian_tridiagonal, np.linalg.svd, np.linalg.eigh
+        reductions = []
+        calls = {name: [] for name in ("svd", "eigh", "eigvalsh", "solve")}
+        reduce = module.hermitian_tridiagonal
 
         def counted_reduction(h):
             reductions.append(h.shape)
             return reduce(h)
 
-        def counted_svd(m, *args, **kwargs):
-            svds.append((m.shape, m.dtype))
-            return svd(m, *args, **kwargs)
+        def counted(name):
+            call = getattr(np.linalg, name)
 
-        def counted_eigh(m, *args, **kwargs):
-            eighs.append((m.shape, m.dtype))
-            return eigh(m, *args, **kwargs)
+            def wrapped(m, *args, **kwargs):
+                calls[name].append((m.shape, m.dtype))
+                return call(m, *args, **kwargs)
+
+            return wrapped
 
         monkeypatch.setattr(module, "hermitian_tridiagonal", counted_reduction)
-        monkeypatch.setattr(np.linalg, "svd", counted_svd)
-        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counted(name))
         kernel_commutant_check(d)
         assert reductions == [(6, 6)]
-        assert svds == [((15, 21), np.float64)]
-        # the spectral resolution's eigh, {D}' of the real tridiagonal
-        # form, then one batched call over the projections
-        assert eighs == [
-            ((6, 6), np.complex128),
-            ((36, 36), np.float64),
-            ((k, 6, 6), np.complex128),
-        ]
+        assert calls["svd"] == [((15, 21), np.float64)]
+        # the spectral resolution's eigh, then one batched call over the
+        # projections
+        assert calls["eigh"] == [((6, 6), np.complex128), ((k, 6, 6), np.complex128)]
+        assert calls["eigvalsh"] == [((6, 6), np.float64)]
+        assert calls["solve"] == [((36, 36), np.float64)] * 2
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_kernel_matches_the_frame_svd_oracle(self, monkeypatch, n):
@@ -446,6 +447,53 @@ class TestSingleGeneratorRoutes:
             assert subspace_distance(comm, oracle) <= 1e-10
             assert subspace_distance(comm, commutant([d])) <= 1e-10
             assert subspace_distance(comm, eigenbasis_kernel_oracle(d)) <= 1e-10
+
+    def test_hermitian_commutant_is_deterministic(self):
+        # the start block of the inverse iteration has a fixed seed, so the
+        # global RNG state between two calls does not reach the basis
+        d = _spectral_instances(8, 4)[1][1]
+        first = hermitian_commutant(d)
+        np.random.default_rng().standard_normal(8)
+        np.random.standard_normal(8)
+        assert np.array_equal(first.basis, hermitian_commutant(d).basis)
+
+    @pytest.mark.parametrize("n", [6, 12])
+    @pytest.mark.parametrize("gap", [1e-4, 1e-6])
+    def test_hermitian_commutant_on_a_near_degenerate_spectrum(self, n, gap):
+        # pairs of equal eigenvalues in [0, 1], one pair split by the gap:
+        # the frame SVD oracle and the route each err by about eps/gap.
+        # The bound 10 eps/gap holds for the full eigh of I (x) T - T (x) I
+        # (at most 6 eps/gap on these draws) and fails for a single LU
+        # solve in place of two (30 eps/gap and more on the worst draw)
+        values = np.repeat(np.linspace(0.0, 1.0, n // 2), 2)
+        values[1] += gap
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+            d = (u * values) @ u.conj().T
+            comm, oracle = hermitian_commutant(d), ad_superoperator(d).kernel()
+            assert comm.dim == oracle.dim == n + 2 * (n // 2 - 1)
+            assert subspace_distance(comm, oracle) <= 10 * np.finfo(float).eps / gap
+
+    @pytest.mark.parametrize(
+        "d, dim",
+        [
+            (np.zeros((3, 3)), 9),
+            (np.eye(4), 16),
+            (np.diag([0.0, 1.0, 1.0, 2.0]), 6),
+            (np.diag([0.0, 0.5, 0.5 + 2.0**-52]), 5),
+        ],
+        ids=["zero", "identity", "diagonal", "gap_at_the_shift"],
+    )
+    def test_hermitian_commutant_on_exact_structure(self, d, dim):
+        # I (x) T - T (x) I is exactly 0 or exactly diagonal here: only the
+        # shift keeps the solves nonsingular.  In the last one a gap equals
+        # eps, the first shift, so the shift must move off it
+        comm = hermitian_commutant(d)
+        gram = np.einsum("aij,bij->ab", comm.basis.conj(), comm.basis)
+        assert comm.dim == dim
+        assert frob(gram - np.eye(dim)) <= 1e-12
+        assert subspace_distance(comm, eigenbasis_kernel_oracle(d)) <= 1e-12
 
     def test_hermitian_commutant_keeps_the_dimension_budget(self, monkeypatch):
         # the real commutation matrix of T goes through numlin.kron's budget

@@ -29,9 +29,11 @@ heisenberg suite that do not depend on n: ``hcr_residual`` on the
 ``cli.heisenberg_grid_checks``.  Each figure
 is the fastest of as many calls as fill 0.2 s, or of one call when that
 takes longer: a stage of microseconds is the best of thousands of calls.
-Beside ``seconds``, ``peak_mib`` holds for each stage the tracemalloc
-peak of one further call, made apart from the timed ones so that
-tracing does not slow them.
+Beside ``seconds``, ``median_s`` holds the median of those calls and
+``calls`` their number, so that a best-of figure comes with its spread,
+and ``peak_mib`` holds for each stage the tracemalloc peak of one
+further call, made apart from the timed ones so that tracing does not
+slow them.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/bench_stages.py \
         [--dims 4,8,12,16,24,32] [--seed 8] [--out stages.json]
@@ -48,6 +50,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import sys
 import time
 import tracemalloc
@@ -72,16 +75,16 @@ DIMS = (4, 8, 12, 16, 24, 32)
 K_MAX = 8
 
 
-def _best_of(fn, min_s: float = 0.2) -> float:
-    """The fastest call of fn, called until the calls have used min_s."""
-    best, spent = np.inf, 0.0
-    while True:
+def _best_of(fn, min_s: float = 0.2) -> tuple:
+    """(fastest, median, count) of the calls of fn, called until the
+    calls have used min_s."""
+    times, spent = [], 0.0
+    while not times or spent < min_s:
         start = time.perf_counter()
         fn()
-        took = time.perf_counter() - start
-        best, spent = min(best, took), spent + took
-        if spent >= min_s:
-            return best
+        times.append(time.perf_counter() - start)
+        spent += times[-1]
+    return min(times), statistics.median(times), len(times)
 
 
 def _peak_mib(fn) -> float:
@@ -162,6 +165,8 @@ def main(argv=None) -> int:
         },
         "seed": args.seed,
         "seconds": {},
+        "median_s": {},
+        "calls": {},
         "peak_mib": {},
     }
 
@@ -172,7 +177,9 @@ def main(argv=None) -> int:
         yield "heisenberg", "heisenberg", heisenberg_stages()
 
     for key, label, table in tables():
-        result["seconds"][key] = {name: _best_of(fn) for name, fn in table.items()}
+        timed = {name: _best_of(fn) for name, fn in table.items()}
+        for i, field in enumerate(("seconds", "median_s", "calls")):
+            result[field][key] = {name: figures[i] for name, figures in timed.items()}
         result["peak_mib"][key] = {name: _peak_mib(fn) for name, fn in table.items()}
         _print_row(label, result["seconds"][key])
     payload = json.dumps(result, indent=2)
