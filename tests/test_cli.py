@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import re
@@ -5,7 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from derivlab import numlin
+from derivlab import cli as cli_mod
+from derivlab import heisenberg, numlin
 from derivlab.cli import (
     DEFAULT_TOLERANCES,
     ExperimentConfig,
@@ -186,7 +188,7 @@ class TestRun:
         assert len(lines) > 1
 
     def test_report_content_is_pinned(self, tmp_path):
-        # ids, references, tolerances and detail keys only: no float is
+        # ids, references, rule names and detail keys only: no float is
         # compared, so the pin holds across BLAS builds
         out = tmp_path / "report.json"
         assert main(["run", "--suite", "all", "--dims", "2..4", "--n-max", "3",
@@ -209,45 +211,48 @@ class TestRun:
         obstruction = (
             "traceless commutators keep [A,B] at least sqrt(n) away from i times "
             "the identity",
-            1e-9,
+            {"trace", "gap"},
             {"gap", "lower_bound"},
         )
         expected = {
             "kernel_stab": (
                 "kernel stabilization of the commutator derivation",
-                1e-8,
+                {"distances", "kernel_dims"},
                 {"distances", "expected_dim", "kernel_dims", "multiplicities"},
             ),
             "commutant_identity": (
                 "kernel of the derivation equals the commutant of the generator "
                 "and of its spectral projections",
-                1e-8,
-                {"algebra_containment", "dims", "distances", "identity", "n", "pass",
-                 "projection_defect", "tolerances"},
+                {"kernel_vs_commutant", "kernel_vs_projection_commutant",
+                 "commutant_vs_projection_commutant", "algebra_containment",
+                 "projection_defect", "dims"},
+                {"algebra_containment", "dims", "distances", "identity", "n",
+                 "projection_defect"},
             ),
             "br_gns": (
                 "equilibrium state implements the derivation as a Hermitian "
                 "commutator in its GNS representation",
-                1e-9,
+                {"equilibrium", "symmetry", "implementation", "intertwining",
+                 "kernel_correspondence", "distances", "kernel_dims"},
                 {"equilibrium", "implementation", "intertwining",
                  "kernel_correspondence", "kernel_dims", "symmetry"},
             ),
             "heisenberg/convergence": (
                 "second-order convergence of the commutation residual under grid "
                 "refinement",
-                0.3,
+                {"orders"},
                 {"mean_order", "orders"},
             ),
             "heisenberg/line_residual": (
                 "commutation residual of the line pair on Gaussian test vectors",
-                2e-3,
+                {"residual"},
                 {"n"},
             ),
             "heisenberg/obstruction": obstruction,
             "heisenberg/obstruction/random": obstruction,
             "heisenberg/rigidity": (
                 "a commutator with D that commutes with D must vanish",
-                1e-8,
+                {"relative_commutator"},
                 {"kernel_dim", "trials"},
             ),
         }
@@ -256,23 +261,15 @@ class TestRun:
             kind = re.sub(r"/(n=.*|line|circle)$", "", check["id"])
             seen.add(kind)
             assert (
-                check["paper_ref"], check["tolerance"], set(check["details"])
+                check["paper_ref"], set(check["margins"]), set(check["details"])
             ) == expected[kind], check["id"]
         assert seen == set(expected)
 
     def test_any_failure_gives_nonzero_exit(self, tmp_path, monkeypatch):
-        from derivlab import cli as cli_mod
-
         def failing_suite(config):
             return [
-                {
-                    "id": "synthetic/fail",
-                    "paper_ref": "synthetic failing check",
-                    "pass": False,
-                    "residual": 1.0,
-                    "tolerance": 1e-9,
-                    "details": {},
-                }
+                cli_mod._check("synthetic/fail", "synthetic failing check",
+                               [("residual", 1.0, 1e-9)], {})
             ]
 
         monkeypatch.setitem(cli_mod._SUITE_RUNNERS, "kernel_stab", failing_suite)
@@ -288,11 +285,28 @@ class TestRun:
         report = json.loads(out.read_text())
         assert set(report) == {"meta", "checks"}
         meta = report["meta"]
-        for key in ("version", "seed", "config", "timestamp"):
+        for key in ("version", "seed", "config", "max_margin", "timestamp"):
             assert key in meta
         for check in report["checks"]:
-            for key in ("id", "paper_ref", "pass", "residual", "tolerance", "details"):
+            for key in ("id", "paper_ref", "pass", "residual", "tolerance", "margin",
+                        "margins", "details"):
                 assert key in check
+
+    def test_summary_names_the_worst_margin(self, tmp_path, monkeypatch, capsys):
+        # a NaN rigidity measurement: max over residuals in mixed units let
+        # a NaN slip past, the worst margin is inf and names its check
+        rigidity = heisenberg.rigidity_check
+        monkeypatch.setattr(
+            heisenberg, "rigidity_check",
+            lambda *a, **k: dataclasses.replace(rigidity(*a, **k), max_relative_commutator=NAN),
+        )
+        out = tmp_path / "report.json"
+        assert main(["run", "--suite", "heisenberg", "--dims", "2,3", "--out", str(out)]) == 1
+        meta = json.loads(out.read_text())["meta"]
+        assert meta["max_margin"] == np.inf
+        assert "max_residual" not in meta
+        summary = capsys.readouterr().out.splitlines()[-1]
+        assert "worst margin inf at heisenberg/rigidity/n=2 ->" in summary
 
 
 def _containers(data) -> set:
@@ -302,6 +316,71 @@ def _containers(data) -> set:
     if isinstance(data, list):
         return {id(data)}.union(*map(_containers, data))
     return set()
+
+
+NAN = float("nan")
+
+
+def _nan_field(field):
+    return lambda report: dataclasses.replace(report, **{field: NAN})
+
+
+def _nan_item(index):
+    """values with one entry NaN; the last is where a max that drops NaN misses it."""
+
+    def corrupt(values):
+        values = list(values)
+        values[index] = NAN
+        return tuple(values)
+
+    return corrupt
+
+
+def _replace_distances(report):
+    return dataclasses.replace(report, distances=_nan_item(-1)(report.distances))
+
+
+# id -> (check kind, module, the measurement the check reads, how it turns NaN)
+_NAN_CASES = {
+    "kernel_stab/distances": (
+        "kernel_stab", "cli", "kernel_stabilization_report", _replace_distances
+    ),
+    **{
+        f"commutant_identity/{field}": (
+            "commutant_identity", "cli", "kernel_commutant_check", _nan_field(field)
+        )
+        for field in ("distance_kernel_commutant", "distance_kernel_projection",
+                      "distance_commutant_projection", "algebra_containment",
+                      "projection_defect")
+    },
+    "br_gns/equilibrium": ("br_gns", "cli", "equilibrium_check", lambda x: NAN),
+    "br_gns/symmetry": ("br_gns", "cli", "implementing_operator", _nan_item(1)),
+    "br_gns/implementation": ("br_gns", "cli", "implementation_check", lambda x: NAN),
+    "br_gns/intertwining": ("br_gns", "cli", "flow_intertwining_residual", lambda x: NAN),
+    "br_gns/kernel_correspondence": (
+        "br_gns", "cli", "kernel_correspondence_distance", lambda x: NAN
+    ),
+    "br_gns/tower_distances": (
+        "br_gns", "cli", "abstract_kernel_stabilization", _replace_distances
+    ),
+    **{
+        f"{kind}/{part}": (kind, "heisenberg", "trace_obstruction", _nan_item(i))
+        for kind in ("heisenberg/obstruction", "heisenberg/obstruction/random")
+        for i, part in enumerate(("trace", "gap", "lower_bound"))
+    },
+    "heisenberg/convergence/orders": (
+        "heisenberg/convergence", "heisenberg", "hcr_residual",
+        lambda r: dataclasses.replace(r, orders=_nan_item(-1)(r.orders)),
+    ),
+    "heisenberg/line_residual/rows": (
+        "heisenberg/line_residual", "heisenberg", "hcr_residual",
+        lambda r: dataclasses.replace(r, rows=(*r.rows[:-1], _nan_item(3)(r.rows[-1]))),
+    ),
+    "heisenberg/rigidity/max_relative_commutator": (
+        "heisenberg/rigidity", "heisenberg", "rigidity_check",
+        _nan_field("max_relative_commutator"),
+    ),
+}
 
 
 class TestCheckFunctions:
@@ -328,20 +407,93 @@ class TestCheckFunctions:
         first[1]["pass"] = None
         assert _suite_heisenberg(config) == second
 
-    def test_commutant_identity_reports_the_rule_nearest_its_bound(self, tmp_path):
-        # containment=1e-16 fails on defects of about 1e-15 while every
-        # distance clears 1e-8: the report names that defect and its bound
+    def test_every_record_reports_its_worst_margin_rule(self, tmp_path, monkeypatch):
+        # containment=1e-16 fails commutant_identity on defects of about
+        # 1e-15 while every distance clears 1e-8.  Every record, failed or
+        # not, reports the value and bound of the first rule with the
+        # largest value/bound; the rules are recorded as the checks list them
+        rules = {}
+        check = cli_mod._check
+
+        def recording(check_id, description, listed, details):
+            rules[check_id] = listed = list(listed)
+            return check(check_id, description, listed, details)
+
+        monkeypatch.setattr(cli_mod, "_check", recording)
+        monkeypatch.setattr(cli_mod, "_grid_records", cli_mod.heisenberg_grid_checks)
         out = tmp_path / "report.json"
-        assert main(["run", "--suite", "commutant_identity", "--dims", "2..8",
+        assert main(["run", "--suite", "all", "--dims", "2..4",
                      "--tol", "containment=1e-16", "--out", str(out)]) == 1
-        failed = [c for c in json.loads(out.read_text())["checks"] if not c["pass"]]
+        checks = json.loads(out.read_text())["checks"]
+        assert list(rules) == [c["id"] for c in checks]
+        failed = 0
+        for record in checks:
+            listed = rules[record["id"]]
+            assert all(np.isfinite(value) for _, value, _ in listed)
+            ratios = [value / bound if bound else (np.inf if value else 0.0)
+                      for _, value, bound in listed]
+            worst = int(np.argmax(ratios))
+            assert (record["residual"], record["tolerance"]) == listed[worst][1:]
+            assert record["margin"] == ratios[worst] == max(record["margins"].values())
+            assert record["pass"] is all(value <= bound for _, value, bound in listed)
+            if record["id"].startswith("commutant_identity/"):
+                details = record["details"]
+                defect = max(details["algebra_containment"], details["projection_defect"])
+                assert max(details["distances"].values()) <= 1e-8
+                if not record["pass"]:
+                    failed += 1
+                    assert (record["residual"], record["tolerance"]) == (defect, 1e-16)
+            else:
+                assert record["pass"] is True
         assert failed
-        for check in failed:
-            details = check["details"]
-            defect = max(details["algebra_containment"], details["projection_defect"])
-            assert max(details["distances"].values()) <= 1e-8
-            assert (check["residual"], check["tolerance"]) == (defect, 1e-16)
-            assert check["residual"] > check["tolerance"]
+
+
+class TestPassRules:
+    def test_margins_and_the_reported_rule(self):
+        record = cli_mod._check("x", "synthetic", [
+            ("a", 1.0, 4.0), ("b", 3.0, 6.0), ("a", 2.0, 4.0), ("dims", 0, 0),
+        ], {})
+        assert record["margins"] == {"a": 0.5, "b": 0.5, "dims": 0.0}
+        # a name keeps its largest margin; a tie goes to the first listed rule
+        assert (record["margin"], record["residual"], record["tolerance"]) == (0.5, 3.0, 6.0)
+        assert record["pass"] is True
+
+    @pytest.mark.parametrize(
+        "value, bound", [(np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0), (1, 0)]
+    )
+    def test_a_non_finite_value_or_a_failed_equality_has_margin_inf(self, value, bound):
+        record = cli_mod._check("x", "synthetic", [("ok", 0.5, 1.0), ("bad", value, bound)], {})
+        assert record["pass"] is False
+        assert record["margins"] == {"ok": 0.5, "bad": np.inf}
+        assert record["margin"] == np.inf
+        assert record["tolerance"] == bound
+        assert record["residual"] == value or np.isnan(value)
+
+    def test_a_value_past_its_bound_fails(self):
+        record = cli_mod._check("x", "synthetic", [("a", 2e-8, 1e-8), ("b", -5.0, 1.0)], {})
+        assert record["pass"] is False
+        assert record["margins"] == {"a": 2.0, "b": -5.0}
+        assert (record["residual"], record["tolerance"]) == (2e-8, 1e-8)
+
+    @pytest.mark.parametrize("case", _NAN_CASES)
+    def test_a_nan_measurement_fails_its_check(self, monkeypatch, case):
+        # every check kind, through the suite runner the CLI calls, with
+        # one measurement NaN: a max or a comparison that drops NaN passes
+        kind, module, name, corrupt = _NAN_CASES[case]
+        target = importlib.import_module(f"derivlab.{module}")
+        measure = getattr(target, name)
+        monkeypatch.setattr(target, name, lambda *a, **k: corrupt(measure(*a, **k)))
+        monkeypatch.setattr(cli_mod, "_grid_records", cli_mod.heisenberg_grid_checks)
+        suite = kind.split("/")[0]
+        config = ExperimentConfig(suite=suite, dims=(4,), n_max=3)
+        records = [
+            c for c in cli_mod._SUITE_RUNNERS[suite](config)
+            if re.sub(r"/(n=.*|line|circle)$", "", c["id"]) == kind
+        ]
+        assert records
+        for record in records:
+            assert record["pass"] is False, record["id"]
+            assert record["margin"] == np.inf, record["id"]
 
 
 class TestMain:

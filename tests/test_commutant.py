@@ -396,11 +396,12 @@ class TestKernelCommutantCheck:
                 assert distances[key] >= 1e3 * DEFAULT_DISTANCE_TOL
 
     def test_json_identity_field(self):
-        # the check adds its verdict and tolerances to the report's fields
-        data = commutant_identity_check("commutant_identity/eye", np.eye(2))["details"]
-        assert data["identity"] == "ker=MD_prime"
-        assert data["pass"] is True
-        assert set(data["tolerances"]) == {"rank", "subspace", "containment"}
+        # the details are the report's fields alone: the verdict lives in
+        # the record, the tolerances in meta.config
+        check = commutant_identity_check("commutant_identity/eye", np.eye(2))
+        assert check["details"] == kernel_commutant_check(np.eye(2)).to_json_dict()
+        assert check["details"]["identity"] == "ker=MD_prime"
+        assert check["pass"] is True
 
 
 _NAMED_SPECTRA = {

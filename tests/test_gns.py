@@ -679,9 +679,11 @@ class TestPropagatorConvention:
         monkeypatch.setattr(gns, "expm", lambda x: expm(wrong(x) if len(x) == n else x))
         check = br_gns_check(f"br_gns/n={n}/{fault}", omega, g, 5)
         assert check["pass"] is False
-        assert check["details"]["intertwining"] >= 1e3 * DEFAULT_DISTANCE_TOL
-        assert check["residual"] <= EQUILIBRIUM_TOL
-        assert check["details"]["kernel_correspondence"] <= DEFAULT_DISTANCE_TOL
+        # only the flow check fails, and the report names it
+        margins = check["margins"]
+        assert margins.pop("intertwining") >= 1e3
+        assert max(margins.values()) <= 1.0
+        assert check["residual"] == check["details"]["intertwining"]
 
     def test_rejects_non_hermitian_generator(self):
         omega, g = equilibrium_instance(3, 175)

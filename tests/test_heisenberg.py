@@ -193,6 +193,19 @@ class TestHcrResidual:
         assert all(c["pass"] for c in _suite_heisenberg(ExperimentConfig(dims=(2,))))
         _assert_one_sided_difference_fails(monkeypatch)
 
+    def test_no_measured_order_fails_convergence(self, monkeypatch):
+        # a zero residual gives no order at any doubling: both convergence
+        # checks must FAIL on the empty list instead of passing it
+        monkeypatch.setattr(heisenberg, "commutation_residual", lambda pair, v: 0.0)
+        checks = [
+            c for c in heisenberg_grid_checks() if c["id"].startswith("heisenberg/convergence/")
+        ]
+        assert len(checks) == 2
+        for check in checks:
+            assert check["details"]["orders"] == []
+            assert check["pass"] is False
+            assert check["margin"] == np.inf
+
 
 class TestTraceObstruction:
     def test_equal_matrices(self):

@@ -260,6 +260,50 @@ def test_reports_carry_no_verdict():
     assert sorted(set(VERDICT_ALLOWED) - found) == []
 
 
+def verdict_writers(source: str) -> list:
+    """(def, line) of each dict display with a ``"pass"`` key and each
+    store into ``[...]["pass"]`` in source, under its innermost def."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Dict):
+            keys = node.keys
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            keys = [node.slice]
+        else:
+            keys = []
+        if any(isinstance(k, ast.Constant) and k.value == "pass" for k in keys):
+            found.append((owner, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_finds_a_verdict_writer():
+    source = (
+        "def _check(x):\n"
+        "    return {'pass': x}\n"
+        "def rogue(r):\n"
+        "    r['pass'] = True\n"
+        "    def inner():\n"
+        "        return {**r, 'pass': False}\n"
+        "    return {'passed': r['pass']}\n"
+        "DEFAULT = {'pass': None}\n"
+    )
+    assert verdict_writers(source) == [("_check", 2), ("rogue", 4), ("inner", 6), ("<module>", 8)]
+
+
+def test_only_the_rule_helper_writes_a_verdict():
+    # a check function lists its (name, value, bound) rules and cli._check
+    # alone derives the record's pass key, so no check decides it by hand
+    source = (ROOT / "src" / "derivlab" / "cli.py").read_text()
+    assert [owner for owner, _ in verdict_writers(source)] == ["_check"]
+
+
 @pytest.mark.parametrize("module", ["derivlab.cli", "derivlab"])
 def test_import_loads_no_scipy(module):
     # scipy is a test-only oracle; at run time the lab needs numpy alone
