@@ -61,15 +61,14 @@ DEFAULT_TOLERANCES = {
 # the matrix-algebra dimension range on purpose
 HEISENBERG_GRIDS = (128, 256, 512)
 # the largest n of br_gns; larger dims stay in the other suites and are
-# listed in meta.skipped.  Time, not memory, sets it.  Its flow check
-# works in chunks under gns._CHUNK_BYTES (one instance peaks at 43 MB RSS
-# at n=12, 53 MB at n=16, 74 MB at n=20, 111 MB at n=24 and 265 MB at
-# n=32, where the n^2 x n^2 exponential of S sets the peak) and takes
-# O(n^6) work, the implementation check O(n^4): one instance takes
-# 0.02 s at n=12, 0.09 s at n=16, 0.25 s at n=20, 0.65 s at n=24 and
-# 3.0 s at n=32 on one BLAS thread.  At 32, --suite all --dims 2..32
-# --n-max 8 passes 253/253 checks in 39 s at 269 MB peak RSS (2-core
-# Xeon, one BLAS thread; BENCH_brflow.json).
+# listed in meta.skipped.  Time, not memory, sets it.  The n^2 x n^2
+# exponentials of the flow check take O(n^6) work and set the peak of one
+# instance, 265 MB RSS at n=32; the rest of the flow check takes O(n^5),
+# the implementation check O(n^4) and the correspondence O(n^3).  One
+# instance takes 0.016 s at n=12, 0.06 s at n=16, 0.18 s at n=20, 0.47 s
+# at n=24 and 2.5 s at n=32 on one BLAS thread.  At 32, --suite all
+# --dims 2..32 --n-max 8 passes 253/253 checks in 35 s at 269 MB peak
+# RSS (shared 2-core Xeon, one BLAS thread; BENCH_brfactors.json).
 _BR_GNS_MAX_DIM = 32
 
 

@@ -21,15 +21,17 @@ exp(itg), so the flow check takes one n x n exponential for it and
 never the map's matrix.  The flow residual of E_rc is
 U (I (x) E_rc) U^-1 - I (x) V E_rc V* = [A_r, -C_r] [B_c; D_c], for n
 columns A_r of U = exp(iSt), n rows B_c of U^-1, C_r = I (x) V[:, r]
-and D_c = I (x) V*[c, :].  Its norm is that of R_r [B_c; D_c] for the
-2n x 2n triangular factor R_r of one Householder QR of [A_r, -C_r] per
-row r: n QRs and about n^6 multiply-adds, and no Gram matrix, whose
-norm identity would lose every digit below sqrt(eps).  The check visits
-the n^2 matrix units in chunks whose arrays fit half of one fixed byte
-budget (_CHUNK_BYTES): a chunk groups whole rows r of units while one
-row fits, and cuts a row over that along c, each unit complete within
-its chunk.  A doubling ladder of times t, 2t, ... takes the
-exponentials once, at t, and squares them.
+and D_c = I (x) V*[c, :].  Its norm is that of R_r L_c, for the 2n x 2n
+triangular factor R_r of a Householder QR of X_r = [A_r, -C_r] and the
+conjugate transpose L_c of that of Y_c* for Y_c = [B_c; D_c]: 2n QRs of
+about 4 n^4 multiply-adds each, n^2 products of 2n x 2n matrices, 8 n^5,
+and no Gram matrix, whose norm identity would lose every digit below
+sqrt(eps).  The products are taken for groups of n // 4 rows r, so that
+from n = 4 on none holds more than the n^4 entries of U.  A doubling
+ladder of times t, 2t, ... takes the exponentials once, at t, and
+squares them.  The kernel correspondence compares ker ad_ig with the
+commutant of T / n, T the partial trace of S, from the n x n eigh of
+T / n.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .errors import NotDensity, NotEquilibrium, NotFaithful, ShapeMismatch
 from .numlin import (
     DEFAULT_RANK_TOL,
     OperatorSubspace,
+    _numerical_rank,
     as_cmatrix,
     expm,
     frob,
@@ -56,10 +59,6 @@ from .numlin import (
 )
 
 FAITHFULNESS_TOL = 1e-10
-# byte budget of the flow check: the arrays of one chunk of matrix units
-# fill at most half of it, 1 MiB, so that a chunk can stay in a 2 MiB
-# per-core L2 cache; the other half is left for the d x d operators
-_CHUNK_BYTES = 2 * 2**20
 
 
 @dataclass(frozen=True)
@@ -207,23 +206,6 @@ def _unit_blocks(matrix, n: int) -> np.ndarray:
     return matrix.reshape(n, n, n, n).transpose(3, 2, 1, 0)
 
 
-def _unit_chunks(n: int) -> list:
-    """Chunks (rows, part) of the matrix units E_rc for the flow check:
-    slices of r and of c, 32 n^3 bytes per (r, c).
-    Whole rows are grouped while they fill at most half of _CHUNK_BYTES;
-    a row over that is cut into runs of units that do, down to one."""
-    half = _CHUNK_BYTES // 2
-    rows = half // (32 * n**4)
-    if rows:
-        return [(slice(r, min(r + rows, n)), slice(0, n)) for r in range(0, n, rows)]
-    run = max(1, half // (32 * n**3))
-    return [
-        (slice(r, r + 1), slice(b, min(b + run, n)))
-        for r in range(n)
-        for b in range(0, n, run)
-    ]
-
-
 def implementation_check(delta: Superoperator, s) -> float:
     """Max over matrix units a and basis vectors h of
     ||pi(delta(a)) h - [iS, pi(a)] h||."""
@@ -276,40 +258,33 @@ def _flow_mass(u, u_inv, v) -> float:
     U (I (x) E_rc) U^-1 = A_r B_c for the columns A_r = U[:, (l, r)] and
     the rows B_c = U^-1[(l, c), :] over l, and I (x) V E_rc V* = C_r D_c
     for C_r = I (x) V[:, r] and D_c = I (x) V*[c, :].  So the residual is
-    [A_r, -C_r] [B_c; D_c], with the norm of R_r [B_c; D_c] for the
-    triangular factor R_r = [[R11, R12], [0, R22]] of a QR of [A_r, -C_r].
-    The rows R11 B_c + R12 D_c are formed, so what cancels cancels
-    explicitly; the rows R22 D_c, outer products, have the norm
-    ||R22|| ||V[:, c]||."""
+    X_r Y_c for X_r = [A_r, -C_r] and Y_c = [B_c; D_c].  With R_r the
+    triangular factor of a QR of X_r, and L_c the conjugate transpose of
+    that of a QR of Y_c*, the residual is Q_r R_r L_c Q'_c* for
+    orthonormal columns Q_r and Q'_c, so it has the norm of the 2n x 2n
+    product R_r L_c.  The products are formed, so what cancels cancels
+    explicitly."""
     n = v.shape[0]
     d = n * n
-    # a[r, pn + i, l] = U[pn + i, ln + r] and b[c, l, qn + j] = U^-1[ln + c, qn + j]
-    a = u.reshape(d, n, n).transpose(2, 0, 1)
-    b = u_inv.reshape(n, n, d).transpose(1, 0, 2)
-    v_star = v.conj().T
-    column_mass = np.sum(np.abs(v) ** 2, axis=0)
     units = np.arange(n)
+    stack = np.zeros((n, d, 2 * n), dtype=np.complex128)
+    # X_r: stack[r, pn + i, l] = U[pn + i, ln + r], stack[r, ln + i, n + l] = -V[i, r]
+    stack[:, :, :n] = u.reshape(d, n, n).transpose(2, 0, 1)
+    stack.reshape(n, n, n, 2 * n)[:, units, :, n + units] = -v.T
+    r = np.linalg.qr(stack, mode="r")
+    # Y_c* in the same places: conj(U^-1[ln + c, qn + j]), and V[j, c] at (ln + j, n + l)
+    stack[:, :, :n] = u_inv.conj().reshape(n, n, d).transpose(1, 2, 0)
+    stack.reshape(n, n, n, 2 * n)[:, units, :, n + units] = v.T
+    # lower[i, c, j] = L_c[i, j], so that one product serves a group of rows r
+    lower = np.linalg.qr(stack, mode="r").conj().transpose(2, 0, 1).reshape(2 * n, -1)
+    del stack
     mass = np.empty((n, n))
-    factored = None
-    # a chunk covers the units of rows x part; top[r, c, m, q, j] holds
-    # the rows R11 B_c + R12 D_c, 16 n^3 bytes per (r, c), and as much
-    # again for the term R12 D_c.  Each R11 B_c is its own product of the
-    # same shape under every budget, so the chunks move no bit
-    for rows, part in _unit_chunks(n):
-        if rows != factored:  # one QR per row, shared by the row's runs
-            factored = rows
-            k = len(units[rows])
-            left = np.zeros((k, d, 2 * n), dtype=np.complex128)
-            left[:, :, :n] = a[rows]
-            left.reshape(k, n, n, 2 * n)[:, units, :, n + units] = -v[:, rows].T
-            r = np.linalg.qr(left, mode="r")
-            del left
-            r11 = r[:, None, :n, :n]
-            r12 = r[:, None, :n, n:, None]
-            low = np.sum(np.abs(r[:, n:, n:]) ** 2, axis=(1, 2))[:, None]
-        top = np.matmul(r11, b[part]).reshape(k, -1, n, n, n)
-        top += r12 * v_star[part, None, None, :]
-        mass[rows, part] = _mass(top, "rcmqj->rc") + low * column_mass[part]
+    # a group of rows holds 4 n^3 entries per row, at most the n^4 of U from n = 4 on
+    rows = max(1, n // 4)
+    for start in range(0, n, rows):
+        group = r[start:start + rows]
+        products = (group.reshape(-1, 2 * n) @ lower).reshape(len(group), 2 * n, n, 2 * n)
+        mass[start:start + rows] = _mass(products, "ricj->rc")
     return mass.max()
 
 
@@ -351,15 +326,36 @@ def kernel_correspondence_distance(
     partial trace T[p, r] = sum_j S[p + nj, r + nj].  a -> I (x) a /
     sqrt(n) is an isometry from M_n onto that range, so both kernels are
     compared in M_n, with unchanged projector distance; the first kernel
-    is ``commutant([T / n])``.  A caller that holds ker(map) at rank_tol
-    already, as the first level of the map's kernel tower, passes it as
-    ``kernel`` and saves factoring the map again.
+    is ker i[T / n, .] (``_commutator_kernel``).  A caller that holds
+    ker(map) at rank_tol already, as the first level of the map's kernel
+    tower, passes it as ``kernel`` and saves factoring the map again.
     """
     n = delta.ambient_dim
     partial = np.einsum("jpjr->pr", as_cmatrix(s).reshape(n, n, n, n))
     if kernel is None:
         kernel = delta.kernel(rank_tol)
-    return subspace_distance(commutant([partial / n], rank_tol), kernel)
+    return subspace_distance(_commutator_kernel(partial / n, rank_tol), kernel)
+
+
+def _commutator_kernel(h, rank_tol: float) -> OperatorSubspace:
+    """ker i[h, .] on M_n, at the rank rule of ``commutant``.
+
+    For an h that ``is_hermitian`` accepts, with eigh((h + h*) / 2) =
+    (l, u), the map X -> i[h, X] is normal on the HS space, with the
+    singular values |l_a - l_b| and the singular vectors u_a u_b*: the
+    kernel is spanned by the u_a u_b* whose |l_a - l_b| the scale-1 rule
+    (``numlin._numerical_rank``) ranks zero.  Only n x n arrays.  Any
+    other h gets ``commutant([h])``.  For an S from
+    ``implementing_operator``, T = n g - tr(g) I, so T / n is Hermitian
+    whenever g is, equilibrium or not."""
+    if not is_hermitian(h):
+        return commutant([h], rank_tol)
+    n = h.shape[0]
+    values, vectors = hermitian_eig((h + h.conj().T) / 2)
+    gaps = np.abs(values[:, None] - values).ravel()
+    order = np.argsort(-gaps, kind="stable")
+    a, b = np.divmod(order[_numerical_rank(gaps[order], rank_tol, 1.0):], n)
+    return OperatorSubspace(n, vectors.T[a, :, None] * vectors.T[b, None, :].conj())
 
 
 def abstract_kernel_stabilization(

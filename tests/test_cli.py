@@ -140,24 +140,23 @@ class TestRun:
             assert len(set(check["details"]["kernel_dims"])) == 1
 
     def test_every_factored_map_is_real_in_the_frame(self, tmp_path, monkeypatch):
-        # regression: 6 of the 24 kernel-correspondence kernels of this run
-        # fell back to the complex SVD, because the partial trace T of S is
-        # Hermitian only to roundoff; every map the suites factor is
-        # *-preserving, so each must reach the real Hermitian frame
-        frames = []
-        real_frame = numlin.real_frame
+        # every matrix the suites factor is the float64 block of the
+        # Hermitian frame (numlin._block_split): none reaches the SVD of a
+        # complex or framed n^2 x n^2 map, and none the frame change
+        calls = []
+        for name in ("_svd_split", "real_frame", "_block_split"):
+            original = getattr(numlin, name)
 
-        def recorded(m, n):
-            frames.append(real_frame(m, n))
-            return frames[-1]
+            def recorded(*args, name=name, original=original):
+                calls.append(name)
+                return original(*args)
 
-        # numlin.map_kernels is the one caller, and every kernel goes through it
-        monkeypatch.setattr(numlin, "real_frame", recorded)
+            monkeypatch.setattr(numlin, name, recorded)
         config = ExperimentConfig(
             suite="all", dims=tuple(range(2, 8)), output_path=str(tmp_path / "r.json")
         )
         assert run(config) == 0
-        assert frames and all(frame is not None for frame in frames)
+        assert calls and set(calls) == {"_block_split"}
 
     def test_determinism_modulo_timing(self, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"

@@ -11,7 +11,8 @@ from derivlab.cli import (
     br_gns_check,
     equilibrium_instance,
 )
-from derivlab.derivation import Superoperator, ad_superoperator
+from derivlab.commutant import commutant
+from derivlab.derivation import Superoperator, ad_kernel_tower, ad_superoperator
 from derivlab.errors import (
     NotDensity,
     NotEquilibrium,
@@ -459,11 +460,6 @@ def operators_under_test(s, n):
     }
 
 
-# bytes per n^3 of the arrays of one unit (r, c) of the flow check; a
-# row of units holds n of them
-FLOW_BLOCK = 32
-
-
 def oracle_cases(n, seed):
     """(name, generator, map, operator) for every operator of
     ``operators_under_test`` and for a map that is no derivation, which
@@ -480,20 +476,12 @@ def oracle_cases(n, seed):
 
 
 class TestChunkedChecks:
-    @pytest.mark.parametrize("n", [7, 9, 12])
-    def test_match_n6_oracle(self, monkeypatch, n):
-        # one row r of units holds n flow units of 2 n^3 entries; at the
-        # default budget the flow check groups its rows into chunks from
-        # n = 9 on, with one row per chunk at n = 12, and cuts no row; the
-        # one-byte budget makes every unit its own chunk, and the split
-        # budget holds two units of a row.  The implementation check
-        # works in one piece; the flow check takes ad_ig only, so the
-        # map that is no derivation meets it alone
-        default = gns._CHUNK_BYTES
-        chunks = gns._unit_chunks(n)
-        assert (len(chunks) > 1) == (n >= 9)
-        assert all(part == slice(0, n) for _, part in chunks)
-        budgets = {"default": default, "one block": 1, "split": 4 * FLOW_BLOCK * n**3}
+    @pytest.mark.parametrize("n", [2, 3, 5, 7, 9, 12])
+    def test_match_n6_oracle(self, n):
+        # the flow check takes its products in groups of n // 4 rows r
+        # of units, one row below n = 8 and three at n = 12.  The
+        # implementation check works in one piece; the flow check takes
+        # ad_ig only, so the map that is no derivation meets it alone
         for name, g, d, op in oracle_cases(n, 110 + n):
             assert abs(
                 implementation_check(d, op) - n6_implementation_check(n, d, op)
@@ -501,92 +489,15 @@ class TestChunkedChecks:
             if g is None:
                 continue
             flowed = {t: n6_flow_intertwining_residual(n, d, op, t) for t in (-1.0, 0.5, 1.0)}
-            for budget, size in budgets.items():
-                monkeypatch.setattr(gns, "_CHUNK_BYTES", size)
-                for t, expected in flowed.items():
-                    assert abs(
-                        flow_intertwining_residual(g, op, t) - expected
-                    ) <= 1e-12, (name, budget, t)
-                # the ladder squares the exponentials of t = 0.5 for t = 1
-                assert abs(
-                    flow_intertwining_residual(g, op, 0.5, 1.0)
-                    - max(flowed[0.5], flowed[1.0])
-                ) <= 1e-12, (name, budget)
+            for t, expected in flowed.items():
+                assert abs(flow_intertwining_residual(g, op, t) - expected) <= 1e-12, (name, t)
+            # the ladder squares the exponentials of t = 0.5 for t = 1
+            assert abs(
+                flow_intertwining_residual(g, op, 0.5, 1.0) - max(flowed[0.5], flowed[1.0])
+            ) <= 1e-12, name
             for times in [(), (0.5, 1.5), (1.0, 0.5), (0.5, 1.0, 3.0), (-1.0, 2.0)]:
                 with pytest.raises(ValueError):
                     flow_intertwining_residual(g, op, *times)
-
-    def test_one_row_chunks_match_n6_oracle(self, monkeypatch):
-        # a one-byte budget makes every unit (r, c) of the flow check its
-        # own chunk
-        monkeypatch.setattr(gns, "_CHUNK_BYTES", 1)
-        n = 5
-        assert len(gns._unit_chunks(n)) == n * n
-        omega, g = equilibrium_instance(n, 120)
-        delta = ad_superoperator(g)
-        rep = gns_construct(omega)
-        s, _ = implementing_operator(rep, delta)
-        for name, op in operators_under_test(s, n).items():
-            assert abs(
-                flow_intertwining_residual(g, op, 0.5)
-                - n6_flow_intertwining_residual(n, delta, op, 0.5)
-            ) <= 1e-12, name
-
-    def test_split_rows_match_n6_oracle(self, monkeypatch):
-        # half the budget holds two units c of a row of the flow check,
-        # 32 n^3 bytes each, but not the row of n = 5 units
-        n = 5
-        monkeypatch.setattr(gns, "_CHUNK_BYTES", 4 * FLOW_BLOCK * n**3)
-        chunks = gns._unit_chunks(n)
-        assert [part for rows, part in chunks if rows == slice(0, 1)] == [
-            slice(0, 2), slice(2, 4), slice(4, 5)
-        ]
-        omega, g = equilibrium_instance(n, 125)
-        delta = ad_superoperator(g)
-        rep = gns_construct(omega)
-        s, _ = implementing_operator(rep, delta)
-        for name, op in operators_under_test(s, n).items():
-            for t in (-1.0, 0.5, 1.0):
-                assert abs(
-                    flow_intertwining_residual(g, op, t)
-                    - n6_flow_intertwining_residual(n, delta, op, t)
-                ) <= 1e-12, (name, t)
-            # cutting a row along c moves no bit of the result
-            monkeypatch.setattr(gns, "_CHUNK_BYTES", 2 * 2**20)
-            whole = flow_intertwining_residual(g, op, 0.5, 1.0)
-            monkeypatch.setattr(gns, "_CHUNK_BYTES", 4 * FLOW_BLOCK * n**3)
-            assert flow_intertwining_residual(g, op, 0.5, 1.0) == whole, name
-
-    @pytest.mark.parametrize("n, budget", [(5, 4 * 16 * 5**4), (12, None)])
-    def test_chunk_arrays_fit_half_the_budget(self, monkeypatch, n, budget):
-        # the largest array of each chunk is the one _mass sums
-        if budget is not None:
-            monkeypatch.setattr(gns, "_CHUNK_BYTES", budget)
-        sizes = []
-        mass = gns._mass
-
-        def recorded(x, spec):
-            sizes.append(x.nbytes)
-            return mass(x, spec)
-
-        monkeypatch.setattr(gns, "_mass", recorded)
-        omega, g = equilibrium_instance(n, 135)
-        delta = ad_superoperator(g)
-        rep = gns_construct(omega)
-        s, _ = implementing_operator(rep, delta)
-        flow_intertwining_residual(g, s, 1.0)
-        assert sizes and max(sizes) <= gns._CHUNK_BYTES // 2
-
-    def test_chunks_fit_half_the_budget_while_one_block_does(self):
-        # one flow unit, 32 n^3 bytes, fits half of 2 MiB up to n = 32
-        for n in range(2, 33):
-            block = FLOW_BLOCK * n**3
-            covered = set()
-            for rows, part in gns._unit_chunks(n):
-                size = (rows.stop - rows.start) * (part.stop - part.start) * block
-                assert size <= gns._CHUNK_BYTES // 2, n
-                covered |= {(r, b) for r in range(n)[rows] for b in range(n)[part]}
-            assert len(covered) == n * n, n
 
     def test_footprint_at_n12(self):
         # the n^6 arrays of the unchunked checks took about 50 MiB here,
@@ -607,6 +518,114 @@ class TestChunkedChecks:
             finally:
                 tracemalloc.stop()
             assert peak < 6 * 2**20
+
+
+def commuting_generator(n, kind, seed):
+    """A Hermitian g in a complex Haar eigenbasis u, with a simple
+    spectrum or a repeated one (eigenvalues 1 and 2, the first of
+    multiplicity n // 2), or g = 0.7 I exactly, and u."""
+    rng = np.random.default_rng([seed, n])
+    u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    values = {
+        "simple": np.sort(rng.uniform(-2.0, 2.0, size=n)),
+        "multiplicity": np.where(np.arange(n) < n // 2, 1.0, 2.0),
+        "scalar": np.full(n, 0.7),
+    }[kind]
+    if kind == "scalar":
+        return 0.7 * np.eye(n), u
+    g = u @ np.diag(values) @ u.conj().T
+    return (g + g.conj().T) / 2, u
+
+
+def correspondence_partial(n, kind, state, seed):
+    """T / n for the S that implements ad_ig under a state that commutes
+    with g (equilibrium) or a random faithful one (not)."""
+    g, u = commuting_generator(n, kind, seed)
+    rng = np.random.default_rng([seed, n, 1])
+    if state == "equilibrium":
+        rho = u @ np.diag(rng.uniform(0.5, 1.5, size=n)) @ u.conj().T
+    else:
+        x = random_matrix(n, seed=seed + n)
+        rho = x @ x.conj().T + 0.5 * np.eye(n)
+    rho = (rho + rho.conj().T) / 2
+    omega = state_from_density(rho / np.trace(rho).real)
+    s, _ = implementing_operator(gns_construct(omega), ad_superoperator(g))
+    return np.einsum("jpjr->pr", s.reshape(n, n, n, n)) / n, g
+
+
+class TestCorrespondenceKernel:
+    @pytest.mark.parametrize("state", ["equilibrium", "not equilibrium"])
+    @pytest.mark.parametrize("kind", ["simple", "multiplicity", "scalar"])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_eigen_route_matches_the_commutant(self, n, kind, state):
+        h, g = correspondence_partial(n, kind, state, 180)
+        # T = n g - tr(g) I under every faithful state
+        assert frob(h - (g - np.trace(g) / n * np.eye(n))) <= 1e-13 * max(1.0, frob(g))
+        kernel = gns._commutator_kernel(h, DEFAULT_RANK_TOL)
+        reference = commutant([h], DEFAULT_RANK_TOL)
+        assert kernel.dim == reference.dim
+        assert subspace_distance(kernel, reference) <= 1e-12
+        expected = {"simple": n, "multiplicity": (n // 2) ** 2 + (n - n // 2) ** 2,
+                    "scalar": n * n}[kind]
+        assert kernel.dim == expected
+        defects = np.linalg.norm(h @ kernel.basis - kernel.basis @ h, axis=(1, 2))
+        assert defects.max() <= 1e-12 * frob(h)
+
+    @pytest.mark.parametrize("kind", ["simple", "multiplicity"])
+    def test_conjugate_free_basis_fails(self, kind):
+        # the eigenvectors are complex, so u_a u_b^T in place of u_a u_b*
+        # leaves the commutant: this instance tells the two apart
+        n = 5
+        h, _ = correspondence_partial(n, kind, "equilibrium", 185)
+        kernel = gns._commutator_kernel(h, DEFAULT_RANK_TOL)
+        values, u = np.linalg.eigh(h)
+        assert np.abs(u.imag).max() > 0.1
+        pairs = [(a, b) for a in range(n) for b in range(n) if abs(values[a] - values[b]) <= 1e-8]
+        conjugated = [np.outer(u[:, a], u[:, b].conj()) for a, b in pairs]
+        assert subspace_distance(kernel, from_spanning(n, conjugated)) <= 1e-12
+        unconjugated = np.stack([np.outer(u[:, a], u[:, b]) for a, b in pairs])
+        defects = np.linalg.norm(h @ unconjugated - unconjugated @ h, axis=(1, 2))
+        assert defects.max() >= 1e-2 * frob(h)
+        assert subspace_distance(kernel, from_spanning(n, unconjugated)) >= 0.5
+
+    def test_non_hermitian_partial_trace_takes_the_commutant(self, monkeypatch):
+        # the skewed operator of the oracle tests has a non-Hermitian T,
+        # which only the commutant route serves
+        n = 4
+        omega, g = equilibrium_instance(n, 190)
+        delta = ad_superoperator(g)
+        s, _ = implementing_operator(gns_construct(omega), delta)
+        skewed = s + 1e-3 * np.kron(np.eye(n), random_matrix(n, seed=191))
+        calls = []
+
+        def recorded(gens, rank_tol):
+            calls.append(gens)
+            return commutant(gens, rank_tol)
+
+        monkeypatch.setattr(gns, "commutant", recorded)
+        assert kernel_correspondence_distance(delta, s) <= 1e-12
+        assert calls == []
+        assert kernel_correspondence_distance(delta, skewed) > 1e-6
+        assert len(calls) == 1
+
+
+class TestCorrespondenceFootprint:
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_peak_within_one_copy_of_s(self, n):
+        # the n^2 x n^2 stack of commutant([T / n]) and its frame took
+        # several copies of S; with ker ad_ig given, as br_gns_check
+        # passes it, the eigen route holds n x n arrays and the kernel
+        omega, g = equilibrium_instance(n, 195 + n)
+        delta = ad_superoperator(g)
+        s, _ = implementing_operator(gns_construct(omega), delta)
+        kernel = ad_kernel_tower(g, 1)[0]
+        tracemalloc.start()
+        try:
+            kernel_correspondence_distance(delta, s, kernel=kernel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= s.nbytes
 
 
 class TestImplementationFootprint:
@@ -630,9 +649,9 @@ class TestImplementationFootprint:
 
 class TestOneFactorizationPerInstance:
     def test_br_gns_check_factors_the_map_once(self, monkeypatch):
-        # one SVD on the frame route, the commutant of T / n, and one of
-        # the real block of ad_ig, whose tower gives ker ad_ig; none of
-        # the n^2 x n^2 map
+        # one SVD, of the real block of ad_ig, whose tower gives ker
+        # ad_ig; the commutant of T / n comes from its n x n eigh, and
+        # nothing factors an n^2 x n^2 matrix
         n = 6
         omega, g = equilibrium_instance(n, 140)
         calls = []
@@ -645,10 +664,7 @@ class TestOneFactorizationPerInstance:
 
             monkeypatch.setattr(numlin, name, counted)
         assert br_gns_check(f"br_gns/n={n}/i=0", omega, g, 5)["pass"]
-        assert sorted(calls) == [
-            ("_block_split", (n * (n - 1) // 2, n * (n + 1) // 2)),
-            ("_svd_split", (n * n, n * n)),
-        ]
+        assert calls == [("_block_split", (n * (n - 1) // 2, n * (n + 1) // 2))]
 
     def test_tower_kernel_is_the_map_kernel(self):
         omega, g = equilibrium_instance(5, 145)
