@@ -499,6 +499,36 @@ class TestChunkedChecks:
                 with pytest.raises(ValueError):
                     flow_intertwining_residual(g, op, *times)
 
+    def test_one_row_chunks_match_n6_oracle(self):
+        # at n = 5 the flow check forms its products one row r of units
+        # at a time, five groups in all
+        n = 5
+        omega, g = equilibrium_instance(n, 120)
+        delta = ad_superoperator(g)
+        rep = gns_construct(omega)
+        s, _ = implementing_operator(rep, delta)
+        for name, op in operators_under_test(s, n).items():
+            assert abs(
+                flow_intertwining_residual(g, op, 0.5)
+                - n6_flow_intertwining_residual(n, delta, op, 0.5)
+            ) <= 1e-12, name
+
+    def test_split_rows_match_n6_oracle(self):
+        # every time and the ladder, row group by row group at n = 5; a
+        # second call repeats the first to the bit
+        n = 5
+        omega, g = equilibrium_instance(n, 125)
+        delta = ad_superoperator(g)
+        rep = gns_construct(omega)
+        s, _ = implementing_operator(rep, delta)
+        for name, op in operators_under_test(s, n).items():
+            flowed = {t: n6_flow_intertwining_residual(n, delta, op, t) for t in (-1.0, 0.5, 1.0)}
+            for t, expected in flowed.items():
+                assert abs(flow_intertwining_residual(g, op, t) - expected) <= 1e-12, (name, t)
+            whole = flow_intertwining_residual(g, op, 0.5, 1.0)
+            assert abs(whole - max(flowed[0.5], flowed[1.0])) <= 1e-12, name
+            assert flow_intertwining_residual(g, op, 0.5, 1.0) == whole, name
+
     def test_footprint_at_n12(self):
         # the n^6 arrays of the unchunked checks took about 50 MiB here,
         # and rows of whole units under a 16 MiB budget 9.4 MiB
