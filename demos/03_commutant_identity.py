@@ -6,8 +6,9 @@ and the commutant of its spectral projections are one and the same
 von Neumann algebra.  The check `derivlab run --suite commutant_identity`
 reduces D once by Householder reflections, D = W T W* with T real
 tridiagonal, and then parts: the kernel from an SVD of the real block of
-ad_iT, {D}' by inverse iteration, two shifted LU solves of the float64
-I (x) T - T (x) I, with its dimension from the eigenvalues of T.  P_D'
+ad_iT, {D}' by inverse iteration, two shifted solves with the float64
+I (x) T - T (x) I (dense LU at this n = 6, a block QR from n = 13),
+with its dimension from the eigenvalues of T.  P_D'
 and the algebra P_D'' that the projections span come in closed form
 from the spectral resolution, which never sees (W, T), so a faulty
 reduction would show as a distance to P_D'.  The pairwise projector

@@ -5,9 +5,11 @@ spectral projections and the algebra P_D'' they generate, have closed
 forms in the eigenvectors of each P_i (``projection_algebras``).  ker
 ad_iD and {D}' share one reduction D = W T W*, T real tridiagonal, then
 part: an SVD of the real block of ad_iT on one side; on the other, a rank
-rule on the n^2 differences of the eigenvalues of T and two shifted LU
-solves of I (x) T - T (x) I.  {P_i}' never sees (W, T), so a faulty
-reduction shows against it."""
+rule on the n^2 differences of the eigenvalues of T and two shifted
+solves with I (x) T - T (x) I, by a dense LU up to n = 12 and above it
+by a QR of its block tridiagonal form that never forms the n^2 x n^2
+matrix.  {P_i}' never sees (W, T), so a faulty reduction shows against
+it."""
 
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ from .errors import ShapeMismatch
 from .numlin import (
     DEFAULT_RANK_TOL,
     OperatorSubspace,
+    _check_ambient_budget,
     _numerical_rank,
     as_cmatrix,
     containment_residual,
@@ -92,11 +95,21 @@ def hermitian_commutant(h, rank_tol: float = DEFAULT_RANK_TOL) -> OperatorSubspa
     the rank rule of ``commutant`` at scale 1 (``numlin._numerical_rank``).
     The kernel is then two steps of block inverse iteration (Ipsen, SIAM
     Review 39(2), 1997): a fixed-seed Gaussian n^2 x k block goes through
-    two LU solves with M - sigma I, a QR after each, where sigma =
+    two solves with M - sigma I, a QR after each, where sigma =
     eps max(l_max - l_min, 1), halved while it equals some |l_i - l_j|.
-    Only eigenvalues of T are read, no eigenvector of H or of M.
-    ``kernel_commutant_check`` reuses the reduction."""
+    Up to n = 12 the solves are two LU solves of the dense M - sigma I;
+    above, one block QR of it (``_block_solver``, O(n^4) time and O(n^3)
+    memory) serves both.  Only eigenvalues of T are read, no eigenvector
+    of H or of M.  ``kernel_commutant_check`` reuses the reduction."""
     return _tridiagonal_commutant(*hermitian_tridiagonal(h), rank_tol)
+
+
+# n from which {T}' takes the block QR of ``_block_solver``: below it the
+# n LAPACK QRs cost more than the two dense LU solves.  One call on the
+# simple-spectrum suite instance, best of 60, one BLAS thread (x86_64):
+# n = 6 0.48 against 0.18 ms, n = 12 1.02 against 0.91 ms, n = 13 1.22
+# against 1.27 ms, n = 16 1.59 against 2.79 ms
+_BLOCK_QR_MIN_DIM = 13
 
 
 def _tridiagonal_commutant(w, t, rank_tol: float) -> OperatorSubspace:
@@ -109,13 +122,69 @@ def _tridiagonal_commutant(w, t, rank_tol: float) -> OperatorSubspace:
     shift = np.finfo(np.float64).eps * max(values[-1] - values[0], 1.0)
     while shift in gaps:
         shift /= 2
-    m = commutation_matrix(t)
-    m.flat[:: n * n + 1] -= shift
+    solve = (_block_solver if n >= _BLOCK_QR_MIN_DIM else _dense_solver)(t, shift)
     x = np.random.default_rng(0).standard_normal((n * n, dim))
     # one solve alone can leave a hundred times the error of two
     for _ in range(2):
-        x = np.linalg.qr(np.linalg.solve(m, x))[0]
+        x = np.linalg.qr(solve(x))[0]
     return OperatorSubspace(n, w @ unvec_columns(x, n) @ w.conj().T)
+
+
+def _dense_solver(t, shift: float):
+    # x -> (M - shift I)^-1 x by LU of the float64 M = I (x) T - T (x) I
+    m = commutation_matrix(t)
+    m.flat[:: m.shape[0] + 1] -= shift
+    return lambda x: np.linalg.solve(m, x)
+
+
+def _block_solver(t, shift: float):
+    """x -> (M - shift I)^-1 x for M = I (x) T - T (x) I and a real
+    symmetric tridiagonal T, from a Householder QR of M - shift I by
+    block columns; M is never formed.
+
+    In vec order block j is column j of X, and M vec(X) = vec(TX - XT),
+    so M is block tridiagonal: its diagonal blocks are T - t_jj I and the
+    blocks coupling j and j + 1 are -t_(j,j+1) I.  One complete QR per
+    2n x n panel (block j over block j + 1) eliminates the coupling
+    below the diagonal; the fill of R stays within two block
+    superdiagonals.  Orthogonal elimination needs no pivoting, so the
+    near-singular shift is safe.  O(n^4) time and O(n^3) memory, against
+    O(n^6) and O(n^4) for the dense LU; each solve applies the Q^T of
+    the panels pair by pair, then runs block back-substitution.
+    """
+    n = t.shape[0]
+    _check_ambient_budget(n)
+    eye = np.eye(n)
+    coupling = np.append(-t.diagonal(1), 0.0)  # -t_(j,j+1); none past block n - 1
+
+    def block_row(j):  # block row j of M - shift I, block columns j - 1 to j + 1
+        return np.hstack([coupling[j - 1] * eye, t - (t[j, j] + shift) * eye, coupling[j] * eye])
+
+    panels, r = [], np.empty((n, n, 3 * n))  # block row j of R: R_jj, R_j,j+1, R_j,j+2
+    rows = np.zeros((2 * n, 3 * n))  # block rows j and j + 1, block columns j to j + 2
+    rows[:n, :2 * n] = block_row(0)[:, n:]
+    for j in range(n):
+        # below the last block row, zeros, which its panel's Q leaves be
+        rows[n:] = block_row(j + 1) if j + 1 < n else 0
+        q, upper = np.linalg.qr(rows[:, :n], mode="complete")
+        rest = q.T @ rows[:, n:]
+        r[j, :, :n], r[j, :, n:] = upper[:n], rest[:n]
+        rows[:n, :2 * n], rows[:n, 2 * n:] = rest[n:], 0
+        panels.append(q)
+
+    def solve(x):
+        k = x.shape[1]
+        y = np.zeros((n + 2, n, k))
+        y[:n] = x.reshape(n, n, k)
+        for j, q in enumerate(panels):
+            pair = y[j:j + 2].reshape(2 * n, k)
+            pair[...] = q.T @ pair
+        for j in range(n - 1, -1, -1):
+            rhs = y[j] - r[j, :, n:2 * n] @ y[j + 1] - r[j, :, 2 * n:] @ y[j + 2]
+            y[j] = np.linalg.solve(r[j, :, :n], rhs)
+        return y[:n].reshape(n * n, k)
+
+    return solve
 
 
 def projection_defect(projections) -> float:
@@ -207,8 +276,9 @@ def kernel_commutant_check(
     One Householder reduction D = W T W* (``hermitian_tridiagonal``)
     serves the first two, which then part: ker ad_iD is one SVD of the
     n(n-1)/2 x n(n+1)/2 real block of ad_iT (``tridiagonal_kernel_tower``),
-    {D}' a rank rule on the eigenvalues of T and two shifted LU solves of
-    the float64 I (x) T - T (x) I (``hermitian_commutant``).
+    {D}' a rank rule on the eigenvalues of T and two shifted solves with
+    the float64 I (x) T - T (x) I, by dense LU up to n = 12 and by one
+    block QR above (``hermitian_commutant``).
     A faulty reduction moves both together, but not {P_i}', which comes
     from the spectral resolution alone: their distances to it show it."""
     d = as_cmatrix(d)

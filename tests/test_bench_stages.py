@@ -75,10 +75,11 @@ def test_stage_timings_smoke(tmp_path):
     for key, best in result["seconds"].items():
         for name, best_s in best.items():
             calls, median = result["calls"][key][name], result["median_s"][key][name]
-            assert isinstance(calls, int) and calls >= 1
-            # calls are repeated until they fill 0.2 s, so all but the last
-            # took less than that together
-            assert best_s * (calls - 1) < 0.2
+            assert isinstance(calls, int) and calls >= 3
+            # calls are repeated until they fill 0.2 s, and at least three
+            # are made, so past three all but the last took less than
+            # that together
+            assert calls == 3 or best_s * (calls - 1) < 0.2
             assert best_s <= median < 1
     for stage in result["peak_mib"].values():
         assert all(0 < p < 64 and math.isfinite(p) for p in stage.values())
@@ -99,10 +100,10 @@ def test_peak_mib_traces_one_call():
 def test_best_of_stops_at_the_budget():
     best_of = _load()._best_of
     calls = []
-    # a call that uses the whole time is the only one
+    # calls that use the whole time are still made three times
     best, median, count = best_of(lambda: calls.append(1), min_s=0.0)
-    assert 0 <= best == median
-    assert count == len(calls) == 1
+    assert 0 <= best <= median
+    assert count == len(calls) == 3
     # quick calls repeat until they have used min_s, and the fastest counts
     calls.clear()
     best, median, count = best_of(lambda: calls.append(time.sleep(0.002)), min_s=0.05)

@@ -29,7 +29,7 @@ from derivlab.numlin import (
     containment_residual,
     frob,
     from_frame,
-    kron,
+    hermitian_tridiagonal,
     nullspace,
     real_frame,
     subspace_distance,
@@ -271,10 +271,10 @@ class TestKernelCommutantCheck:
                 assert shapes == [((n * (n - 1) // 2, n * (n + 1) // 2), np.float64)]
 
     def test_commutation_matrix_is_freed_before_the_kernel_svd(self, monkeypatch):
-        # the float64 n^2 x n^2 matrix of {D}' is gone when the block SVD
-        # runs, every product the check builds is float64, and the traced
-        # peak stays under two complex n^4 arrays (the frame route of
-        # ad_iD peaked at 3.5)
+        # on the dense side of {D}' the float64 n^2 x n^2 matrix is gone
+        # when the block SVD runs; on the block side no n^2 x n^2 matrix
+        # is built at all, and the traced peak stays under one complex
+        # n^4 array (with the dense {D}' route it is about 1.5)
         module = importlib.import_module("derivlab.commutant")
         build, svd = module.commutation_matrix, np.linalg.svd
         built, alive = [], []
@@ -293,15 +293,14 @@ class TestKernelCommutantCheck:
         kernel_commutant_check(_spectral_instances(4, 3)[1][1])
         assert alive == [[False]]
         monkeypatch.setattr(np.linalg, "svd", svd)
-        products = []
+        calls = []
 
-        def dtyped(a, b):
-            products.append(np.result_type(a, b))
-            return kron(a, b)
+        def recorded(name):
+            return lambda *args: calls.append(name)
 
-        monkeypatch.setattr(module, "kron", dtyped)
+        monkeypatch.setattr(module, "kron", recorded("kron"))
+        monkeypatch.setattr(module, "commutation_matrix", recorded("commutation_matrix"))
         for n in (16, 24):
-            products.clear()
             d = _spectral_instances(n, 7)[1][1]
             tracemalloc.start()
             try:
@@ -309,8 +308,8 @@ class TestKernelCommutantCheck:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert products == [np.float64, np.float64]
-            assert peak <= 2 * 16 * n**4
+            assert calls == []
+            assert peak <= 16 * n**4
 
     def test_two_factorizations(self, monkeypatch):
         # one Householder reduction, then ker ad_iD is the one SVD of the
@@ -368,7 +367,7 @@ class TestKernelCommutantCheck:
             assert [level.dim for level in towers[0]] == [oracle.dim]
             assert subspace_distance(towers[0][0], oracle) <= 1e-12
 
-    @pytest.mark.parametrize("n", [3, 5, 8])
+    @pytest.mark.parametrize("n", [3, 5, 8, 16])
     @pytest.mark.parametrize("fault", ["flipped_sign", "identity_w"])
     def test_reduction_faults_fail_the_check(self, monkeypatch, n, fault):
         # negative control: a faulty reduction moves ker ad_iD and {D}'
@@ -439,7 +438,7 @@ class TestSingleGeneratorRoutes:
                 for b in algebra.basis:
                     assert membership_residual(algebra, a @ b) <= 1e-9
 
-    @pytest.mark.parametrize("n", [2, 5, 8, 12, 16])
+    @pytest.mark.parametrize("n", [2, 5, 8, 12, 13, 16, 24])
     def test_hermitian_commutant_matches_svd_route(self, n):
         for _, d in _spectral_instances(n, 9):
             comm = hermitian_commutant(d)
@@ -449,23 +448,40 @@ class TestSingleGeneratorRoutes:
             assert subspace_distance(comm, commutant([d])) <= 1e-10
             assert subspace_distance(comm, eigenbasis_kernel_oracle(d)) <= 1e-10
 
+    @pytest.mark.parametrize("n", [2, 5, 13])
+    def test_block_solver_solves_the_shifted_system(self, n):
+        # the block QR is a backward stable solve with M - sigma I, also at
+        # the near-singular shift: inverse iteration alone would forgive
+        # an orthogonal error on the right-hand side, this residual does not
+        module = importlib.import_module("derivlab.commutant")
+        t = hermitian_tridiagonal(_spectral_instances(n, 5)[1][1])[1]
+        b = np.random.default_rng(n).standard_normal((n * n, 3))
+        eps = np.finfo(float).eps
+        for shift in (0.37, eps):
+            a = commutation_matrix(t) - shift * np.eye(n * n)
+            y = module._block_solver(t, shift)(b)
+            assert frob(a @ y - b) <= 1e2 * eps * frob(a) * frob(y)
+
     def test_hermitian_commutant_is_deterministic(self):
         # the start block of the inverse iteration has a fixed seed, so the
-        # global RNG state between two calls does not reach the basis
-        d = _spectral_instances(8, 4)[1][1]
-        first = hermitian_commutant(d)
-        np.random.default_rng().standard_normal(8)
-        np.random.standard_normal(8)
-        assert np.array_equal(first.basis, hermitian_commutant(d).basis)
+        # global RNG state between two calls does not reach the basis, on
+        # either side of the route selection
+        for n in (8, 16):
+            d = _spectral_instances(n, 4)[1][1]
+            first = hermitian_commutant(d)
+            np.random.default_rng().standard_normal(8)
+            np.random.standard_normal(8)
+            assert np.array_equal(first.basis, hermitian_commutant(d).basis)
 
-    @pytest.mark.parametrize("n", [6, 12])
+    @pytest.mark.parametrize("n", [6, 12, 16])
     @pytest.mark.parametrize("gap", [1e-4, 1e-6])
     def test_hermitian_commutant_on_a_near_degenerate_spectrum(self, n, gap):
         # pairs of equal eigenvalues in [0, 1], one pair split by the gap:
         # the frame SVD oracle and the route each err by about eps/gap.
         # The bound 10 eps/gap holds for the full eigh of I (x) T - T (x) I
-        # (at most 6 eps/gap on these draws) and fails for a single LU
-        # solve in place of two (30 eps/gap and more on the worst draw)
+        # (at most 6 eps/gap on these draws) and fails for a single dense
+        # solve in place of two (30 eps/gap and more on the worst draw);
+        # n = 16 takes the block QR
         values = np.repeat(np.linspace(0.0, 1.0, n // 2), 2)
         values[1] += gap
         for seed in range(4):
@@ -483,12 +499,20 @@ class TestSingleGeneratorRoutes:
             (np.eye(4), 16),
             (np.diag([0.0, 1.0, 1.0, 2.0]), 6),
             (np.diag([0.0, 0.5, 0.5 + 2.0**-52]), 5),
+            (np.zeros((14, 14)), 196),
+            (np.eye(14), 196),
+            (np.diag(np.repeat([0.0, 1.0, 1.5, 2.0], [5, 4, 3, 2])), 54),
+            (np.diag([*np.linspace(0.0, 0.5, 13), 0.5 + 2.0**-52]), 16),
         ],
-        ids=["zero", "identity", "diagonal", "gap_at_the_shift"],
+        ids=[
+            "zero", "identity", "diagonal", "gap_at_the_shift",
+            "zero_14", "identity_14", "diagonal_14", "gap_at_the_shift_14",
+        ],
     )
     def test_hermitian_commutant_on_exact_structure(self, d, dim):
         # I (x) T - T (x) I is exactly 0 or exactly diagonal here: only the
-        # shift keeps the solves nonsingular.  In the last one a gap equals
+        # shift keeps the solves nonsingular, the dense LU at n <= 12 and
+        # the block QR above.  In the gap_at_the_shift cases a gap equals
         # eps, the first shift, so the shift must move off it
         comm = hermitian_commutant(d)
         gram = np.einsum("aij,bij->ab", comm.basis.conj(), comm.basis)
@@ -497,10 +521,28 @@ class TestSingleGeneratorRoutes:
         assert subspace_distance(comm, eigenbasis_kernel_oracle(d)) <= 1e-12
 
     def test_hermitian_commutant_keeps_the_dimension_budget(self, monkeypatch):
-        # the real commutation matrix of T goes through numlin.kron's budget
+        # the real commutation matrix of T goes through numlin.kron's
+        # budget; the block QR, which forms none, keeps the same budget
         monkeypatch.setenv("DERIVLAB_MAX_DIM", "4")
         with pytest.raises(DimensionOverflow):
             hermitian_commutant(np.eye(6))
+        monkeypatch.setenv("DERIVLAB_MAX_DIM", "13")
+        with pytest.raises(DimensionOverflow):
+            hermitian_commutant(np.eye(16))
+
+    @pytest.mark.parametrize("n", [16, 24, 32])
+    def test_hermitian_commutant_footprint(self, n):
+        # the block QR holds O(n^3): its panels' Q and the three block
+        # diagonals of R.  The dense route's n^2 x n^2 matrix and its LU
+        # copy took at least 386 n^3 bytes
+        for _, d in _spectral_instances(n, 7):
+            tracemalloc.start()
+            try:
+                hermitian_commutant(d)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 256 * n**3
 
     def test_hermitian_commutant_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):

@@ -259,19 +259,12 @@ class TestBlockKernelTower:
     def test_block_split_is_the_dense_split(self, case):
         q = _BLOCKS[case]
         a = _assembled(q)
-        s_r, v_0, ranges = numlin._block_split(q, 1e-10)
-        u_r, v_r = ranges()
-        dense = numlin._svd_split(a, 1e-10, 1.0)
-        assert s_r.size == dense[0].size
-        if s_r.size:
-            assert np.max(np.abs(np.sort(s_r)[::-1] - dense[0])) <= 1e-13 * dense[0][0]
-        assert v_0.shape[1] == dense[1].shape[1]
-        assert _projector_gap(v_0, dense[1]) <= 1e-12
-        # the split factors A: A V_r = U_r S_r, A V_0 = 0, all orthonormal
-        assert frob(a @ v_r - u_r * s_r) <= 1e-13 * max(1.0, frob(a))
-        assert frob(a @ v_0) <= 1e-13 * max(1.0, frob(a))
-        for basis in (u_r, np.hstack([v_r, v_0])):
-            assert frob(basis.T @ basis - np.eye(basis.shape[1])) <= 1e-13
+        v_0 = numlin._block_split(q, 1e-10)
+        dense = numlin._svd_split(a, 1e-10, 1.0)[1]
+        assert v_0.shape[1] == dense.shape[1]
+        assert _projector_gap(v_0, dense) <= 1e-12
+        # the dense oracle runs the growth loop on the assembled A, which
+        # joins nothing: A is antisymmetric, so every level is ker A
         tower = block_kernel_tower(q, 4)
         oracle = kernel_tower(a, 4, scale=1.0)
         assert [k.shape[1] for k in tower] == [k.shape[1] for k in oracle]
@@ -279,21 +272,19 @@ class TestBlockKernelTower:
             assert level.dtype == np.float64
             assert _projector_gap(level, dense_level) <= 1e-12
 
-    def test_range_bases_are_built_only_past_one_level(self, monkeypatch):
-        # one level never reads U_r and V_r; a tower that grows builds
-        # them once
-        split, built = numlin._block_split, []
-
-        def counted(q, rank_tol):
-            s_r, v_0, ranges = split(q, rank_tol)
-            return s_r, v_0, lambda: built.append(1) or ranges()
-
-        monkeypatch.setattr(numlin, "_block_split", counted)
+    def test_every_level_is_ker_a(self):
+        # one array for every level, the one ker A, also with a small
+        # singular value of Q (1e-3) above the rank cut
         q = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1e-3]])
-        assert [k.shape[1] for k in block_kernel_tower(q, 1)] == [1]
-        assert built == []
-        assert [k.shape[1] for k in block_kernel_tower(q, 3)] == [1, 1, 1]
-        assert built == [1]
+        a = _assembled(q)
+        for k_max in (1, 3):
+            tower = block_kernel_tower(q, k_max)
+            oracle = kernel_tower(a, k_max, scale=1.0)
+            assert len(tower) == k_max
+            assert all(level is tower[0] for level in tower)
+            assert [k.shape[1] for k in tower] == [k.shape[1] for k in oracle] == [1] * k_max
+            for level, dense_level in zip(tower, oracle):
+                assert _projector_gap(level, dense_level) <= 1e-12
 
     def test_rejections(self):
         with pytest.raises(ValueError):

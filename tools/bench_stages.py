@@ -29,8 +29,9 @@ per run, under the key ``heisenberg``, it times the stages of the
 heisenberg suite that do not depend on n: ``hcr_residual`` on the
 128-point line and circle pairs across the suite's grids, and
 ``cli.heisenberg_grid_checks``.  Each figure
-is the fastest of as many calls as fill 0.2 s, or of one call when that
-takes longer: a stage of microseconds is the best of thousands of calls.
+is the fastest of as many calls as fill 0.2 s, and of at least three: a
+stage of microseconds is the best of thousands of calls, and one of
+seconds still has a spread.
 Beside ``seconds``, ``median_s`` holds the median of those calls and
 ``calls`` their number, so that a best-of figure comes with its spread,
 and ``peak_mib`` holds for each stage the tracemalloc peak of one
@@ -77,11 +78,14 @@ DIMS = (4, 8, 12, 16, 24, 32)
 K_MAX = 8
 
 
+MIN_CALLS = 3
+
+
 def _best_of(fn, min_s: float = 0.2) -> tuple:
     """(fastest, median, count) of the calls of fn, called until the
-    calls have used min_s."""
+    calls have used min_s and there are at least MIN_CALLS of them."""
     times, spent = [], 0.0
-    while not times or spent < min_s:
+    while len(times) < MIN_CALLS or spent < min_s:
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
