@@ -19,6 +19,7 @@ from derivlab import (
     state_from_density,
 )
 from derivlab.cli import br_gns_check
+from derivlab.derivation import ad_kernel_tower
 from derivlab.gns import flow_intertwining_residual, kernel_correspondence_distance
 from derivlab.numlin import frob, vec
 
@@ -54,7 +55,7 @@ for t in (0.5, 1.0):
           flow_intertwining_residual(g, s, t))
 
 print("\nkernel correspondence distance:",
-      kernel_correspondence_distance(delta, s))
+      kernel_correspondence_distance(delta, s, kernel=ad_kernel_tower(g, 1)[0]))
 
 # the check `derivlab run --suite br_gns` makes gives the verdict on all of it
 check = br_gns_check("br_gns/demo", omega, g, n_max=5)

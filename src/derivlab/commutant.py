@@ -47,12 +47,8 @@ def commutation_matrix(g: np.ndarray) -> np.ndarray:
 def commutant(gens, rank_tol: float = DEFAULT_RANK_TOL) -> OperatorSubspace:
     """Orthonormal basis of {x : [g, x] = 0 for every generator g}.
 
-    One SVD of the vertically stacked maps i[g, .] (``numlin.map_kernels``);
-    the identity always belongs to the result.  A generator that
-    ``is_hermitian`` accepts counts as its exact Hermitian part (g + g*)/2;
-    when every one does, the stack is real in the Hermitian frame and that
-    real matrix is factored instead, with the same singular values.  Other
-    lists stay complex.
+    One SVD of the vertically stacked complex maps i[g, .]
+    (``numlin.map_kernels``); the identity always belongs to the result.
     """
     mats = [as_cmatrix(g) for g in gens]
     if not mats:
@@ -61,7 +57,6 @@ def commutant(gens, rank_tol: float = DEFAULT_RANK_TOL) -> OperatorSubspace:
     for g in mats:
         if g.shape != (n, n):
             raise ShapeMismatch("generators must be square and of equal size")
-    mats = [(g + g.conj().T) / 2 if is_hermitian(g) else g for g in mats]
     # map_kernels' scale floor: generators proportional to I commute with everything
     stack = 1j * np.vstack([commutation_matrix(g) for g in mats])
     return map_kernels(stack, n, rank_tol=rank_tol)[0]

@@ -61,9 +61,8 @@ class Superoperator:
         return self.kernel_tower(1, rank_tol)[0]
 
     def kernel_tower(self, k_max: int, rank_tol: float = DEFAULT_RANK_TOL) -> tuple:
-        """Kernels of the map's powers 1..k_max from one SVD of the map,
-        in the Hermitian frame when the map is *-preserving
-        (``numlin.map_kernels``)."""
+        """Kernels of the map's powers 1..k_max from one SVD of the
+        complex map (``numlin.map_kernels``)."""
         return map_kernels(self.matrix, self.ambient_dim, k_max, rank_tol)
 
 

@@ -31,7 +31,7 @@ from n = 4 on none holds more than the n^4 entries of U.  A doubling
 ladder of times t, 2t, ... takes the exponentials once, at t, and
 squares them.  The kernel correspondence compares ker ad_ig with the
 commutant of T / n, T the partial trace of S, from the n x n eigh of
-T / n.
+T / n; a T / n that is not Hermitian gives NaN.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .commutant import commutant
 from .derivation import Superoperator, _stabilization_report, ad_kernel_tower
 from .errors import NotDensity, NotEquilibrium, NotFaithful, ShapeMismatch
 from .numlin import (
@@ -315,10 +314,12 @@ def kernel_correspondence_distance(
     delta: Superoperator,
     s,
     rank_tol: float = DEFAULT_RANK_TOL,
-    kernel: OperatorSubspace | None = None,
+    *,
+    kernel: OperatorSubspace,
 ) -> float:
     """Distance between the kernel of [iS, .] restricted to the range of
-    pi and the image under pi of ker(map).
+    pi and ``kernel``, the image under pi of ker(map) at rank_tol (the
+    first level of the map's kernel tower).
 
     [iS, .] preserves the range of pi (that is the implementation
     identity).  The range has the orthonormal basis I (x) E_u / sqrt(n),
@@ -326,30 +327,27 @@ def kernel_correspondence_distance(
     partial trace T[p, r] = sum_j S[p + nj, r + nj].  a -> I (x) a /
     sqrt(n) is an isometry from M_n onto that range, so both kernels are
     compared in M_n, with unchanged projector distance; the first kernel
-    is ker i[T / n, .] (``_commutator_kernel``).  A caller that holds
-    ker(map) at rank_tol already, as the first level of the map's kernel
-    tower, passes it as ``kernel`` and saves factoring the map again.
+    is ker i[T / n, .] (``_commutator_kernel``).  A T / n that
+    ``is_hermitian`` rejects gives NaN, which the check's rule FAILs.  An
+    S from ``implementing_operator`` has T = n g - tr(g) I under every
+    faithful state, Hermitian with g, equilibrium or not; so only an S
+    that is not Hermitian gets NaN, and its ``symmetry`` rule FAILs too.
     """
     n = delta.ambient_dim
-    partial = np.einsum("jpjr->pr", as_cmatrix(s).reshape(n, n, n, n))
-    if kernel is None:
-        kernel = delta.kernel(rank_tol)
-    return subspace_distance(_commutator_kernel(partial / n, rank_tol), kernel)
+    h = np.einsum("jpjr->pr", as_cmatrix(s).reshape(n, n, n, n)) / n
+    if not is_hermitian(h):
+        return float("nan")
+    return subspace_distance(_commutator_kernel(h, rank_tol), kernel)
 
 
 def _commutator_kernel(h, rank_tol: float) -> OperatorSubspace:
-    """ker i[h, .] on M_n, at the rank rule of ``commutant``.
+    """ker i[h, .] on M_n for an h that ``is_hermitian`` accepts, at the
+    scale-1 rank rule (``numlin._numerical_rank``).
 
-    For an h that ``is_hermitian`` accepts, with eigh((h + h*) / 2) =
-    (l, u), the map X -> i[h, X] is normal on the HS space, with the
-    singular values |l_a - l_b| and the singular vectors u_a u_b*: the
-    kernel is spanned by the u_a u_b* whose |l_a - l_b| the scale-1 rule
-    (``numlin._numerical_rank``) ranks zero.  Only n x n arrays.  Any
-    other h gets ``commutant([h])``.  For an S from
-    ``implementing_operator``, T = n g - tr(g) I, so T / n is Hermitian
-    whenever g is, equilibrium or not."""
-    if not is_hermitian(h):
-        return commutant([h], rank_tol)
+    With eigh((h + h*) / 2) = (l, u), the map X -> i[h, X] is normal on
+    the HS space, with the singular values |l_a - l_b| and the singular
+    vectors u_a u_b*: the kernel is spanned by the u_a u_b* whose
+    |l_a - l_b| the rule ranks zero.  Only n x n arrays."""
     n = h.shape[0]
     values, vectors = hermitian_eig((h + h.conj().T) / 2)
     gaps = np.abs(values[:, None] - values).ravel()

@@ -14,12 +14,12 @@ order): an HS-orthonormal basis of Hermitian matrices.  A map on M_n
 that sends Hermitian matrices to Hermitian matrices, phi(x*) = phi(x)*
 (ad_iD for Hermitian D, i[g, .] for Hermitian g), has a real matrix
 T* M T with the singular values of M, and its kernels are T applied to
-real kernels.  ``real_frame`` forms T* M T by gathers, and
-``from_frame`` maps frame vectors back to vec coordinates.  For a real
-symmetric g, i[g, .] maps the n(n+1)/2 real symmetric frame elements to
-the n(n-1)/2 imaginary antisymmetric ones and back, so its frame matrix
-is [[0, -Q^T], [Q, 0]]: ``commutator_frame_block`` builds Q for a
-tridiagonal g, and ``block_kernel_tower`` takes ker A = ker A^k from one SVD of Q.
+real kernels; ``from_frame`` maps frame vectors back to vec coordinates.
+For a real symmetric g, i[g, .] maps the n(n+1)/2 real symmetric frame
+elements to the n(n-1)/2 imaginary antisymmetric ones and back, so its
+frame matrix is [[0, -Q^T], [Q, 0]]: ``commutator_frame_block`` builds Q
+for a tridiagonal g, and ``block_kernel_tower`` takes ker A = ker A^k
+from one SVD of Q.
 
 All matrix norms written ||.|| in residual bounds are Frobenius norms
 (the Hilbert-Schmidt norm), which keeps every Taylor-type bound in this
@@ -307,43 +307,6 @@ def _frame_order(n: int) -> tuple:
 _SQRT_HALF = np.sqrt(0.5)
 
 
-def _frame_side(g: np.ndarray, ends: tuple, axis: int, phase: complex) -> np.ndarray:
-    # in place on rows (or columns) gathered in frame order: the diagonal
-    # run stays, (upper, lower) -> ((upper + lower), phase (upper - lower))
-    # / sqrt 2; one temporary of the pair size
-    d, u = ends
-    side = g.swapaxes(1, axis)  # a view with the frame axis after the blocks
-    upper, lower = side[:, d:u], side[:, u:]
-    difference = upper - lower
-    upper += lower
-    upper *= _SQRT_HALF
-    np.multiply(difference, phase * _SQRT_HALF, out=lower)
-    return g
-
-
-def real_frame(m, n: int):
-    """T* M T (module docstring) of each n^2-row block of M, as a float64
-    array, when it is exactly real; None otherwise.
-
-    Exactly real means a zero imaginary part, bit for bit.  That holds
-    when M[r', s'] = conj(M[r, s]) exactly, where ' swaps the two matrix
-    indices of a vec index: true of ad_iD and of i[g, .] built from an
-    exactly Hermitian D or g, because the gather adds each entry to its
-    conjugate.  A map that is *-preserving only to roundoff, or not at
-    all, gets None and stays on the complex route.  A float64 M (a
-    ``kron`` of two real factors) is read as complex.  Costs one gather
-    per side, O(n^4).
-    """
-    order, ends = _frame_order(n)
-    m = np.asarray(m, dtype=np.complex128)
-    rows = _frame_side(m.reshape(-1, n * n, n * n)[:, order], ends, 1, -1j)
-    frame = _frame_side(rows[:, :, order], ends, 2, 1j).reshape(m.shape)
-    del rows
-    if np.any(frame.imag):
-        return None
-    return np.ascontiguousarray(frame.real)  # a copy: frees the complex array
-
-
 def from_frame(v, n: int) -> np.ndarray:
     """T v: frame coordinates (columns) back to complex vec coordinates.
     A real v gives vecs of Hermitian matrices."""
@@ -519,25 +482,14 @@ class OperatorSubspace:
 def map_kernels(m, n: int, k_max: int = 1, rank_tol: float = DEFAULT_RANK_TOL) -> tuple:
     """ker M, ..., ker M^k_max of a map M on M_n (or, at k_max = 1, of a
     stack of maps) as OperatorSubspaces, by ``nullspace`` or ``kernel_tower``
-    at scale 1: a map of pure roundoff has full kernel.  A *-preserving map
-    (exactly real ``real_frame``) is factored as that real matrix, at about
-    half the cost and memory, with the same singular values; any other map
-    stays complex.  Levels repeating the fixed point are one object,
-    wrapped once.  The complex map is not referenced here past the frame
-    gather, so a caller that keeps no reference of its own frees it
-    before the SVD.
+    at scale 1: a map of pure roundoff has full kernel.  Levels repeating
+    the fixed point are one object, wrapped once.
     """
-    frame = real_frame(m, n)
-    if frame is not None:
-        m = frame
     if k_max == 1:
         bases = [nullspace(m, rank_tol, scale=1.0)]
     else:
         bases = kernel_tower(m, k_max, rank_tol, scale=1.0)
-    return map_distinct(
-        lambda q: OperatorSubspace.from_vec_columns(n, q if frame is None else from_frame(q, n)),
-        bases,
-    )
+    return map_distinct(lambda q: OperatorSubspace.from_vec_columns(n, q), bases)
 
 
 def tridiagonal_kernel_tower(w, t, k_max: int, rank_tol: float = DEFAULT_RANK_TOL) -> tuple:

@@ -4,7 +4,16 @@ import pytest
 from derivlab.cli import _spectral_instances, generate
 from derivlab.derivation import _stabilization_report
 from derivlab.errors import ShapeMismatch
-from derivlab.numlin import OperatorSubspace, as_cmatrix, frob, hermitian_eig
+from derivlab.numlin import (
+    OperatorSubspace,
+    _frame_order,
+    as_cmatrix,
+    frob,
+    from_frame,
+    hermitian_eig,
+    kernel_tower,
+    nullspace,
+)
 
 
 def random_hermitian(n, seed, scale=1.0):
@@ -172,10 +181,48 @@ def complex_eigh_commutant_oracle(h, rank_tol=1e-10):
     return OperatorSubspace.from_vec_columns(h.shape[0], v[:, np.abs(w) <= cut])
 
 
+def frame_matrix(m, n):
+    """T* M T for the Hermitian frame T of ``numlin`` (its module
+    docstring), for each n^2-row block of M, by gathers: rows, then
+    columns, in frame order, each (E_ij, E_ji) pair turned into
+    ((upper + lower), phase (upper - lower)) / sqrt 2.  Every entry is
+    added to its conjugate, so a *-preserving map built from exactly
+    Hermitian data, such as ad_iD or a stack of i[g, .], comes out with
+    an imaginary part that is zero bit for bit."""
+    order, (d, u) = _frame_order(n)
+    half = np.sqrt(0.5)
+
+    def side(a, phase):  # along axis 1
+        upper, lower = a[:, d:u], a[:, u:]
+        pairs = [(upper + lower) * half, phase * half * (upper - lower)]
+        return np.concatenate([a[:, :d], *pairs], axis=1)
+
+    gathered = np.asarray(m, dtype=complex).reshape(-1, n * n, n * n)[:, order][:, :, order]
+    rows = side(gathered, -1j)
+    return side(rows.transpose(0, 2, 1), 1j).transpose(0, 2, 1).reshape(np.shape(m))
+
+
+def frame_route_kernels(m, n, k_max=1, rank_tol=1e-10):
+    """ker M, ..., ker M^k_max of a *-preserving map M on M_n (at k_max =
+    1, of a stack of maps) by the real route: the exactly real
+    ``frame_matrix`` of M, factored in float64 by ``numlin.nullspace`` or
+    ``numlin.kernel_tower`` at scale 1, and mapped back by
+    ``numlin.from_frame``.  The same singular values as the complex
+    matrix that ``numlin.map_kernels`` factors, in other arithmetic."""
+    frame = frame_matrix(m, n)
+    assert not frame.imag.any(), "the map is not *-preserving bit for bit"
+    real = np.ascontiguousarray(frame.real)
+    if k_max == 1:
+        bases = [nullspace(real, rank_tol, scale=1.0)]
+    else:
+        bases = kernel_tower(real, k_max, rank_tol, scale=1.0)
+    return [OperatorSubspace.from_vec_columns(n, from_frame(q, n)) for q in bases]
+
+
 def superoperator_stabilization_report(sop, n_max, rank_tol=1e-10):
-    """The stabilization report of any map on M_n, from the frame SVD of
-    its n^2 x n^2 matrix (``Superoperator.kernel_tower``): the route for a
-    map that is no ad_iD of a Hermitian D, such as a Jordan control."""
+    """The stabilization report of any map on M_n, from one SVD of its
+    complex n^2 x n^2 matrix (``Superoperator.kernel_tower``): the route
+    for a map that is no ad_iD of a Hermitian D, such as a Jordan control."""
     return _stabilization_report(sop.kernel_tower(n_max, rank_tol))
 
 

@@ -43,7 +43,6 @@ def test_stage_timings_smoke(tmp_path):
         "commutant_identity_check",
         "br_gns_check",
         "superoperator_build",
-        "frame_change",
         "kernel_tower",
         "kernel_stabilization_report",
         "nullspace",

@@ -141,10 +141,10 @@ class TestRun:
 
     def test_every_factored_map_is_real_in_the_frame(self, tmp_path, monkeypatch):
         # every matrix the suites factor is the float64 block of the
-        # Hermitian frame (numlin._block_split): none reaches the SVD of a
-        # complex or framed n^2 x n^2 map, and none the frame change
+        # Hermitian frame (numlin._block_split): none reaches the SVD of
+        # an n^2 x n^2 map
         calls = []
-        for name in ("_svd_split", "real_frame", "_block_split"):
+        for name in ("_svd_split", "_block_split"):
             original = getattr(numlin, name)
 
             def recorded(*args, name=name, original=original):

@@ -31,7 +31,6 @@ from derivlab.numlin import (
     from_frame,
     hermitian_tridiagonal,
     nullspace,
-    real_frame,
     subspace_distance,
 )
 from derivlab.spectral import spectral_resolution
@@ -39,6 +38,8 @@ from derivlab.spectral import spectral_resolution
 from conftest import (
     complex_eigh_commutant_oracle,
     eigenbasis_kernel_oracle,
+    frame_matrix,
+    frame_route_kernels,
     from_spanning,
     matrix_unit,
     membership_residual,
@@ -101,7 +102,7 @@ class TestCommutant:
 
 
 def _complex_route_commutant(gens, rank_tol=1e-10):
-    """The commutant from the complex stack of i[g, .], without the frame."""
+    """The commutant from one SVD of the complex stack of i[g, .]."""
     stacked = np.vstack([1j * commutation_matrix(g) for g in gens])
     return OperatorSubspace.from_vec_columns(
         gens[0].shape[0], nullspace(stacked, rank_tol, scale=1.0)
@@ -114,35 +115,26 @@ class TestHermitianFrameRoute:
         t = from_frame(np.eye(n * n), n)
         gens = [d for _, d in _spectral_instances(n, 31)]
         stacked = np.vstack([1j * commutation_matrix(g) for g in gens])
-        frame = real_frame(stacked, n)
-        assert frame is not None and frame.dtype == np.float64
+        frame = frame_matrix(stacked, n)
+        assert not frame.imag.any()
         for block, real_block in zip(stacked.reshape(2, n * n, n * n), np.split(frame, 2)):
             assert frob(real_block - t.conj().T @ block @ t) <= 1e-13 * max(1.0, frob(block))
 
     @pytest.mark.parametrize("n", [2, 3, 8, 16])
     def test_real_and_complex_routes_agree(self, n):
+        # commutant's complex SVD against the float64 SVD of the same
+        # stack in the frame; the instances are exactly Hermitian
         for _, d in _spectral_instances(n, 32):
             for gens in ([d], [d, _spectral_instances(n, 33)[0][1]]):
-                real, oracle = commutant(gens), _complex_route_commutant(gens)
-                assert real.dim == oracle.dim
-                assert subspace_distance(real, oracle) <= 1e-12
-                # the real route's basis is Hermitian, bit for bit
-                assert all(np.array_equal(b, b.conj().T) for b in real.basis)
-
-    @pytest.mark.parametrize("n", [3, 5, 8])
-    def test_projections_take_the_real_route(self, n):
-        # each P = B B* is Hermitian only to roundoff; commutant factors
-        # its exact Hermitian part, so the list reaches the real frame
-        res = spectral_resolution(_spectral_instances(n, 36)[1][1])
-        projections = list(res.projections)
-        real, oracle = commutant(projections), _complex_route_commutant(projections)
-        assert all(np.array_equal(b, b.conj().T) for b in real.basis)
-        assert real.dim == oracle.dim
-        assert subspace_distance(real, oracle) <= 1e-12
+                stacked = np.vstack([1j * commutation_matrix(g) for g in gens])
+                (oracle,) = frame_route_kernels(stacked, n)
+                comm = commutant(gens)
+                assert comm.dim == oracle.dim
+                assert subspace_distance(comm, oracle) <= 1e-12
 
     def test_non_hermitian_list_stays_complex(self):
         gens = [random_matrix(3, seed=34), random_hermitian(3, seed=35)]
-        assert real_frame(np.vstack([1j * commutation_matrix(g) for g in gens]), 3) is None
+        assert frame_matrix(np.vstack([1j * commutation_matrix(g) for g in gens]), 3).imag.any()
         assert np.array_equal(commutant(gens).basis, _complex_route_commutant(gens).basis)
 
 
@@ -249,8 +241,7 @@ class TestKernelCommutantCheck:
 
     def test_kernel_route_is_the_block_svd(self, monkeypatch):
         # ker ad_iD is one SVD of the n(n-1)/2 x n(n+1)/2 block of ad_iT;
-        # neither the frame gather nor map_kernels runs
-        numlin = importlib.import_module("derivlab.numlin")
+        # map_kernels does not run
         module = importlib.import_module("derivlab.commutant")
         shapes, svd = [], np.linalg.svd
 
@@ -259,11 +250,10 @@ class TestKernelCommutantCheck:
             return svd(m, *args, **kwargs)
 
         def refused(*args, **kwargs):
-            raise AssertionError("the frame route of ad_iD was called")
+            raise AssertionError("the general route of ad_iD was called")
 
         monkeypatch.setattr(np.linalg, "svd", recorded)
         monkeypatch.setattr(module, "map_kernels", refused)
-        monkeypatch.setattr(numlin, "real_frame", refused)
         for n in (2, 6):
             for _, d in _spectral_instances(n, 4):
                 shapes.clear()

@@ -26,7 +26,6 @@ from derivlab.numlin import (
     kernel_tower,
     kron,
     nullspace,
-    real_frame,
     subspace_distance,
     vec,
 )
@@ -34,6 +33,8 @@ from derivlab.spectral import spectral_resolution
 
 from conftest import (
     eigenbasis_kernel_oracle,
+    frame_matrix,
+    frame_route_kernels,
     iterated_commutator,
     matrix_unit,
     membership_residual,
@@ -233,7 +234,7 @@ class TestKernelTower:
 
 
 def _complex_route_tower(sop, k_max, rank_tol=1e-10):
-    """The kernel tower of the map's complex matrix, without the frame."""
+    """The kernel tower of the map's complex matrix at scale 1."""
     return [
         OperatorSubspace.from_vec_columns(sop.ambient_dim, q)
         for q in kernel_tower(sop.matrix, k_max, rank_tol, scale=1.0)
@@ -246,25 +247,27 @@ class TestHermitianFrameRoute:
         t = from_frame(np.eye(n * n), n)
         for _, d in _spectral_instances(n, 21):
             m = ad_superoperator(d).matrix
-            frame = real_frame(m, n)
-            assert frame is not None and frame.dtype == np.float64
+            frame = frame_matrix(m, n)
+            assert not frame.imag.any()
             assert frob(frame - t.conj().T @ m @ t) <= 1e-13 * max(1.0, frob(m))
 
     @pytest.mark.parametrize("n", [2, 3, 8, 16])
     def test_real_and_complex_routes_agree(self, n):
+        # the complex SVD of Superoperator.kernel_tower against the float64
+        # SVD of the same map in the frame
         for _, d in _spectral_instances(n, 22):
             sop = ad_superoperator(d)
-            real = sop.kernel_tower(8)
-            oracle = _complex_route_tower(sop, 8)
-            assert [k.dim for k in real] == [k.dim for k in oracle]
-            for k_real, k_complex in zip(real, oracle):
-                assert subspace_distance(k_real, k_complex) <= 1e-12
+            tower = sop.kernel_tower(8)
+            oracle = frame_route_kernels(sop.matrix, n, 8)
+            assert [k.dim for k in tower] == [k.dim for k in oracle]
+            for k_complex, k_real in zip(tower, oracle):
+                assert subspace_distance(k_complex, k_real) <= 1e-12
 
     def test_jordan_control_stays_complex(self):
         nil = np.diag(np.ones(3), 1)
         eye = np.eye(4)
         sop = Superoperator(4, kron(eye, nil) - kron(nil.T, eye))
-        assert real_frame(sop.matrix, 4) is None
+        assert frame_matrix(sop.matrix, 4).imag.any()
         for k_map, k_complex in zip(sop.kernel_tower(5), _complex_route_tower(sop, 5)):
             assert np.array_equal(k_map.basis, k_complex.basis)
 
@@ -272,7 +275,7 @@ class TestHermitianFrameRoute:
         d = gapped_hermitian(5, 23)
         d = d + 1e-13 * random_matrix(5, seed=24)  # within is_hermitian's 1e-12
         sop = ad_superoperator(d)
-        assert real_frame(sop.matrix, 5) is None
+        assert frame_matrix(sop.matrix, 5).imag.any()
         for k_map, k_complex in zip(sop.kernel_tower(3), _complex_route_tower(sop, 3)):
             assert np.array_equal(k_map.basis, k_complex.basis)
 
@@ -290,7 +293,9 @@ class TestAdKernelTower:
         sym = n * (n + 1) // 2
         assert q.shape == (n * n - sym, sym) and q.dtype == np.float64
         assert np.max(np.count_nonzero(q, axis=0), initial=0) <= 5
-        frame = real_frame(ad_superoperator(t).matrix, n)
+        frame = frame_matrix(ad_superoperator(t).matrix, n)
+        assert not frame.imag.any()
+        frame = frame.real
         assert not frame[:sym, :sym].any() and not frame[sym:, sym:].any()
         assert np.max(np.abs(frame[sym:, :sym] - q), initial=0.0) <= 1e-14 * max(1.0, frob(t))
         assert np.max(np.abs(frame[:sym, sym:] + q.T), initial=0.0) <= 1e-14 * max(1.0, frob(t))

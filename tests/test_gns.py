@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from derivlab import gns, numlin
+from derivlab import cli, gns, numlin
 from derivlab.cli import (
     DEFAULT_DISTANCE_TOL,
     EQUILIBRIUM_TOL,
@@ -283,7 +283,8 @@ class TestImplementingOperator:
         delta = ad_superoperator(g)
         rep = gns_construct(omega)
         s, _ = implementing_operator(rep, delta)
-        assert kernel_correspondence_distance(delta, s) <= 1e-8
+        kernel = ad_kernel_tower(g, 1)[0]
+        assert kernel_correspondence_distance(delta, s, kernel=kernel) <= 1e-8
 
 
 class TestAbstractStabilization:
@@ -391,6 +392,7 @@ class TestBatchedChecks:
         # agreement to 1e-12 is not just two roundoff-sized numbers;
         # the non-Hermitian one also tells column norms from row norms
         skewed = s + 1e-3 * np.kron(np.eye(n), random_matrix(n, seed=80 + n))
+        kernel = ad_kernel_tower(g, 1)[0]
         for op in (s, perturbed(s, n, 50 + n), skewed):
             assert abs(
                 implementation_check(delta, op)
@@ -401,10 +403,11 @@ class TestBatchedChecks:
                     flow_intertwining_residual(g, op, t)
                     - oracle_intertwining(pi, n, delta, op, t)
                 ) <= 1e-12
-            assert abs(
-                kernel_correspondence_distance(delta, op)
-                - oracle_kernel_correspondence(pi, n, delta, op)
-            ) <= 1e-12
+            corr = kernel_correspondence_distance(delta, op, kernel=kernel)
+            if op is skewed:  # its partial trace is not Hermitian
+                assert np.isnan(corr)
+            else:
+                assert abs(corr - oracle_kernel_correspondence(pi, n, delta, op)) <= 1e-12
 
     @pytest.mark.parametrize("n", [3, 6, 9])
     def test_detects_perturbed_operator(self, n):
@@ -415,7 +418,7 @@ class TestBatchedChecks:
         bad = perturbed(s, n, 70 + n)
         assert implementation_check(delta, bad) > 1e-6
         assert flow_intertwining_residual(g, bad, 1.0) > 1e-6
-        assert kernel_correspondence_distance(delta, bad) > 1e-6
+        assert kernel_correspondence_distance(delta, bad, kernel=ad_kernel_tower(g, 1)[0]) > 1e-6
 
 
 def n6_implementation_check(n, delta, s):
@@ -618,33 +621,48 @@ class TestCorrespondenceKernel:
         assert defects.max() >= 1e-2 * frob(h)
         assert subspace_distance(kernel, from_spanning(n, unconjugated)) >= 0.5
 
-    def test_non_hermitian_partial_trace_takes_the_commutant(self, monkeypatch):
-        # the skewed operator of the oracle tests has a non-Hermitian T,
-        # which only the commutant route serves
+    def test_non_hermitian_partial_trace_gives_nan(self, monkeypatch):
+        # the skewed operator of the oracle tests has a non-Hermitian T:
+        # no kernel of i[T / n, .] is computed, and nothing is factored
         n = 4
         omega, g = equilibrium_instance(n, 190)
         delta = ad_superoperator(g)
         s, _ = implementing_operator(gns_construct(omega), delta)
         skewed = s + 1e-3 * np.kron(np.eye(n), random_matrix(n, seed=191))
-        calls = []
+        kernel = ad_kernel_tower(g, 1)[0]
+        assert kernel_correspondence_distance(delta, s, kernel=kernel) <= 1e-12
 
-        def recorded(gens, rank_tol):
-            calls.append(gens)
-            return commutant(gens, rank_tol)
+        def refused(*args):
+            raise AssertionError("a kernel of i[T / n, .] was computed")
 
-        monkeypatch.setattr(gns, "commutant", recorded)
-        assert kernel_correspondence_distance(delta, s) <= 1e-12
-        assert calls == []
-        assert kernel_correspondence_distance(delta, skewed) > 1e-6
-        assert len(calls) == 1
+        monkeypatch.setattr(gns, "_commutator_kernel", refused)
+        assert np.isnan(kernel_correspondence_distance(delta, skewed, kernel=kernel))
+
+    def test_br_gns_fails_a_non_hermitian_partial_trace(self, monkeypatch):
+        # an S whose T / n is not Hermitian FAILs the correspondence rule
+        # with margin inf, beside its symmetry rule
+        n = 4
+        omega, g = equilibrium_instance(n, 192)
+        implement = cli.implementing_operator
+
+        def skewed(rep, delta):
+            s, _ = implement(rep, delta)
+            s = s + 1e-3 * np.kron(np.eye(n), random_matrix(n, seed=193))
+            return s, frob(s - s.conj().T)
+
+        monkeypatch.setattr(cli, "implementing_operator", skewed)
+        check = br_gns_check(f"br_gns/n={n}/i=0", omega, g, 5)
+        assert check["pass"] is False
+        assert np.isnan(check["details"]["kernel_correspondence"])
+        assert check["margins"]["kernel_correspondence"] == np.inf
 
 
 class TestCorrespondenceFootprint:
     @pytest.mark.parametrize("n", [12, 16])
     def test_peak_within_one_copy_of_s(self, n):
         # the n^2 x n^2 stack of commutant([T / n]) and its frame took
-        # several copies of S; with ker ad_ig given, as br_gns_check
-        # passes it, the eigen route holds n x n arrays and the kernel
+        # several copies of S; the eigen route holds n x n arrays and the
+        # given ker ad_ig
         omega, g = equilibrium_instance(n, 195 + n)
         delta = ad_superoperator(g)
         s, _ = implementing_operator(gns_construct(omega), delta)
@@ -706,7 +724,7 @@ class TestOneFactorizationPerInstance:
         assert subspace_distance(report.kernel, delta.kernel()) <= 1e-12
         assert abs(
             kernel_correspondence_distance(delta, s, kernel=report.kernel)
-            - kernel_correspondence_distance(delta, s)
+            - kernel_correspondence_distance(delta, s, kernel=delta.kernel())
         ) <= 1e-12
 
 

@@ -27,7 +27,6 @@ from derivlab.numlin import (
     kron,
     map_kernels,
     nullspace,
-    real_frame,
     subspace_distance,
     vec,
 )
@@ -382,27 +381,6 @@ class TestHermitianFrame:
         for column in t.T:
             x = unvec(column, n)
             assert np.array_equal(x, x.conj().T)
-        # x -> a x a^T for real a sends Hermitian matrices to Hermitian ones
-        a = random_matrix(n, seed=n).real
-        m = kron(a, a)
-        frame = real_frame(m, n)
-        assert frame.dtype == np.float64
-        assert frob(t @ frame @ t.conj().T - m) <= 1e-13 * frob(m)
-        assert frob(from_frame(frame, n) - m @ t) <= 1e-13 * frob(m)
-
-    def test_blocks_are_changed_one_by_one(self):
-        n = 3
-        a, b = random_matrix(n, seed=1).real, random_matrix(n, seed=2).real
-        blocks = [kron(a, a), kron(b, b)]
-        stacked = real_frame(np.vstack(blocks), n)
-        assert stacked.shape == (2 * n * n, n * n)
-        assert np.array_equal(stacked, np.vstack([real_frame(x, n) for x in blocks]))
-
-    def test_maps_that_are_not_star_preserving_get_none(self):
-        n = 3
-        a = random_matrix(n, seed=4).real
-        assert real_frame(kron(np.eye(n), a), n) is None  # x -> a x
-        assert real_frame(1j * kron(a, a), n) is None  # x -> i a x a^T
 
 
 def _ad(d):
@@ -416,8 +394,6 @@ class TestMapKernels:
         kernels = map_kernels(_ad(np.diag([0.0, 0.0, 1.0, 3.0])), 4, k_max=4)
         assert all(k is kernels[0] for k in kernels)
         assert kernels[0].dim == 2**2 + 1 + 1
-        # factored in the real frame: the basis is Hermitian, bit for bit
-        assert all(np.array_equal(b, b.conj().T) for b in kernels[0].basis)
 
     def test_jordan_map_grows(self):
         nil = np.diag(np.ones(3), 1)
@@ -468,7 +444,6 @@ class TestMapKernels:
     def test_other_maps_factor_the_complex_matrix(self):
         a = random_matrix(3, seed=4)
         m = kron(np.eye(3), a) - kron(a.T, np.eye(3))  # x -> [a, x]
-        assert real_frame(m, 3) is None
         (kernel,) = map_kernels(m, 3)
         assert np.array_equal(kernel.vectors().T, nullspace(m, scale=1.0))
 

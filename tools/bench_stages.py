@@ -7,15 +7,15 @@ k = 8 and ``commutant_identity_check`` on the repeated-eigenvalue
 instance of the spectral suites (``cli._spectral_instances``), and
 ``br_gns_check`` to k = 8 on ``cli.equilibrium_instance(n, seed)``.
 On that spectral instance it then times the ad_iD superoperator build,
-the change to the Hermitian frame, the kernel tower to k = 8 of the
-superoperator, ``kernel_stabilization_report`` to k = 8 (the route of
-the ``kernel_stab`` suite), one ``nullspace`` of the
-matrix the tower factors, one ``subspace_distance``, and the three stages of
-``kernel_commutant_check``: the kernel of ad_iD by the check's route, the
-Householder reduction and one SVD of the real block of ad_iT
-(``ad_kernel_tower`` at k = 1, a name in every checkout),
-``hermitian_commutant``, and ``projection_algebras``, the closed forms of
-{P_i}' and P_D''.  The check reduces D once for its first two stages;
+the kernel tower to k = 8 of the superoperator,
+``kernel_stabilization_report`` to k = 8 (the route of the
+``kernel_stab`` suite), one ``nullspace`` of the complex superoperator
+matrix, which the tower factors, one ``subspace_distance``, and the
+three stages of ``kernel_commutant_check``: the kernel of ad_iD by
+the check's route, the Householder reduction and one SVD of the real
+block of ad_iT (``ad_kernel_tower`` at k = 1, a name in every
+checkout), ``hermitian_commutant``, and ``projection_algebras``, the
+closed forms of {P_i}' and P_D''.  The check reduces D once for its first two stages;
 each stage here reduces it itself.
 At every n it also times the GNS stages of ``br_gns_check`` on the
 equilibrium instance, also above ``cli._BR_GNS_MAX_DIM`` (32), with the
@@ -107,7 +107,6 @@ def stages(n: int, seed: int = 8) -> dict:
     """The stages at dimension n, as callables by name."""
     d = _spectral_instances(n, seed)[1][1]
     sop = ad_superoperator(d)
-    frame = numlin.real_frame(sop.matrix, n)
     kernel = sop.kernel()
     comm = hermitian_commutant(d)
     res = spectral_resolution(d)
@@ -121,10 +120,9 @@ def stages(n: int, seed: int = 8) -> dict:
         "commutant_identity_check": lambda: commutant_identity_check("stage", d),
         "br_gns_check": lambda: br_gns_check("stage", omega, g, K_MAX),
         "superoperator_build": lambda: ad_superoperator(d),
-        "frame_change": lambda: numlin.real_frame(sop.matrix, n),
         "kernel_tower": lambda: sop.kernel_tower(K_MAX),
         "kernel_stabilization_report": lambda: kernel_stabilization_report(d, K_MAX),
-        "nullspace": lambda: numlin.nullspace(frame, scale=1.0),
+        "nullspace": lambda: numlin.nullspace(sop.matrix, scale=1.0),
         "subspace_distance": lambda: numlin.subspace_distance(kernel, comm),
         "commutant_check.kernel": lambda: ad_kernel_tower(d, 1),
         "commutant_check.hermitian_commutant": lambda: hermitian_commutant(d),
